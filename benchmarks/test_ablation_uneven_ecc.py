@@ -59,10 +59,7 @@ def _uneven_failures(scheme, pipeline, coverage, rng):
         matrix = scheme.encode(data)
         # Ship the uneven matrix through the real strand channel by
         # reusing the pipeline's strand format (index + column symbols).
-        strands = [
-            pipeline._column_to_strand(matrix, column)
-            for column in range(MATRIX.n_columns)
-        ]
+        strands = pipeline._render_strands(matrix[None])[0]
         pool = ReadPool(strands, ErrorModel.uniform(ERROR_RATE),
                         max_coverage=coverage, rng=generator)
         received = pipeline.receive(pool.clusters_at(coverage))

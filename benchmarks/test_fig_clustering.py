@@ -61,8 +61,8 @@ def _one_rate(rate, rng):
     predicted, n_clusters = clusterer.assign(pool)
     elapsed = time.perf_counter() - start
     precision, recall = pair_precision_recall(truth, predicted)
-    decoded, report = pipeline.decode_pool(pool, bits.size,
-                                           clusterer=clusterer)
+    decoded, report = pipeline.decode(clusterer.cluster_batch(pool),
+                                      bits.size)
     unlabeled_exact = report.clean and np.array_equal(decoded, bits)
     reference, labeled_report = pipeline.decode(labeled, bits.size)
     labeled_exact = labeled_report.clean \

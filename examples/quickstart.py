@@ -128,10 +128,9 @@ def main() -> None:
     # Chien and Forney in lockstep (`ReedSolomon.decode_many`). Reads
     # come back through the store's single entry point — `store.read`
     # takes a `ReadRequest` and answers with a `ReadResult` that still
-    # unpacks like the old `(bits, report)` tuple. The per-unit loop
-    # survives behind `ReadRequest(reference=True)` and the scalar RS
-    # chain as `repro.ecc.ReferenceReedSolomon` — the frozen references
-    # the batched paths are pinned byte-identical against.
+    # unpacks as a `(bits, report)` tuple. The frozen per-unit loops the
+    # batched paths are pinned byte-identical against live with the
+    # tests (tests/oracles/).
     store = DnaStore(PipelineConfig(matrix=matrix, layout="gini"))
     payload = rng.integers(0, 2, 3 * store.unit_capacity_bits,
                            dtype=np.uint8)
@@ -152,7 +151,8 @@ def main() -> None:
     # `ReadRequest(pool=True)` recovers the clusters on the columnar
     # plane with the batched greedy clusterer (q-gram signatures in one
     # pass, a stacked banded edit-DP per cluster round — assignment-
-    # identical to the string-plane GreedyClusterer at ~30x its speed),
+    # identical to the sequential string-plane greedy scan at ~30x its
+    # speed),
     # then decodes all recovered clusters of all units through the same
     # one-pass receive_many as labeled reads.
     pool = simulator.sequence_store(image, rng, labeled=False)
@@ -172,8 +172,8 @@ def main() -> None:
     # the pairs, the same exact banded edit DP verifies every one, so
     # precision stays 1.0 while candidates grow near-linearly with the
     # pool (>5x faster than greedy at 50k reads; see
-    # benchmarks/test_fig_lsh_scaling.py). Same swap on decode_pool,
-    # StoreService.put, and `repro.cli serve --pool --clusterer lsh`.
+    # benchmarks/test_fig_lsh_scaling.py). Same swap on
+    # StoreService.put and `repro.cli serve --pool --clusterer lsh`.
     from repro import LSHClusterer
 
     lsh = LSHClusterer.for_strand_length(matrix.strand_length)

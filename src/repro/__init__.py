@@ -80,11 +80,10 @@ the units' clusters back to back in one columnar batch;
 ``pipeline.receive_many`` then parses the whole estimate stack with
 array operations — index validation, first-claim-wins column assembly
 and confidence-cell extraction, segmented by unit — feeding one batched
-RS correction pass. The original one-pipeline-call-per-unit loop
-survives behind ``ReadRequest(reference=True)``, the frozen differential
-reference the batched path is pinned byte-identical against. (The
-legacy ``decode``/``decode_pool``/``decode_units`` names still work as
-deprecated wrappers over the same engine.)
+RS correction pass. The single-unit pipeline calls (``encode``,
+``receive``, ``correct``, ``decode``) are the one-element case of the
+same batched passes, and the frozen per-unit loops they are pinned
+byte-identical against live with the tests (``tests/oracles/``).
 
 RS correction itself is batched end to end: clean codewords clear
 through one bit-plane syndrome product, and the dirty remainder of
@@ -94,8 +93,8 @@ computation per stage (``ReedSolomon.decode_many``, with per-codeword
 failure flags instead of exceptions). Soft confidence flags ride a
 two-wave schedule — augmented erasures first, a hard-only retry wave
 for the rows the hints lost — and the whole chain is pinned
-byte-identical to the frozen scalar decoder
-(:class:`~repro.ecc.ReferenceReedSolomon`) by the differential suite.
+byte-identical to the frozen scalar decoder (``tests/oracles/ecc.py``)
+by the differential suite.
 
 Reads do not need ground-truth cluster labels anymore: the clustering
 subsystem runs on the same columnar plane, so the realistic workload —
@@ -111,12 +110,12 @@ sequencing does not provide), and the pooled read path recovers clusters
 with :class:`~repro.cluster.BatchedGreedyClusterer` — q-gram signatures
 for the whole pool in one pass over the flat base buffer, one stacked
 banded edit-distance sweep per cluster round, assignments *identical* to
-the string-plane greedy clusterer (pinned against the frozen original in
-``repro.cluster.reference``) at ~30x its speed on the quickstart pool —
-then feeds the recovered clusters through the same single
-``receive_many`` pass as labeled reads; each consensus strand names its
-column via the embedded index field. The same path exists per unit as
-``pipeline.decode_pool(batch.pooled(rng=...), ...)``.
+the frozen string-plane greedy scan (``tests/oracles/cluster.py``) at
+~30x its speed on the quickstart pool — then feeds the recovered
+clusters through the same single ``receive_many`` pass as labeled reads;
+each consensus strand names its column via the embedded index field.
+Per unit, ``pipeline.decode(clusterer.cluster_batch(pool), n_bits)``
+does the same.
 
 Large pools swap the clustering engine without touching the decode
 path: :class:`~repro.cluster.LSHClusterer` generates candidate pairs
@@ -139,7 +138,7 @@ identical recovery-quality floors (pair precision 1.0, recall bounds in
     )
 
 Every pooled surface takes the same ``clusterer=`` swap:
-``decode_pool``, ``ReadRequest``, ``StoreService.put`` and the CLI's
+``ReadRequest``, ``StoreService.put`` and the CLI's
 ``serve --pool --clusterer lsh``.
 
 Scenario sweeps ride the same engine: ``ReadPool`` stores its pool as one
@@ -236,7 +235,6 @@ from repro.channel import (
 )
 from repro.cluster import (
     BatchedGreedyClusterer,
-    GreedyClusterer,
     LSHClusterer,
     pair_precision_recall,
 )
@@ -297,7 +295,6 @@ __all__ = [
     "SynthesisSimulator",
     "TwoStageSequencer",
     # clustering
-    "GreedyClusterer",
     "BatchedGreedyClusterer",
     "LSHClusterer",
     "pair_precision_recall",

@@ -12,10 +12,10 @@ greedy scan straight off a :class:`~repro.channel.readbatch.ReadBatch`
 buffer — signatures for the whole pool in one pass
 (:mod:`repro.cluster.signatures`), one stacked banded edit-DP per
 cluster round (:func:`banded_edit_distances_stack`) — with assignments
-identical to the string-plane :class:`GreedyClusterer` (itself pinned
-against the frozen original in :mod:`repro.cluster.reference`). That is
+identical to the sequential first-match greedy scan (pinned against the
+frozen string-plane original in ``tests/oracles/cluster.py``). That is
 what opens the unlabeled-pool workload: ``sequence_store(...,
-labeled=False)`` → cluster → ``DnaStore.decode_pool``.
+labeled=False)`` → ``DnaStore.read(ReadRequest(pool, n, pool=True))``.
 
 For pools too large for the greedy scan's O(pool × clusters) candidate
 set, :class:`LSHClusterer` (:mod:`repro.cluster.lsh`) generates
@@ -33,11 +33,9 @@ from repro.cluster.distance import (
     edit_distance,
     edit_distance_indices,
 )
-from repro.cluster.greedy import GreedyClusterer
 from repro.cluster.lsh import LSHClusterer
 from repro.cluster.metrics import pair_precision_recall
 from repro.cluster.perfect import perfect_clusters
-from repro.cluster.reference import ReferenceGreedyClusterer
 from repro.cluster.signatures import (
     batch_signatures,
     batch_signatures_sparse,
@@ -50,10 +48,8 @@ __all__ = [
     "banded_edit_distance",
     "banded_edit_distance_indices",
     "banded_edit_distances_stack",
-    "GreedyClusterer",
     "BatchedGreedyClusterer",
     "LSHClusterer",
-    "ReferenceGreedyClusterer",
     "perfect_clusters",
     "pair_precision_recall",
     "batch_signatures",

@@ -123,7 +123,7 @@ class LSHClusterer:
 
     Drop-in for :class:`~repro.cluster.batched.BatchedGreedyClusterer`
     everywhere a ``clusterer=`` is accepted (``ReadRequest``,
-    ``StoreService.put``, ``decode_pool``): same
+    ``StoreService.put``): same
     ``assign``/``cluster_batch``/``cluster_pools`` surface, same
     relabeled-spanning-batch outputs. Candidate pairs come from LSH bin
     collisions instead of pool × representative scans, so work grows

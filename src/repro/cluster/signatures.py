@@ -14,10 +14,9 @@ lookups), window validity (windows must not straddle a read boundary) as
 one segmented comparison, and all reads' histograms via a single
 ``bincount`` over ``read * 4**q + code`` keys. The single-read helper
 :func:`qgram_signature` rides the same rolling-code kernel, so the
-string-plane :class:`~repro.cluster.greedy.GreedyClusterer` and the
-columnar :class:`~repro.cluster.batched.BatchedGreedyClusterer` share
-one signature definition (pinned against the frozen per-character loop
-in :mod:`repro.cluster.reference` by the differential suite).
+single-read and batch paths share one signature definition (pinned
+against the frozen per-character loop in ``tests/oracles/cluster.py`` by
+the differential suite).
 
 Dense histograms are ``(n_reads, n_alphabet**q)`` and explode
 combinatorially in ``q`` — a million reads at ``q=8`` would need a
@@ -77,7 +76,7 @@ def qgram_signature(
     """Histogram of one read's q-gram codes, ``(n_alphabet**q,)`` int32.
 
     Bit-identical to the frozen per-character loop
-    (``repro.cluster.reference._qgram_signature``) on index arrays; reads
+    (``tests/oracles/cluster.py``) on index arrays; reads
     shorter than ``q`` give the all-zero signature.
     """
     codes = rolling_qgram_codes(read, q, n_alphabet)

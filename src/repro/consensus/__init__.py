@@ -26,8 +26,8 @@ accepts a whole unit's clusters through ``reconstruct_many`` /
 simultaneously, and the refinement layers (iterative realign-and-vote,
 posterior lattice) sweep all reads of all clusters as one padded stack
 with per-cluster fixed-point dropout. The frozen single-cluster originals
-live in :mod:`repro.consensus.reference` (``Reference*Reconstructor``)
-and are pinned against the batched engines by the differential tests —
+are test oracles (``tests/oracles/consensus.py``), pinned against the
+batched engines by the differential tests —
 byte-identical for the integer-domain scans and the iterative refinement,
 and to float round-off for the posterior's soft confidences.
 """
@@ -37,12 +37,6 @@ from repro.consensus.bma import OneWayReconstructor
 from repro.consensus.iterative import IterativeReconstructor
 from repro.consensus.median import OptimalMedianReconstructor
 from repro.consensus.posterior import PosteriorReconstructor
-from repro.consensus.reference import (
-    ReferenceIterativeReconstructor,
-    ReferenceOneWayReconstructor,
-    ReferencePosteriorReconstructor,
-    ReferenceTwoWayReconstructor,
-)
 from repro.consensus.two_way import TwoWayReconstructor
 
 __all__ = [
@@ -54,8 +48,4 @@ __all__ = [
     "IterativeReconstructor",
     "OptimalMedianReconstructor",
     "PosteriorReconstructor",
-    "ReferenceOneWayReconstructor",
-    "ReferenceTwoWayReconstructor",
-    "ReferenceIterativeReconstructor",
-    "ReferencePosteriorReconstructor",
 ]

@@ -20,8 +20,8 @@ handful of numpy operations over the whole read axis. Per-cluster ballots
 are segmented bincounts over ``cluster_id * n_alphabet + symbol``, so one
 pass over the positions advances all 120+ clusters of an encoding unit at
 once. The storage pipeline runs this scan for every unit, making it the
-hottest loop in the repository; the frozen single-cluster original is
-retained in :mod:`repro.consensus.reference` and pinned byte-identical by
+hottest loop in the repository; the frozen single-cluster original is a
+test oracle (``tests/oracles/consensus.py``), pinned byte-identical by
 the differential test suite.
 """
 

@@ -25,7 +25,7 @@ per-position voting and the closing positional-majority/edit-distance
 arbitration are segmented reductions keyed by cluster id. Clusters that
 reach their alignment fixed point drop out of the active set between
 iterations. The frozen per-cluster original lives in
-:mod:`repro.consensus.reference` and is pinned byte-identical by
+``tests/oracles/consensus.py`` and is pinned byte-identical by
 ``tests/consensus/test_vectorized_vs_reference.py``.
 
 The output length is held at L throughout, matching the constrained-median

@@ -29,7 +29,7 @@ segmented reductions, clusters dropping out of the active set at their
 fixed point. Reads of different lengths share the stack via sentinel
 padding; padded columns are masked to exact zeros after every row, so
 they never leak probability mass into real columns. The frozen per-read
-original lives in :mod:`repro.consensus.reference`
+original lives in ``tests/oracles/consensus.py``
 (``ReferencePosteriorReconstructor``); the differential suite pins the
 batched estimates byte-identical to it (confidences agree to float
 round-off — the batched reductions sum the same terms in a different

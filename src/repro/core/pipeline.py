@@ -11,28 +11,32 @@ The pipeline is deliberately split into ``receive`` (clusters to a raw
 symbol matrix) and ``correct`` (matrix to bits) so analyses like the
 paper's Figure 11 can observe the *pre-correction* error distribution per
 codeword.
+
+Each stage has one implementation, batched over units:
+:meth:`~DnaStoragePipeline.encode_many`,
+:meth:`~DnaStoragePipeline.receive_many` and
+:meth:`~DnaStoragePipeline.correct_many`. The single-unit calls
+(``encode``, ``receive``, ``correct``, ``decode``) are their one-element
+case. The frozen per-unit loops they replaced are test oracles
+(``tests/oracles/core.py``) that pin them byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.channel.readbatch import ReadBatch
 from repro.channel.sequencer import ReadCluster
-from repro.cluster.batched import BatchedGreedyClusterer
-from repro.codec.basemap import DirectCodec, indices_to_bases
+from repro.codec.basemap import indices_to_bases
 from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.core.layout import LayoutPolicy, MatrixConfig, build_layout
-from repro.core.ranking import identity_ranking
 from repro.ecc.batched import reason_counts
-from repro.ecc.reed_solomon import DecodeFailure, ReedSolomon
-from repro.ecc.reference import ReferenceReedSolomon
+from repro.ecc.reed_solomon import ReedSolomon
 from repro.observability.trace import get_tracer
-from repro.utils.bitio import pack_uint
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,8 @@ class ReceivedUnit:
         matrix: received symbols (zeros where nothing was received).
         erased_columns: columns with no (validly indexed) strand.
         duplicate_columns: columns claimed by more than one cluster.
-        invalid_strands: consensus strands dropped for a bad index.
+        invalid_strands: consensus strands dropped for a bad index or a
+            length other than the designed strand length.
         cell_erasures: (row, column) cells the consensus flagged as
             low-confidence (only populated by confidence-aware receive).
     """
@@ -107,6 +112,28 @@ class DecodeReport:
         return not self.failed_codewords
 
 
+def _stack_rows(rows, length: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cluster consensus rows -> ``(stack, well_formed)``.
+
+    ``stack`` is ``(len(rows), length)``. A row of any other length (a
+    truncated or overlong estimate) leaves zeros in the stack and
+    ``False`` in ``well_formed``, so one malformed estimate cannot break
+    the whole batch.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 \
+            and rows.shape[1] == length:
+        return (rows.astype(dtype, copy=False),
+                np.ones(rows.shape[0], dtype=bool))
+    well_formed = np.array([np.shape(row) == (length,) for row in rows],
+                           dtype=bool)
+    stack = np.zeros((len(rows), length), dtype=dtype)
+    if well_formed.any():
+        stack[well_formed] = np.stack(
+            [rows[i] for i in np.flatnonzero(well_formed)]
+        )
+    return stack, well_formed
+
+
 class DnaStoragePipeline:
     """Encode/decode encoding units under a configurable layout policy."""
 
@@ -121,7 +148,6 @@ class DnaStoragePipeline:
             config.layout, config.matrix, config.gini_excluded_rows
         )
         self.reconstructor = reconstructor or TwoWayReconstructor()
-        self._codec = DirectCodec()
         self._rs = (
             ReedSolomon(
                 config.matrix.m,
@@ -131,16 +157,13 @@ class DnaStoragePipeline:
             if config.matrix.nsym > 0
             else None
         )
-        # The frozen scalar decoder behind correct_matrix_loop_reference;
-        # built lazily — ordinary decodes never touch it.
-        self._rs_reference: Optional[ReferenceReedSolomon] = None
-        self._placement = list(self.layout.placement_order())
-        if len(self._placement) != config.matrix.data_symbols:
+        placement_order = list(self.layout.placement_order())
+        if len(placement_order) != config.matrix.data_symbols:
             raise AssertionError("placement order does not cover the data cells")
         # Index-array form of the placement order and the codeword
         # geometry: one fancy-indexing gather/scatter replaces every
         # per-cell Python loop on both the encode and the correct path.
-        placement = np.array(self._placement, dtype=np.int64).reshape(-1, 2)
+        placement = np.array(placement_order, dtype=np.int64).reshape(-1, 2)
         self._placement_rows = placement[:, 0]
         self._placement_cols = placement[:, 1]
         cells = np.array(
@@ -163,13 +186,8 @@ class DnaStoragePipeline:
     ) -> EncodedUnit:
         """Encode a bit array (at most ``capacity_bits``) into strands.
 
-        The whole unit is assembled array-native: the data symbols land in
-        the matrix through one placement scatter, every codeword's parity
-        comes from one :meth:`~repro.ecc.reed_solomon.ReedSolomon.
-        parity_many` matrix product, and all columns render to strands in
-        a single bits->bases pass. Output is byte-identical to the
-        per-cell loop encoder (kept as :meth:`encode_loop_reference` and
-        pinned by the differential suite).
+        The one-unit case of :meth:`encode_many`, after applying
+        ``ranking``.
 
         Args:
             bits: 0/1 array of payload bits.
@@ -177,13 +195,15 @@ class DnaStoragePipeline:
                 :mod:`repro.core.ranking`); identity when omitted. Padding
                 bits (capacity beyond ``len(bits)``) always rank last.
         """
-        prioritized = self._prioritize(bits, ranking)
-        matrices = self._assemble_matrices(prioritized[None, :])
-        strands = self._render_strands(matrices)
-        return EncodedUnit(
-            strands=strands[0], matrix=matrices[0],
-            n_data_bits=np.asarray(bits).size,
-        )
+        bits = np.asarray(bits, dtype=np.uint8)
+        if ranking is not None:
+            ranking = np.asarray(ranking, dtype=np.int64)
+            if ranking.shape != (bits.size,):
+                raise ValueError(
+                    "ranking must be a permutation of the bit indices"
+                )
+            bits = bits[ranking]
+        return self.encode_many([bits])[0]
 
     def encode_many(self, stripes: Sequence[np.ndarray]) -> List[EncodedUnit]:
         """Encode several units' payloads in one batched pass.
@@ -191,10 +211,12 @@ class DnaStoragePipeline:
         ``stripes[u]`` is unit ``u``'s bit array (each at most
         ``capacity_bits``; identity ranking — multi-unit priority is
         handled globally by :class:`~repro.core.store.DnaStore` before
-        striping). All units' placement scatters, parity codewords and
-        strand renderings run as single array operations over a
-        ``(n_units, ...)`` stack; per-unit output is byte-identical to
-        calling :meth:`encode` once per stripe.
+        striping). All units' placement scatters, parity codewords (one
+        :meth:`~repro.ecc.reed_solomon.ReedSolomon.parity_many` matrix
+        product) and strand renderings (one bits->bases pass) run as
+        single array operations over a ``(n_units, ...)`` stack; output
+        is byte-identical to the frozen per-cell loop encoder
+        (``tests/oracles/core.py``).
         """
         sizes = []
         prioritized = np.zeros((len(stripes), self.capacity_bits),
@@ -218,54 +240,6 @@ class DnaStoragePipeline:
             for u in range(len(stripes))
         ]
 
-    def encode_loop_reference(
-        self, bits: np.ndarray, ranking: Optional[np.ndarray] = None
-    ) -> EncodedUnit:
-        """The frozen per-cell loop encoder (differential reference).
-
-        Mirrors the :mod:`repro.consensus.reference` pattern: this is the
-        original implementation — placement loop, per-codeword
-        :meth:`_fill_parity`, per-column strand rendering — kept so the
-        batched :meth:`encode` stays pinned byte-identical to it.
-        """
-        prioritized = self._prioritize(bits, ranking)
-        symbols = self._bits_to_symbols(prioritized)
-        config = self.matrix_config
-        matrix = np.zeros((config.payload_rows, config.n_columns), dtype=np.int64)
-        for value, (row, column) in zip(symbols, self._placement):
-            matrix[row, column] = value
-        self._fill_parity(matrix)
-        strands = [
-            self._column_to_strand(matrix, column)
-            for column in range(config.n_columns)
-        ]
-        return EncodedUnit(strands=strands, matrix=matrix,
-                           n_data_bits=np.asarray(bits).size)
-
-    def _prioritize(
-        self, bits: np.ndarray, ranking: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Validate a payload and apply the priority permutation."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValueError("bits must be a 1-D array")
-        if bits.size > self.capacity_bits:
-            raise ValueError(
-                f"{bits.size} bits exceed unit capacity {self.capacity_bits}"
-            )
-        if ranking is None:
-            ranking = identity_ranking(bits.size)
-        ranking = np.asarray(ranking, dtype=np.int64)
-        if ranking.shape != (bits.size,):
-            raise ValueError("ranking must be a permutation of the bit indices")
-
-        padded = np.zeros(self.capacity_bits, dtype=np.uint8)
-        padded[: bits.size] = bits
-        prioritized = np.empty(self.capacity_bits, dtype=np.uint8)
-        prioritized[: bits.size] = padded[ranking]
-        prioritized[bits.size:] = 0  # padding occupies the weakest positions
-        return prioritized
-
     def _assemble_matrices(self, prioritized: np.ndarray) -> np.ndarray:
         """Prioritized bit stacks -> fully parity-filled symbol matrices.
 
@@ -276,10 +250,7 @@ class DnaStoragePipeline:
         """
         config = self.matrix_config
         n_units = prioritized.shape[0]
-        m = config.m
-        grouped = prioritized.reshape(n_units, -1, m).astype(np.int64)
-        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-        symbols = grouped @ weights  # (n_units, data_symbols)
+        symbols = self._bits_to_symbols(prioritized)  # (n_units, data_symbols)
         matrices = np.zeros(
             (n_units, config.payload_rows, config.n_columns), dtype=np.int64
         )
@@ -304,9 +275,9 @@ class DnaStoragePipeline:
 
         Each strand is its column index symbol followed by the column's
         payload symbols, expanded MSB-first to bits and packed two bits
-        per base (00=A, 01=C, 10=G, 11=T) exactly like
-        :meth:`_column_to_strand`; the only per-strand Python work left
-        is slicing the final ACGT string out of one big decoded buffer.
+        per base (00=A, 01=C, 10=G, 11=T); the only per-strand Python
+        work left is slicing the final ACGT string out of one big decoded
+        buffer.
         """
         config = self.matrix_config
         n_units = matrices.shape[0]
@@ -330,29 +301,6 @@ class DnaStoragePipeline:
             for u in range(n_units)
         ]
 
-    def _fill_parity(self, matrix: np.ndarray) -> None:
-        if self._rs is None:
-            return
-        data_columns = self.matrix_config.data_columns
-        for k in range(self.layout.n_codewords):
-            cells = self.layout.codeword_cells(k)
-            message = np.array(
-                [matrix[row, col] for row, col in cells[:data_columns]],
-                dtype=np.int64,
-            )
-            parity = self._rs.parity(message)
-            for value, (row, col) in zip(parity, cells[data_columns:]):
-                matrix[row, col] = value
-
-    def _column_to_strand(self, matrix: np.ndarray, column: int) -> str:
-        config = self.matrix_config
-        bits = [pack_uint(column, config.m)]
-        bits += [
-            pack_uint(int(matrix[row, column]), config.m)
-            for row in range(config.payload_rows)
-        ]
-        return self._codec.encode(np.concatenate(bits))
-
     # -- decoding -------------------------------------------------------------
 
     def receive(
@@ -360,19 +308,12 @@ class DnaStoragePipeline:
         clusters: Union[Sequence[ReadCluster], ReadBatch],
         confidence_threshold: Optional[float] = None,
     ) -> ReceivedUnit:
-        """Consensus + column assembly; no error correction yet.
+        """Consensus + column assembly for one unit; no error correction.
 
-        All surviving clusters are decoded through the reconstructor's
-        *batch* entry point in one call, so engines that advance every
-        cluster simultaneously reconstruct the whole unit in a handful of
-        vectorized passes — the pointer scans (the default two-way) and
-        the refinement layers (iterative realign-and-vote, posterior
-        lattice) alike. A columnar
-        :class:`~repro.channel.readbatch.ReadBatch` (what
-        ``SequencingSimulator.sequence_batch`` emits) is consumed whole —
-        flat base buffer straight into the consensus scan; a plain cluster
-        list goes through per-cluster index arrays. Neither path ever
-        materializes a base string.
+        The one-unit case of :meth:`receive_many`. A plain cluster list
+        is packed into a columnar
+        :class:`~repro.channel.readbatch.ReadBatch` first (index arrays
+        only — no base string is materialized).
 
         Args:
             clusters: read clusters (one per molecule, any order), or one
@@ -388,45 +329,11 @@ class DnaStoragePipeline:
                 — an extension of the paper's design enabled by soft
                 consensus output.
         """
-        config = self.matrix_config
-        matrix = np.zeros((config.payload_rows, config.n_columns), dtype=np.int64)
-        filled: Set[int] = set()
-        duplicates: List[int] = []
-        cell_erasures: List[Tuple[int, int]] = []
-        invalid = 0
-        use_confidence = (
-            confidence_threshold is not None
-            and hasattr(self.reconstructor, "reconstruct_with_confidence")
-        )
-        with get_tracer().span("pipeline.receive"):
-            estimates, confidences = self._reconstruct_unit(
-                clusters, use_confidence
-            )
-        for estimate, confidence in zip(estimates, confidences):
-            column, symbols = self._parse_indices(estimate)
-            if column is None:
-                invalid += 1
-                continue
-            if column in filled:
-                duplicates.append(column)
-                continue  # first strand wins; later claims are dropped
-            matrix[:, column] = symbols
-            filled.add(column)
-            if confidence is not None:
-                cell_erasures.extend(
-                    (row, column)
-                    for row in self._low_confidence_rows(
-                        confidence, confidence_threshold
-                    )
-                )
-        erased = [c for c in range(config.n_columns) if c not in filled]
-        return ReceivedUnit(
-            matrix=matrix,
-            erased_columns=erased,
-            duplicate_columns=duplicates,
-            invalid_strands=invalid,
-            cell_erasures=cell_erasures,
-        )
+        batch = (clusters if isinstance(clusters, ReadBatch)
+                 else ReadBatch.from_clusters(clusters))
+        return self.receive_many(
+            batch, [0, batch.n_clusters], confidence_threshold
+        )[0]
 
     def receive_many(
         self,
@@ -436,24 +343,22 @@ class DnaStoragePipeline:
     ) -> List[ReceivedUnit]:
         """Consensus + column assembly for *several units* in one pass.
 
-        The store-plane counterpart of :meth:`receive`: ``batch`` spans
-        every cluster of every unit (units back to back, see
-        :meth:`~repro.channel.readbatch.ReadBatch.concat`), the
+        ``batch`` spans every cluster of every unit (units back to back,
+        see :meth:`~repro.channel.readbatch.ReadBatch.concat`), the
         reconstructor's batch entry point runs **once** over all
-        surviving clusters, and the per-estimate index parsing that
-        :meth:`receive` does in a Python loop happens as array operations
-        over the whole estimate stack — base-4 symbol grouping, index
-        validation, first-claim-wins column assembly and confidence-cell
-        extraction, all segmented by unit. Per-unit output is
-        byte-identical to running :meth:`receive` on each unit's clusters
-        (the frozen per-unit path, pinned by the store differential
-        suite).
+        surviving clusters, and the index parsing happens as array
+        operations over the whole estimate stack — base-4 symbol
+        grouping, index validation, first-claim-wins column assembly and
+        confidence-cell extraction, all segmented by unit. Per-unit
+        output is byte-identical to the frozen per-estimate parse loop
+        (``tests/oracles/core.py``).
 
         Args:
             batch: one spanning :class:`ReadBatch`; cluster slots
                 ``[unit_boundaries[u], unit_boundaries[u + 1])`` belong to
                 unit ``u``. Lost clusters (zero reads) are dropped before
-                consensus, exactly like :meth:`receive`.
+                consensus — their degenerate estimates would otherwise
+                claim column 0.
             unit_boundaries: ``(n_units + 1,)`` non-decreasing cluster
                 boundary table starting at 0 and ending at
                 ``batch.n_clusters``. When omitted, the batch must hold a
@@ -532,7 +437,7 @@ class DnaStoragePipeline:
         tracer = get_tracer()
         if tracer.is_recording:
             # Counted here so every reconstructor (two-way, iterative,
-            # posterior, reference) reports uniformly; the batched
+            # posterior, median) reports uniformly; the batched
             # refiners add their own iteration/sweep counters on top.
             tracer.metrics.counter("consensus.clusters").add(live.n_clusters)
             tracer.metrics.counter("consensus.reads").add(live.n_reads)
@@ -546,24 +451,22 @@ class DnaStoragePipeline:
                     self.reconstructor.reconstruct_batch_with_confidence(
                         live, length
                     )
-                if results:
-                    estimates = np.stack(
-                        [np.asarray(e, dtype=np.int64) for e, _ in results]
-                    )
-                    confidences = np.stack(
-                        [np.asarray(c, dtype=np.float64) for _, c in results]
-                    )
-                else:
-                    estimates = np.zeros((0, length), dtype=np.int64)
-                    confidences = np.zeros((0, length), dtype=np.float64)
+                estimates, well_formed = _stack_rows(
+                    [e for e, _ in results], length, np.int64
+                )
+                confidences, confident = _stack_rows(
+                    [c for _, c in results], length, np.float64
+                )
+                well_formed &= confident
             else:
-                estimates = np.asarray(
+                estimates, well_formed = _stack_rows(
                     self.reconstructor.reconstruct_batch(live, length),
-                    dtype=np.int64,
+                    length, np.int64,
                 )
 
-        # Vectorized counterpart of _parse_indices over the whole stack:
-        # group bases into base-4 big-endian symbols, split off the index.
+        # Group bases into base-4 big-endian symbols over the whole
+        # stack and split off the index. A malformed estimate counts as
+        # an invalid strand, exactly like an out-of-range index.
         bases_per_symbol = config.m // 2
         weights = 4 ** np.arange(bases_per_symbol - 1, -1, -1, dtype=np.int64)
         values = estimates.reshape(
@@ -571,14 +474,13 @@ class DnaStoragePipeline:
         ) @ weights
         columns = values[:, 0]
         symbols = values[:, 1:]
-        valid = columns < config.n_columns
+        valid = well_formed & (columns < config.n_columns)
         invalid_counts = np.bincount(
             unit_of_estimate[~valid], minlength=n_units
         )
         # First-claim-wins, segmented by unit: the first *valid* estimate
         # claiming a (unit, column) key wins (estimates are in cluster
-        # order, matching the reference loop); later claims are
-        # duplicates.
+        # order, matching the oracle loop); later claims are duplicates.
         valid_rows = np.flatnonzero(valid)
         keys = (unit_of_estimate[valid_rows] * config.n_columns
                 + columns[valid_rows])
@@ -664,91 +566,6 @@ class DnaStoragePipeline:
                 received, sizes, ranking, extra_erasure_columns
             )
 
-    def _reconstruct_unit(
-        self,
-        clusters: Union[Sequence[ReadCluster], ReadBatch],
-        use_confidence: bool,
-    ) -> Tuple[Sequence[np.ndarray], Sequence[Optional[np.ndarray]]]:
-        """Run the unit's surviving clusters through the reconstructor.
-
-        Lost clusters (strand dropouts) are excluded before consensus —
-        their degenerate estimates would otherwise claim column 0.
-        """
-        length = self.matrix_config.strand_length
-        if isinstance(clusters, ReadBatch):
-            live_batch = clusters.drop_lost()
-            if use_confidence:
-                results = self.reconstructor.reconstruct_batch_with_confidence(
-                    live_batch, length
-                )
-                return ([e for e, _ in results], [c for _, c in results])
-            estimates = self.reconstructor.reconstruct_batch(
-                live_batch, length
-            )
-            return estimates, [None] * len(estimates)
-        live = [cluster for cluster in clusters if not cluster.is_lost]
-        index_clusters = [cluster.read_indices() for cluster in live]
-        if use_confidence:
-            results = self._confidence_ladder(index_clusters, length)
-            return ([e for e, _ in results], [c for _, c in results])
-        estimates = self.reconstructor.reconstruct_many_indices(
-            index_clusters, length
-        )
-        return estimates, [None] * len(live)
-
-    def _confidence_ladder(
-        self, index_clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Confidence reconstruction over index lists: the batched variant
-        when the reconstructor has one (the posterior's runs the whole
-        unit through one lattice sweep), per-cluster calls otherwise."""
-        if hasattr(self.reconstructor, "reconstruct_many_with_confidence"):
-            return self.reconstructor.reconstruct_many_with_confidence(
-                index_clusters, length
-            )
-        return [
-            self.reconstructor.reconstruct_with_confidence(reads, length)
-            for reads in index_clusters
-        ]
-
-    def _low_confidence_rows(
-        self, confidence: np.ndarray, threshold: float
-    ) -> List[int]:
-        """Payload rows containing any base below the confidence threshold."""
-        config = self.matrix_config
-        bases_per_symbol = config.m // 2
-        payload = confidence[config.index_bases:]
-        per_row = payload[: config.payload_rows * bases_per_symbol].reshape(
-            config.payload_rows, bases_per_symbol
-        )
-        return [int(r) for r in np.nonzero(per_row.min(axis=1) < threshold)[0]]
-
-    def _parse_indices(
-        self, indices: np.ndarray
-    ) -> Tuple[Optional[int], np.ndarray]:
-        """Split a consensus strand (as base indices) into column + symbols.
-
-        Vectorized counterpart of decoding the strand to bits and unpacking
-        ``m``-bit groups: each base carries two bits, so ``m // 2``
-        consecutive bases form one matrix symbol.
-        """
-        config = self.matrix_config
-        indices = np.asarray(indices, dtype=np.int64)
-        bases_per_symbol = config.m // 2
-        if indices.size != config.strand_length:
-            # Truncated or overlong estimates cannot split into index +
-            # payload symbols; treat them like a bad index instead of
-            # letting the reshape below blow up.
-            return None, np.zeros(0, dtype=np.int64)
-        # Base-4 big-endian digits -> integers, one symbol per group.
-        weights = 4 ** np.arange(bases_per_symbol - 1, -1, -1, dtype=np.int64)
-        grouped = indices.reshape(-1, bases_per_symbol)
-        values = grouped @ weights
-        index = int(values[0])
-        if index >= config.n_columns:
-            return None, np.zeros(0, dtype=np.int64)
-        return index, values[1:]
-
     def correct_matrix(
         self,
         received: ReceivedUnit,
@@ -756,9 +573,7 @@ class DnaStoragePipeline:
     ) -> Tuple[np.ndarray, DecodeReport]:
         """RS-correct a received matrix; no bit extraction yet.
 
-        A one-unit wrapper around :meth:`correct_matrix_many` (pinned
-        byte-identical to the frozen per-codeword loop,
-        :meth:`correct_matrix_loop_reference`).
+        The one-unit case of :meth:`correct_matrix_many`.
 
         Args:
             received: output of :meth:`receive`.
@@ -791,7 +606,7 @@ class DnaStoragePipeline:
         with no soft flags get their full verdict in wave one (a retry
         would repeat the identical call). Per-unit output is
         byte-identical to the frozen per-codeword loop
-        (:meth:`correct_matrix_loop_reference`).
+        (``tests/oracles/core.py``).
 
         Args:
             received_units: outputs of :meth:`receive` /
@@ -868,7 +683,7 @@ class DnaStoragePipeline:
         ].reshape(-1, rs.n)
 
         # Wave 1: hard erasures plus the soft flags that fit the budget,
-        # lowest position first (the loop reference truncates
+        # lowest position first (the oracle loop truncates
         # ``soft_positions[:nsym - n_hard]`` in ascending order).
         budget = np.maximum(rs.nsym - hard_mask.sum(axis=1), 0)
         kept_soft = soft_mask & (
@@ -937,106 +752,6 @@ class DnaStoragePipeline:
             for u in range(n_units)
         ]
 
-    def correct_matrix_loop_reference(
-        self,
-        received: ReceivedUnit,
-        extra_erasure_columns: Sequence[int] = (),
-    ) -> Tuple[np.ndarray, DecodeReport]:
-        """The frozen per-codeword correction loop (differential reference).
-
-        Mirrors :meth:`encode_loop_reference`: this is the original
-        implementation — one scalar
-        :meth:`~repro.ecc.reference.ReferenceReedSolomon.decode` try/
-        except per dirty codeword, soft-erasure fallback per codeword —
-        kept so the batched :meth:`correct_matrix_many` stays pinned
-        byte-identical to it (``tests/ecc/test_batched_vs_reference.py``,
-        ``tests/integration/test_perf_budget.py``).
-        """
-        config = self.matrix_config
-        matrix = received.matrix.copy()
-        erased = sorted(set(received.erased_columns) | set(
-            int(c) for c in extra_erasure_columns
-        ))
-        for column in erased:
-            if not (0 <= column < config.n_columns):
-                raise ValueError(f"erasure column {column} out of range")
-        failed: List[int] = []
-        corrected = 0
-        if self._rs is not None:
-            rs = self._reference_codec()
-            data_columns = config.data_columns
-            words = matrix[self._codeword_rows, self._codeword_cols]
-            erased_mask = np.zeros(config.n_columns, dtype=bool)
-            erased_mask[erased] = True
-            # Boolean cell-erasure matrix, built once per unit: soft
-            # flags gather per codeword by fancy indexing below instead
-            # of per-cell tuple-set membership tests.
-            soft_cells = np.zeros(
-                (config.payload_rows, config.n_columns), dtype=bool
-            )
-            for row, column in received.cell_erasures:
-                soft_cells[int(row), int(column)] = True
-            soft_cells &= ~erased_mask[None, :]
-            zero_mask = erased_mask[self._codeword_cols]
-            zeroed = np.where(zero_mask, 0, words)
-            clean = ~np.any(rs.syndromes_many(zeroed) != 0, axis=1)
-            n_erasures = zero_mask.sum(axis=1)
-            for k in range(self.layout.n_codewords):
-                erasure_positions = [
-                    int(j) for j in np.flatnonzero(zero_mask[k])
-                ]
-                # Low-confidence cells are *advisory* erasures: include
-                # them while they fit the budget, and fall back to the
-                # hard (column) erasures alone if decoding then fails —
-                # a wrong confidence flag must never lose a codeword that
-                # plain decoding would have saved.
-                soft_positions = [
-                    int(j) for j in np.flatnonzero(
-                        soft_cells[self._codeword_rows[k],
-                                   self._codeword_cols[k]]
-                    )
-                ]
-                if not soft_positions:
-                    if n_erasures[k] > rs.nsym:
-                        failed.append(k)
-                        continue
-                    if clean[k]:
-                        corrected += int(n_erasures[k])
-                        matrix[self._codeword_rows[k, :data_columns],
-                               self._codeword_cols[k, :data_columns]] = \
-                            zeroed[k, : rs.k]
-                        continue
-                budget = rs.nsym - len(erasure_positions)
-                augmented = erasure_positions + soft_positions[:max(budget, 0)]
-                try:
-                    message, n_fixed = rs.decode(words[k], augmented)
-                except DecodeFailure:
-                    try:
-                        message, n_fixed = rs.decode(
-                            words[k], erasure_positions
-                        )
-                    except DecodeFailure:
-                        failed.append(k)
-                        continue
-                corrected += n_fixed
-                matrix[self._codeword_rows[k, :data_columns],
-                       self._codeword_cols[k, :data_columns]] = message
-        report = DecodeReport(
-            erased_columns=erased,
-            failed_codewords=failed,
-            corrected_symbols=corrected,
-        )
-        return matrix, report
-
-    def _reference_codec(self) -> ReferenceReedSolomon:
-        """The lazily-built frozen scalar codec for the reference path."""
-        if self._rs_reference is None:
-            config = self.matrix_config
-            self._rs_reference = ReferenceReedSolomon(
-                config.m, nsym=config.nsym, n=config.n_columns
-            )
-        return self._rs_reference
-
     def correct(
         self,
         received: ReceivedUnit,
@@ -1046,18 +761,17 @@ class DnaStoragePipeline:
     ) -> Tuple[np.ndarray, DecodeReport]:
         """RS-correct a received matrix and recover the original bits.
 
+        The one-unit case of :meth:`correct_many`.
+
         Args:
             received: output of :meth:`receive`.
             n_data_bits: payload length the caller stored.
             ranking: the priority permutation used at encode time.
             extra_erasure_columns: see :meth:`correct_matrix`.
         """
-        matrix, report = self.correct_matrix(received, extra_erasure_columns)
-        prioritized = self._symbols_to_bits(
-            matrix[self._placement_rows, self._placement_cols]
-        )
-        bits = self._unrank(prioritized, n_data_bits, ranking)
-        return bits, report
+        return self.correct_many(
+            [received], [n_data_bits], ranking, extra_erasure_columns
+        )[0]
 
     def correct_many(
         self,
@@ -1068,10 +782,10 @@ class DnaStoragePipeline:
     ) -> List[Tuple[np.ndarray, DecodeReport]]:
         """RS-correct and bit-extract several units in one batched pass.
 
-        The multi-unit counterpart of :meth:`correct`: all units' dirty
-        codewords decode through one :meth:`correct_matrix_many` call
-        (one batched errata wave plus at most one soft-erasure retry
-        wave), then each unit's bits extract as in :meth:`correct`.
+        All units' dirty codewords decode through one
+        :meth:`correct_matrix_many` call (one batched errata wave plus at
+        most one soft-erasure retry wave), then each unit's data symbols
+        are read back in placement order and un-ranked.
         ``n_data_bits[u]`` is unit ``u``'s payload size; ``ranking`` and
         ``extra_erasure_columns`` apply per unit.
         """
@@ -1099,42 +813,15 @@ class DnaStoragePipeline:
         ranking: Optional[np.ndarray] = None,
         extra_erasure_columns: Sequence[int] = (),
     ) -> Tuple[np.ndarray, DecodeReport]:
-        """Full decode: :meth:`receive` followed by :meth:`correct`."""
+        """Full decode: :meth:`receive` followed by :meth:`correct`.
+
+        An unlabeled read pool clusters first:
+        ``decode(clusterer.cluster_batch(pool), n_data_bits)``.
+        """
         received = self.receive(clusters)
         return self.correct(
             received, n_data_bits, ranking, extra_erasure_columns
         )
-
-    def decode_pool(
-        self,
-        pool: ReadBatch,
-        n_data_bits: int,
-        clusterer=None,
-        ranking: Optional[np.ndarray] = None,
-        extra_erasure_columns: Sequence[int] = (),
-    ) -> Tuple[np.ndarray, DecodeReport]:
-        """Decode one unit from an *unlabeled* read pool.
-
-        The realistic retrieval entry point: ``pool`` carries reads with
-        no ground-truth cluster labels (its own cluster structure is
-        ignored — e.g. a one-cluster batch from
-        :meth:`~repro.channel.readbatch.ReadBatch.pooled`). The
-        clusterer — the batched greedy scan by default, or any drop-in
-        with the same surface such as
-        :class:`~repro.cluster.LSHClusterer` — recovers the clusters on
-        the columnar plane, and the re-labeled batch decodes through the
-        ordinary
-        :meth:`decode` — each recovered cluster's consensus strand names
-        its own column via the embedded index field, first claim wins,
-        and RS absorbs residual clustering mistakes.
-        """
-        if clusterer is None:
-            clusterer = BatchedGreedyClusterer.for_strand_length(
-                self.matrix_config.strand_length
-            )
-        labeled = clusterer.cluster_batch(pool)
-        return self.decode(labeled, n_data_bits, ranking,
-                           extra_erasure_columns)
 
     def prioritized_bits(self, received_or_matrix) -> np.ndarray:
         """Data bits in placement (priority) order, without un-ranking.
@@ -1176,8 +863,9 @@ class DnaStoragePipeline:
         return bits
 
     def _bits_to_symbols(self, bits: np.ndarray) -> np.ndarray:
+        """MSB-first ``m``-bit groups along the last axis -> symbols."""
         m = self.matrix_config.m
-        grouped = bits.reshape(-1, m).astype(np.int64)
+        grouped = bits.reshape(bits.shape[:-1] + (-1, m)).astype(np.int64)
         weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
         return grouped @ weights
 

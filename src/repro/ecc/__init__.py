@@ -11,9 +11,9 @@ Reed-Solomon codewords laid across DNA molecules. This subpackage provides:
   and support for shortened codes. :meth:`~repro.ecc.reed_solomon.
   ReedSolomon.decode_many` runs the whole errata chain across a batch of
   codewords in lockstep (:mod:`repro.ecc.batched`), returning per-row
-  failure flags instead of raising.
-* :class:`repro.ecc.reference.ReferenceReedSolomon` — the frozen scalar
-  decoder the batched chain is differentially pinned against.
+  failure flags instead of raising; the frozen scalar decoder it is
+  differentially pinned against is a test oracle
+  (``tests/oracles/ecc.py``).
 * :class:`repro.ecc.uneven.UnevenEccScheme` — the unequal-error-correction
   strawman of the paper's Section 4.1, used as an evaluated baseline.
 """
@@ -21,13 +21,11 @@ Reed-Solomon codewords laid across DNA molecules. This subpackage provides:
 from repro.ecc.batched import BatchDecodeResult
 from repro.ecc.gf import GaloisField
 from repro.ecc.reed_solomon import DecodeFailure, ReedSolomon
-from repro.ecc.reference import ReferenceReedSolomon
 from repro.ecc.uneven import UnevenEccScheme, redundancy_profile_for_skew
 
 __all__ = [
     "GaloisField",
     "ReedSolomon",
-    "ReferenceReedSolomon",
     "BatchDecodeResult",
     "DecodeFailure",
     "UnevenEccScheme",

@@ -1,6 +1,6 @@
 """Batched RS errata decoding: BM/Chien/Forney across many codewords.
 
-The scalar decoder (frozen in :mod:`repro.ecc.reference`) walks one
+The scalar decoder (frozen in ``tests/oracles/ecc.py``) walks one
 codeword at a time through Berlekamp–Massey, the Chien search and the
 Forney algorithm — the last per-codeword Python loop on the decode path.
 This module runs the whole chain across *all dirty codewords of all

@@ -13,9 +13,9 @@ configurations rely on. The chain itself runs batched: :meth:`ReedSolomon.
 decode_many` moves every dirty codeword of a whole store through each
 stage in lockstep (:mod:`repro.ecc.batched`), and the scalar
 :meth:`ReedSolomon.decode` is a one-row wrapper around it. The original
-per-codeword chain is frozen in :mod:`repro.ecc.reference`
-(:class:`~repro.ecc.reference.ReferenceReedSolomon`), pinned
-byte-identical by ``tests/ecc/test_batched_vs_reference.py``.
+per-codeword chain is frozen in ``tests/oracles/ecc.py``
+(``ReferenceReedSolomon``), pinned byte-identical by
+``tests/ecc/test_batched_vs_reference.py``.
 
 Conventions: a codeword is an array ``c[0..n-1]`` of m-bit symbols;
 ``c[i]`` is the coefficient of ``x^(n-1-i)``, i.e. the first array element
@@ -206,7 +206,7 @@ class ReedSolomon:
 
         A one-row wrapper around :meth:`decode_many`; output (and the
         failure set) is pinned byte-identical to the frozen scalar chain
-        (:class:`~repro.ecc.reference.ReferenceReedSolomon`).
+        (``tests/oracles/ecc.py``).
 
         Args:
             received: ``n`` symbols (erased positions may hold any value,

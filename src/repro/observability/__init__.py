@@ -37,8 +37,8 @@ Typical use::
     tracer.context["seed"] = 0
     with use_tracer(tracer):
         pool = simulator.sequence_store(image, rng=0, labeled=False)
-        bits, report = store.decode_pool(pool, payload.size)
-    manifest = tracer.manifests[-1]        # emitted by decode_pool
+        bits, report = store.read(ReadRequest(pool, payload.size, pool=True))
+    manifest = tracer.manifests[-1]        # emitted by store.read
     manifest.save("run.json")
     print(render_manifest(manifest))
 

@@ -9,8 +9,8 @@ serialized as schema-versioned JSON; :func:`validate_manifest` is the
 machine check — ``benchmarks/check_trend.py --stage`` and the
 ``repro.cli report`` differ both consume validated manifests.
 
-The store plane emits one manifest per ``DnaStore.decode`` /
-``decode_pool`` call when a tracer is active; ``benchmarks/conftest.py``
+The store plane emits one manifest per ``DnaStore.read`` /
+``read_many`` call when a tracer is active; ``benchmarks/conftest.py``
 writes one per figure run next to the ``BENCH_*.json`` evidence.
 """
 
@@ -83,7 +83,7 @@ class RunManifest:
     """One traced run, ready to serialize, validate, render and diff.
 
     Attributes:
-        name: what ran (``"store.decode_pool"``, a pytest node id...).
+        name: what ran (``"store.read"``, a pytest node id...).
         config: ``{"fingerprint": ..., "values": {...}}``.
         context: caller notes — RNG seeds, payload sizes, scenario knobs.
         stages: aggregated ``{span name: {"seconds", "calls"}}``.

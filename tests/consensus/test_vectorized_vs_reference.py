@@ -2,7 +2,7 @@
 
 The production reconstructors advance every read of every cluster
 simultaneously (:mod:`repro.consensus.bma`); the originals they replaced
-are frozen in :mod:`repro.consensus.reference`. These tests assert the two
+are frozen in :mod:`oracles.consensus`. These tests assert the two
 produce *byte-identical* output — per cluster, across whole batched units,
 and under degenerate inputs — so any future optimization of the hot path
 is checked by construction against an implementation that never changes.
@@ -14,14 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import ErrorModel, ReadBatch
-from repro.consensus import (
-    IterativeReconstructor,
-    OneWayReconstructor,
-    PosteriorReconstructor,
+from oracles.consensus import (
     ReferenceIterativeReconstructor,
     ReferenceOneWayReconstructor,
     ReferencePosteriorReconstructor,
     ReferenceTwoWayReconstructor,
+)
+from repro.consensus import (
+    IterativeReconstructor,
+    OneWayReconstructor,
+    PosteriorReconstructor,
     TwoWayReconstructor,
 )
 

@@ -6,10 +6,40 @@ import pytest
 from repro.channel import (
     ErrorModel,
     FixedCoverage,
+    ReadBatch,
     ReadCluster,
     SequencingSimulator,
 )
+from repro.consensus import PosteriorReconstructor, TwoWayReconstructor
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
+
+
+class TruncatingTwoWay(TwoWayReconstructor):
+    """Chops one base off the estimates at the given batch rows: their
+    length is no longer a multiple of bases-per-symbol."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def reconstruct_batch(self, batch, length):
+        estimates = list(super().reconstruct_batch(batch, length))
+        for row in self.rows:
+            estimates[row] = estimates[row][:-1]
+        return estimates
+
+
+class TruncatingPosterior(PosteriorReconstructor):
+    """The confidence path's counterpart: the first estimate and its
+    confidence come back one base short."""
+
+    def reconstruct_batch_with_confidence(self, batch, length):
+        results = list(super().reconstruct_batch_with_confidence(
+            batch, length
+        ))
+        estimate, confidence = results[0]
+        results[0] = (estimate[:-1], confidence[:-1])
+        return results
 
 
 @pytest.fixture
@@ -187,29 +217,52 @@ class TestReceive:
 
     def test_truncated_estimate_dropped_not_crash(self, pipeline, rng):
         """Regression: an estimate whose length is not a whole number of
-        symbols used to crash ``_parse_indices`` with an opaque reshape
-        ValueError; it must be dropped as unparseable like a bad index."""
-        from repro.consensus import TwoWayReconstructor
-
-        class TruncatingTwoWay(TwoWayReconstructor):
-            def reconstruct_many_indices(self, clusters, length):
-                estimates = list(super().reconstruct_many_indices(
-                    clusters, length
-                ))
-                # Chop one base off the first consensus strand: its
-                # length is no longer a multiple of bases-per-symbol.
-                estimates[0] = estimates[0][:-1]
-                return estimates
-
-        bits = _payload(pipeline, rng)
-        unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
+        symbols must be dropped as unparseable like a bad index, not
+        crash the vectorized parse with an inhomogeneous-shape
+        ValueError."""
+        unit = pipeline.encode(_payload(pipeline, rng))
         truncating = DnaStoragePipeline(
-            pipeline.config, reconstructor=TruncatingTwoWay()
+            pipeline.config, reconstructor=TruncatingTwoWay(rows=[0])
         )
-        received = truncating.receive(clusters)
+        received = truncating.receive(_noiseless_clusters(unit, rng))
         assert received.invalid_strands == 1
-        assert len(received.erased_columns) == 1
+        assert received.erased_columns == [0]
+
+    def test_truncated_confidence_estimate_dropped_not_crash(
+        self, pipeline, rng
+    ):
+        unit = pipeline.encode(_payload(pipeline, rng))
+        truncating = DnaStoragePipeline(
+            pipeline.config, reconstructor=TruncatingPosterior(
+                channel=ErrorModel.uniform(0.01)
+            ),
+        )
+        received = truncating.receive(
+            _noiseless_clusters(unit, rng), confidence_threshold=0.5
+        )
+        assert received.invalid_strands == 1
+        assert received.erased_columns == [0]
+
+    def test_truncated_estimate_lands_in_its_own_unit(self, pipeline, rng):
+        """Two units in one receive_many pass: the malformed estimate
+        (the second unit's first cluster) counts against unit 1 only."""
+        n_columns = pipeline.matrix_config.n_columns
+        batches = [
+            ReadBatch.from_clusters(_noiseless_clusters(
+                pipeline.encode(_payload(pipeline, rng)), rng
+            ))
+            for _ in range(2)
+        ]
+        truncating = DnaStoragePipeline(
+            pipeline.config, reconstructor=TruncatingTwoWay(rows=[n_columns])
+        )
+        first, second = truncating.receive_many(
+            ReadBatch.concat(batches), [0, n_columns, 2 * n_columns]
+        )
+        assert first.invalid_strands == 0
+        assert first.erased_columns == []
+        assert second.invalid_strands == 1
+        assert second.erased_columns == [0]
 
 
 class TestNoEccMode:

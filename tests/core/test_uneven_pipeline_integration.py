@@ -34,10 +34,7 @@ class TestUnevenOverStrands:
     def test_noiseless_roundtrip(self, scheme, pipeline, rng):
         data = rng.integers(0, 256, scheme.total_data_symbols)
         matrix = scheme.encode(data)
-        strands = [
-            pipeline._column_to_strand(matrix, column)
-            for column in range(MATRIX.n_columns)
-        ]
+        strands = pipeline._render_strands(matrix[None])[0]
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
         received = pipeline.receive(simulator.sequence(strands, rng))
         decoded, row_ok = scheme.decode(received.matrix,
@@ -48,10 +45,7 @@ class TestUnevenOverStrands:
     def test_noisy_roundtrip(self, scheme, pipeline, rng):
         data = rng.integers(0, 256, scheme.total_data_symbols)
         matrix = scheme.encode(data)
-        strands = [
-            pipeline._column_to_strand(matrix, column)
-            for column in range(MATRIX.n_columns)
-        ]
+        strands = pipeline._render_strands(matrix[None])[0]
         simulator = SequencingSimulator(ErrorModel.uniform(0.03), FixedCoverage(10))
         received = pipeline.receive(simulator.sequence(strands, rng))
         decoded, row_ok = scheme.decode(received.matrix,

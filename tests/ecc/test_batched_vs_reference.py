@@ -12,13 +12,15 @@ per-codeword loop (``correct_matrix_loop_reference``).
 import numpy as np
 import pytest
 
+from oracles.core import correct_matrix_loop_reference
+from oracles.ecc import ReferenceReedSolomon
 from repro.core.layout import MatrixConfig
 from repro.core.pipeline import (
     DnaStoragePipeline,
     PipelineConfig,
     ReceivedUnit,
 )
-from repro.ecc import DecodeFailure, ReedSolomon, ReferenceReedSolomon
+from repro.ecc import DecodeFailure, ReedSolomon
 
 #: (m, nsym, n) codec shapes: small shortened, odd-field, mid shortened,
 #: natural-length GF(256), and a wide-field code.
@@ -253,7 +255,7 @@ class TestSoftErasureWaves:
         batched = pipeline.correct_matrix_many(units)
         for unit, (matrix, report) in zip(units, batched):
             want_matrix, want_report = \
-                pipeline.correct_matrix_loop_reference(unit)
+                correct_matrix_loop_reference(pipeline, unit)
             np.testing.assert_array_equal(matrix, want_matrix)
             assert report.failed_codewords == want_report.failed_codewords
             assert report.corrected_symbols == want_report.corrected_symbols
@@ -294,7 +296,7 @@ class TestSoftErasureWaves:
             ReedSolomon.decode_many = original
         assert len(calls) == 2, "misleading flags must trigger wave 2"
         want_matrix, want_report = \
-            pipeline.correct_matrix_loop_reference(unit)
+            correct_matrix_loop_reference(pipeline, unit)
         np.testing.assert_array_equal(got_matrix, want_matrix)
         assert got_report.failed_codewords == want_report.failed_codewords
         assert got_report.failed_codewords == []

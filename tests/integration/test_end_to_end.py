@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel, FixedCoverage, GammaCoverage, SequencingSimulator
-from repro.cluster import GreedyClusterer, perfect_clusters
+from repro.channel import (
+    ErrorModel,
+    FixedCoverage,
+    GammaCoverage,
+    ReadBatch,
+    SequencingSimulator,
+)
+from repro.cluster import BatchedGreedyClusterer, perfect_clusters
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
 from repro.crypto import ChaCha20
 from repro.files import FileEntry, pack_archive, unpack_archive
@@ -65,8 +71,8 @@ class TestFullStack:
         for strand in unit.strands:
             reads.extend(model.apply_many(strand, 6, rng))
         order = rng.permutation(len(reads))
-        clusters = GreedyClusterer(threshold=10).cluster(
-            [reads[i] for i in order]
+        clusters = BatchedGreedyClusterer(threshold=10).cluster_batch(
+            ReadBatch.from_strings([[reads[i] for i in order]])
         )
         decoded, report = pipeline.decode(clusters, bits.size)
         assert report.clean
@@ -97,7 +103,9 @@ class TestFullStack:
         selected = selector.select(noisy_reads)
         assert len(selected) >= 0.9 * 5 * matrix.n_columns
 
-        clusters = GreedyClusterer(threshold=10).cluster(selected)
+        clusters = BatchedGreedyClusterer(threshold=10).cluster_batch(
+            ReadBatch.from_strings([list(selected)])
+        ).to_clusters()
         # Keep the plausible clusters (primer survivors of the other file
         # are rare but possible).
         clusters = [c for c in clusters if c.coverage >= 2]

@@ -1,0 +1,67 @@
+"""The package keeps one live path per layer.
+
+Frozen differential oracles live in ``tests/oracles/``: nothing under
+``src/repro`` may define one, steer callers off a deprecated front door,
+or reach into the test tree — and every exported name must resolve.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).parent
+
+
+def _dotted(node):
+    """``a.b.c`` for a Name/Attribute chain, else ``""``."""
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _problems(path):
+    where = path.relative_to(SRC.parent)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and node.name.startswith("Reference"):
+            yield f"{where}:{node.lineno} defines oracle class {node.name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name.endswith("_reference"):
+            yield f"{where}:{node.lineno} defines oracle {node.name}()"
+        if isinstance(node, ast.Call) \
+                and _dotted(node.func).split(".")[-1] == "warn" \
+                and any(_dotted(arg).endswith("DeprecationWarning")
+                        for arg in node.args
+                        + [kw.value for kw in node.keywords]):
+            yield f"{where}:{node.lineno} warns DeprecationWarning"
+        modules = []
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        for module in modules:
+            if module.split(".")[0] in ("tests", "oracles"):
+                yield f"{where}:{node.lineno} imports test code ({module})"
+
+
+def test_no_oracles_or_deprecated_front_doors_in_package():
+    problems = [problem for path in sorted(SRC.rglob("*.py"))
+                for problem in _problems(path)]
+    assert problems == []
+
+
+def test_every_exported_name_resolves():
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    missing = [
+        f"{package.__name__}.{name}"
+        for package in packages
+        for name in getattr(package, "__all__", ())
+        if not hasattr(package, name)
+    ]
+    assert missing == []

@@ -15,8 +15,8 @@ batched sweeps must lead their frozen per-cluster references by at least
 5x on a quickstart-sized unit (measured ~10x for both on the development
 machine), plus an absolute ceiling. The store plane gets the same
 treatment: one spanning decode of a 32-unit payload must issue exactly
-one reconstructor batch call and lead the frozen per-unit loop
-(``DnaStore.decode_units``) by at least 3x. The errata plane closes the
+one reconstructor batch call and lead the frozen per-unit oracle loop
+(``oracles.core.decode_units_reference``) by at least 3x. The errata plane closes the
 loop: a store decode must route every unit's codewords through exactly
 one ``ReedSolomon.decode_many`` call, and the batched chain must lead
 the frozen per-codeword scalar loop by at least 3x on an all-dirty
@@ -28,8 +28,14 @@ import time
 import numpy as np
 import pytest
 
+from oracles.core import correct_matrix_loop_reference, decode_units_reference
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
-from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
+from repro.core import (
+    DnaStoragePipeline,
+    MatrixConfig,
+    PipelineConfig,
+    ReadRequest,
+)
 from repro.core.store import DnaStore
 
 #: Seconds allowed for one small-unit decode (receive + RS correction).
@@ -133,7 +139,8 @@ class TestPerfBudget:
     def test_batched_consensus_beats_per_cluster_reference(self):
         """The batch path must stay meaningfully faster than the frozen
         reference — the whole point of the engine."""
-        from repro.consensus import ReferenceTwoWayReconstructor, TwoWayReconstructor
+        from oracles.consensus import ReferenceTwoWayReconstructor
+        from repro.consensus import TwoWayReconstructor
 
         rng = np.random.default_rng(1)
         model = ErrorModel.uniform(0.06)
@@ -165,9 +172,8 @@ class TestPerfBudget:
         (and fit an absolute ceiling). The reference path is the whole
         per-cluster algorithm — per-read edit DP, Python traceback loops —
         so only a regression to scalar processing can close the gap."""
-        from repro.consensus import (
-            IterativeReconstructor, ReferenceIterativeReconstructor,
-        )
+        from oracles.consensus import ReferenceIterativeReconstructor
+        from repro.consensus import IterativeReconstructor
 
         clusters = quickstart_unit(seed=1)
         fast = IterativeReconstructor()
@@ -203,9 +209,8 @@ class TestPerfBudget:
         best-of-3 (one noisy sample used to flake this guard) and the
         floor is the posterior-specific 3x — see
         ``POSTERIOR_SPEEDUP_FACTOR``."""
-        from repro.consensus import (
-            PosteriorReconstructor, ReferencePosteriorReconstructor,
-        )
+        from oracles.consensus import ReferencePosteriorReconstructor
+        from repro.consensus import PosteriorReconstructor
 
         model = ErrorModel.uniform(0.06)
         clusters = quickstart_unit(seed=2)
@@ -237,8 +242,8 @@ class TestPerfBudget:
     def test_store_decode_one_batch_call_and_beats_per_unit_reference(self):
         """The store plane is the batching boundary: decoding a many-unit
         payload must issue exactly *one* reconstructor batch call, return
-        bits byte-identical to the frozen per-unit loop
-        (``DnaStore.decode_units``), and lead it by at least 3x (measured
+        bits byte-identical to the frozen per-unit oracle loop
+        (``decode_units_reference``), and lead it by at least 3x (measured
         ~4.5x on the development machine). Many small units make the
         per-call overhead the reference pays 32 times the dominant cost —
         only a regression of the spanning path back to per-unit
@@ -266,11 +271,12 @@ class TestPerfBudget:
             ErrorModel.uniform(0.01), FixedCoverage(5)
         )
         batch = simulator.sequence_store(image, rng=1)
-        store.decode(batch, bits.size)  # warm-up
+        request = ReadRequest(batch, bits.size)
+        store.read(request)  # warm-up
 
         calls.clear()
         start = time.perf_counter()
-        decoded, report = store.decode(batch, bits.size)
+        decoded, report = store.read(request)
         batched_seconds = time.perf_counter() - start
         assert len(calls) == 1, (
             f"store decode issued {len(calls)} reconstructor batch calls; "
@@ -278,7 +284,9 @@ class TestPerfBudget:
         )
 
         start = time.perf_counter()
-        expected, expected_report = store.decode_units(batch, bits.size)
+        expected, expected_report = decode_units_reference(
+            store, batch, bits.size
+        )
         reference_seconds = time.perf_counter() - start
 
         np.testing.assert_array_equal(decoded, expected)
@@ -322,7 +330,7 @@ class TestPerfBudget:
 
         rs.decode_many = counting
         try:
-            decoded, report = store.decode(batch, bits.size)
+            decoded, report = store.read(ReadRequest(batch, bits.size))
         finally:
             del rs.decode_many
         assert len(calls) == 1, (
@@ -370,9 +378,9 @@ class TestPerfBudget:
         batched = pipeline.correct_matrix_many(units)
         batched_seconds = time.perf_counter() - start
 
-        pipeline.correct_matrix_loop_reference(units[0])  # warm-up
+        correct_matrix_loop_reference(pipeline, units[0])  # warm-up
         start = time.perf_counter()
-        expected = [pipeline.correct_matrix_loop_reference(unit)
+        expected = [correct_matrix_loop_reference(pipeline, unit)
                     for unit in units]
         reference_seconds = time.perf_counter() - start
 
@@ -404,7 +412,8 @@ class TestPerfBudget:
         quickstart-config pool (120 strands x coverage 10, ~30x measured
         on the development machine) is guarded by the absolute budget in
         the end-to-end test below."""
-        from repro.cluster import BatchedGreedyClusterer, ReferenceGreedyClusterer
+        from oracles.cluster import ReferenceGreedyClusterer
+        from repro.cluster import BatchedGreedyClusterer
         from repro.codec.basemap import random_bases
 
         rng = np.random.default_rng(5)
@@ -492,7 +501,7 @@ class TestPerfBudget:
         """The full quickstart-config pool (120 strands x coverage 10)
         must cluster within the absolute budget, and the end-to-end
         unlabeled decode — ``sequence_store(labeled=False)`` -> cluster
-        -> ``DnaStore.decode`` plumbing — must round-trip the payload
+        -> ``DnaStore.read`` plumbing — must round-trip the payload
         byte-identically."""
         matrix = MatrixConfig(m=8, n_columns=120, nsym=22, payload_rows=16)
         store = DnaStore(PipelineConfig(matrix=matrix))
@@ -506,7 +515,9 @@ class TestPerfBudget:
         assert pool.n_reads == 1200
 
         start = time.perf_counter()
-        decoded, report = store.decode_pool(pool, bits.size)
+        decoded, report = store.read(
+            ReadRequest(pool, bits.size, pool=True)
+        )
         elapsed = time.perf_counter() - start
 
         assert report.clean
@@ -574,10 +585,11 @@ class TestTracingBudget:
         from repro.observability import Tracer, use_tracer
 
         store, batch, bits = self.quickstart_store()
-        off_decoded, off_report = store.decode(batch, bits.size)
+        request = ReadRequest(batch, bits.size)
+        off_decoded, off_report = store.read(request)
         tracer = Tracer()
         with use_tracer(tracer):
-            on_decoded, on_report = store.decode(batch, bits.size)
+            on_decoded, on_report = store.read(request)
         np.testing.assert_array_equal(on_decoded, off_decoded)
         np.testing.assert_array_equal(off_decoded, bits)
         assert on_report.clean == off_report.clean
@@ -598,14 +610,13 @@ class TestTracingBudget:
         from repro.observability.trace import get_tracer
 
         store, batch, bits = self.quickstart_store()
-        store.decode(batch, bits.size)  # warm-up
-        decode_seconds, _ = best_of(
-            3, lambda: store.decode(batch, bits.size)
-        )
+        request = ReadRequest(batch, bits.size)
+        store.read(request)  # warm-up
+        decode_seconds, _ = best_of(3, lambda: store.read(request))
 
         tracer = Tracer()
         with use_tracer(tracer):
-            store.decode(batch, bits.size)
+            store.read(request)
         span_calls = sum(
             entry["calls"] for entry in tracer.stage_totals().values()
         )

@@ -1,19 +1,21 @@
-"""Greedy edit-distance clustering of unlabeled reads.
+"""Frozen string-plane greedy clustering (the differential reference).
 
-The realistic counterpart of :mod:`repro.cluster.perfect`: reads arrive
-without source labels and are grouped by similarity. Each read joins the
-first existing cluster whose representative is within ``threshold`` edits
-(banded computation), otherwise it founds a new cluster. A cheap q-gram
-prefilter skips representatives that cannot be within the threshold.
+This is the original per-read, per-character greedy clusterer, kept
+verbatim — like the per-cluster reconstructors in
+:mod:`oracles.consensus` and the per-unit store loop in
+:mod:`oracles.core` — as the baseline the columnar clustering subsystem
+is pinned against:
 
-This is a deliberately simple single-pass scheme in the spirit of (but far
-simpler than) Rashtchian et al.'s distributed clusterer the paper cites;
-it is quadratic in the number of clusters in the worst case and meant for
-the scales this repository simulates. The columnar counterpart —
-:class:`~repro.cluster.batched.BatchedGreedyClusterer` — produces the
-same assignments straight off a :class:`~repro.channel.readbatch.
-ReadBatch` buffer; the original per-character implementation survives
-verbatim in :mod:`repro.cluster.reference`.
+* :func:`_qgram_signature` is the per-character rolling-code loop the
+  vectorized kernel (:mod:`repro.cluster.signatures`) must reproduce bit
+  for bit;
+* :class:`ReferenceGreedyClusterer` is the sequential first-match greedy
+  scan whose cluster assignments
+  :class:`~repro.cluster.batched.BatchedGreedyClusterer` must reproduce
+  exactly (``tests/cluster/test_batched.py``).
+
+Do not optimize this module; it exists to stay slow and obviously
+correct.
 """
 
 from __future__ import annotations
@@ -24,25 +26,25 @@ import numpy as np
 
 from repro.channel.sequencer import ReadCluster
 from repro.cluster.distance import banded_edit_distance
-from repro.cluster.signatures import qgram_signature
-from repro.codec.basemap import bases_to_indices
 
 
 def _qgram_signature(read: str, q: int = 3) -> np.ndarray:
-    """Histogram of q-gram codes; L1 distance lower-bounds edit moves.
-
-    Rides the vectorized rolling-code kernel
-    (:func:`repro.cluster.signatures.qgram_signature`); output is
-    bit-identical to the frozen per-character loop in
-    :mod:`repro.cluster.reference`.
-    """
+    """Histogram of q-gram codes; L1 distance lower-bounds edit moves."""
     if len(read) < q:
         return np.zeros(4**q, dtype=np.int32)
-    return qgram_signature(bases_to_indices(read), q)
+    codes = np.zeros(4**q, dtype=np.int32)
+    value = 0
+    mapping = {"A": 0, "C": 1, "G": 2, "T": 3}
+    mask = 4 ** (q - 1)
+    for i, char in enumerate(read):
+        value = (value % mask) * 4 + mapping[char]
+        if i >= q - 1:
+            codes[value] += 1
+    return codes
 
 
-class GreedyClusterer:
-    """Single-pass greedy clustering by banded edit distance.
+class ReferenceGreedyClusterer:
+    """Single-pass greedy clustering by banded edit distance (frozen).
 
     Args:
         threshold: maximum edit distance to a cluster representative.

@@ -8,8 +8,7 @@ of dirty codewords (:mod:`repro.ecc.batched`). It processes one codeword
 per call and loops coefficient-by-coefficient, which makes it easy to
 audit against the textbook algorithm — and deliberately slow.
 
-Like :mod:`repro.consensus.reference` and :mod:`repro.cluster.reference`,
-it exists so correctness of the batched decoder is checkable by
+Like :mod:`oracles.consensus` and :mod:`oracles.cluster`, it exists so correctness of the batched decoder is checkable by
 construction: ``tests/ecc/test_batched_vs_reference.py`` asserts that
 :meth:`ReedSolomon.decode_many` matches this chain row for row —
 corrected symbols, corrected counts, and which rows fail. Do not optimize
