@@ -10,7 +10,9 @@ batch: one :class:`~repro.channel.engine.BatchedChannelEngine` call emits
 every read of every trial (one RNG draw over the whole sweep), and one
 ``reconstruct_batch`` call scans them — thousands of trials cost a
 handful of vectorized passes rather than ``trials x coverage`` Python
-iterations. Every profile accepts an
+iterations. That call runs inside the ``consensus.reconstruct`` stage
+span the pipeline's decode uses, so a recording tracer attributes the
+profile's consensus time. Every profile accepts an
 :class:`~repro.channel.engine.ErrorRateMap` in place of the uniform
 model, opening positional-degradation scenarios (ramped rates along the
 strand) to the same batched measurement;
@@ -25,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.channel.engine import BatchedChannelEngine, RateSpec
-from repro.consensus.base import Reconstructor
+from repro.consensus.base import Reconstructor, consensus_span
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -80,7 +82,8 @@ def positional_error_profile(
     originals, batch = _simulate_trials(
         error_model, length, coverage, trials, generator, n_alphabet
     )
-    estimates = reconstructor.reconstruct_batch(batch, length)
+    with consensus_span(batch):
+        estimates = reconstructor.reconstruct_batch(batch, length)
     errors = (estimates != originals).sum(axis=0, dtype=np.float64)
     return errors / trials
 
@@ -127,7 +130,10 @@ def positional_confidence_profile(
     originals, batch = _simulate_trials(
         error_model, length, coverage, trials, generator, n_alphabet
     )
-    results = reconstructor.reconstruct_batch_with_confidence(batch, length)
+    with consensus_span(batch):
+        results = reconstructor.reconstruct_batch_with_confidence(
+            batch, length
+        )
     estimates = np.stack([estimate for estimate, _ in results])
     confidences = np.stack([confidence for _, confidence in results])
     errors = (estimates != originals).mean(axis=0, dtype=np.float64)
@@ -168,6 +174,7 @@ def positional_error_profile_binary(
             for t in range(trials)
         ])
     else:
-        estimates = reconstructor.reconstruct_batch(batch, length)
+        with consensus_span(batch):
+            estimates = reconstructor.reconstruct_batch(batch, length)
     errors = (estimates != originals).sum(axis=0, dtype=np.float64)
     return errors / trials

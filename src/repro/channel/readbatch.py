@@ -94,16 +94,27 @@ class ReadBatch:
         clusters: Sequence[Sequence[np.ndarray]],
         source_indices: Optional[Sequence[int]] = None,
     ) -> "ReadBatch":
-        """Pack per-cluster lists of index arrays into one batch (copies)."""
+        """Pack per-cluster lists of index arrays into one batch (copies).
+
+        Raises ``ValueError`` for a symbol outside ``0..255``, which the
+        ``uint8`` buffer cannot hold.
+        """
         reads: List[np.ndarray] = []
         cluster_ids: List[int] = []
         for c, cluster in enumerate(clusters):
             for read in cluster:
-                reads.append(np.asarray(read, dtype=np.uint8))
+                reads.append(np.asarray(read))
                 cluster_ids.append(c)
         lengths = np.array([r.size for r in reads], dtype=np.int64)
         buffer = (np.concatenate(reads) if reads
                   else np.zeros(0, dtype=np.uint8))
+        if buffer.dtype != np.uint8 and buffer.size:
+            low, high = buffer.min(), buffer.max()
+            if low < 0 or high > 255:
+                raise ValueError(
+                    f"read symbol {low if low < 0 else high} outside 0..255"
+                )
+            buffer = buffer.astype(np.uint8)
         offsets = np.cumsum(lengths) - lengths
         return cls(
             buffer, offsets, lengths,
@@ -256,11 +267,11 @@ class ReadBatch:
     def padded_matrix(self, pad: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """All reads as one ``(n_reads, max_len + pad)`` sentinel matrix.
 
-        The convention of the batched consensus engines: ``int64`` symbols
-        with ``-1`` past each read's end; ``pad`` appends extra sentinel
-        columns (the scans use them for bounds-free lookahead gathers).
-        Built with one gather over the flat buffer — no per-read Python
-        loop. Returns ``(matrix, lengths)``.
+        The convention of the batched refinement engines and the
+        clusterer: ``int64`` symbols with ``-1`` past each read's end;
+        ``pad`` appends extra sentinel columns. Built with one gather over
+        the flat buffer — no per-read Python loop. Returns
+        ``(matrix, lengths)``.
         """
         if pad < 0:
             raise ValueError(f"pad must be non-negative, got {pad}")

@@ -114,7 +114,7 @@ class ReadCluster:
         """The cluster as one ``(n_reads, max_len + pad)`` index matrix.
 
         An analysis-friendly view using the same convention as the batched
-        consensus engine (sentinel -1 past each read's end; ``pad`` appends
+        refinement engines (sentinel -1 past each read's end; ``pad`` appends
         extra sentinel columns), built by the vectorized
         :meth:`ReadBatch.padded_matrix` gather rather than a per-read fill
         loop. Returns ``(matrix, lengths)``; the matrix is empty with zero

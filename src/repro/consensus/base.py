@@ -10,11 +10,13 @@ length by construction).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.codec.basemap import bases_to_indices, indices_to_bases
+from repro.observability.trace import get_tracer
 
 
 class Reconstructor:
@@ -24,9 +26,11 @@ class Reconstructor:
     *batch* API (:meth:`reconstruct_many` / :meth:`reconstruct_many_indices`)
     taking a whole unit's worth of clusters at once. The default
     implementations simply loop; engines that can advance many clusters
-    simultaneously (the pointer scans in :mod:`repro.consensus.bma`)
-    override the index variant with a genuinely batched computation, which
-    is where the pipeline's decode speed comes from.
+    simultaneously override them with a genuinely batched computation,
+    which is where the pipeline's decode speed comes from. (The pointer
+    scans in :mod:`repro.consensus.bma` have one: every entry point packs
+    its clusters into a :class:`~repro.channel.readbatch.ReadBatch` and
+    rides :meth:`reconstruct_batch`.)
     """
 
     def reconstruct(self, reads: Sequence[str], length: int) -> str:
@@ -75,8 +79,8 @@ class Reconstructor:
 
         This is the string-free decode hot path: the batch's flat buffer
         feeds the engine directly. The default unpacks the batch into
-        per-cluster index lists (zero-copy views); the pointer-scan
-        engines override it to consume the batch's padded matrix whole.
+        per-cluster index lists (zero-copy views); the engines override
+        it to build their read matrix from the flat buffer whole.
         Lost clusters receive the engine's degenerate (fill) estimate —
         callers that must not see them drop them first
         (:meth:`~repro.channel.readbatch.ReadBatch.drop_lost`).
@@ -112,21 +116,36 @@ class Reconstructor:
         ]
 
 
+@contextmanager
+def consensus_span(batch):
+    """The ``consensus.reconstruct`` stage span around one batch call.
+
+    A recording tracer also counts the batch into the
+    ``consensus.clusters`` and ``consensus.reads`` counters, so every
+    caller (the pipeline's ``receive_many``, the skew profiles) and every
+    reconstructor report uniformly; the batched refiners add their own
+    iteration/sweep counters on top.
+    """
+    tracer = get_tracer()
+    if tracer.is_recording:
+        tracer.metrics.counter("consensus.clusters").add(batch.n_clusters)
+        tracer.metrics.counter("consensus.reads").add(batch.n_reads)
+    with tracer.span("consensus.reconstruct", n_clusters=batch.n_clusters,
+                     n_reads=batch.n_reads):
+        yield
+
+
 def pack_index_clusters(
     clusters: Sequence[Sequence[np.ndarray]],
-    pad: int = 0,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Pack per-cluster index lists into one padded read stack.
 
-    The shared on-ramp of the batched engines (the pointer scans in
-    :mod:`repro.consensus.bma`, the refinement layers in
-    :mod:`repro.consensus.iterative` / :mod:`repro.consensus.posterior`):
-    all non-empty reads of all clusters as one ``(n_reads, max_len + pad)``
+    The list-path on-ramp of the refinement layers
+    (:mod:`repro.consensus.iterative` / :mod:`repro.consensus.posterior`):
+    all non-empty reads of all clusters as one ``(n_reads, max_len)``
     ``int64`` matrix with sentinel ``-1`` past each read's end, plus
-    per-read lengths and (non-decreasing) cluster ids. ``pad`` appends
-    extra sentinel columns (the scans use them for bounds-free lookahead
-    gathers). Empty reads are dropped — they can neither vote nor shift
-    a distance comparison.
+    per-read lengths and (non-decreasing) cluster ids. Empty reads are
+    dropped — they can neither vote nor shift a distance comparison.
     """
     reads: List[np.ndarray] = []
     cluster_ids: List[int] = []
@@ -140,8 +159,7 @@ def pack_index_clusters(
         return (np.zeros((0, 0), dtype=np.int64),
                 np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     lengths = np.array([r.size for r in reads], dtype=np.int64)
-    padded = np.full((len(reads), int(lengths.max()) + pad), -1,
-                     dtype=np.int64)
+    padded = np.full((len(reads), int(lengths.max())), -1, dtype=np.int64)
     for i, read in enumerate(reads):
         padded[i, : read.size] = read
     return padded, lengths, np.array(cluster_ids, dtype=np.int64)

@@ -12,27 +12,36 @@ reliability skew of the paper's Figure 3: positional error grows with the
 distance scanned, so the far end of a strand is reconstructed much less
 reliably than the near end.
 
-The scan here is batched across *clusters* as well as reads: the reads of
-every cluster in a unit live in one padded matrix (sentinel -1 past each
-read's end) tagged with a per-read cluster id, and each per-position step —
-per-cluster voting, lookahead estimation, error classification — is a
-handful of numpy operations over the whole read axis. Per-cluster ballots
-are segmented bincounts over ``cluster_id * n_alphabet + symbol``, so one
-pass over the positions advances all 120+ clusters of an encoding unit at
-once. The storage pipeline runs this scan for every unit, making it the
-hottest loop in the repository; the frozen single-cluster original is a
-test oracle (``tests/oracles/consensus.py``), pinned byte-identical by
-the differential test suite.
+The scan here is batched across *clusters* as well as reads, and past one
+vote per read its cost scales with the reads that disagree. The reads of
+every cluster live in one ``int8`` matrix with sentinel -1 past each
+read's end, built straight from a
+:class:`~repro.channel.readbatch.ReadBatch`'s flat buffer (every entry
+point, the list API included, rides :meth:`reconstruct_batch`), and every
+read keeps a flat cursor into it. A step gathers each read's current
+character (the sentinel marks exhausted reads) and votes every cluster at
+once with one ``bincount`` over ``(cluster, symbol)`` keys. Only then does
+it look at the reads that disagree with their cluster's plurality:
+lookahead ballots are built for just the clusters holding such a read,
+from those clusters' agreeing reads, with one ``bincount`` over
+``(cluster, offset, symbol)`` keys, and the error guess is scored for the
+disagreeing reads alone. At 1% error most clusters are unanimous at most
+positions, so those clusters cost a step nothing past their vote. The
+storage pipeline runs this scan for every unit, making it the hottest
+loop in the repository; the frozen single-cluster original is a test
+oracle (``tests/oracles/consensus.py``), pinned byte-identical by the
+differential test suite.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.channel.readbatch import ReadBatch
 from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor, pack_index_clusters
+from repro.consensus.base import Reconstructor
 
 
 class OneWayReconstructor(Reconstructor):
@@ -42,7 +51,8 @@ class OneWayReconstructor(Reconstructor):
         lookahead: how many upcoming consensus characters to estimate when
             classifying a disagreeing read's error type. The paper's worked
             example uses 2; 3 is slightly more robust and is the default.
-        n_alphabet: alphabet size (4 for DNA, 2 for the binary analyses).
+        n_alphabet: alphabet size (4 for DNA, 2 for the binary analyses);
+            at most 127, the largest the ``int8`` read matrix can hold.
         fill_symbol: symbol emitted when every read is exhausted.
     """
 
@@ -50,6 +60,10 @@ class OneWayReconstructor(Reconstructor):
                  fill_symbol: int = 0) -> None:
         if lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {lookahead}")
+        if not (2 <= n_alphabet <= 127):
+            raise ValueError(
+                f"n_alphabet must be in 2..127, got {n_alphabet}"
+            )
         if not (0 <= fill_symbol < n_alphabet):
             raise ValueError("fill_symbol outside alphabet")
         self.lookahead = lookahead
@@ -68,149 +82,160 @@ class OneWayReconstructor(Reconstructor):
     def reconstruct_many_indices(
         self, clusters: Sequence[Sequence[np.ndarray]], length: int
     ) -> List[np.ndarray]:
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        n_clusters = len(clusters)
-        # One padded matrix over every read of every cluster: sentinel -1
-        # marks positions past a read's end. The extra window+2 columns let
-        # every lookahead gather stay in bounds without per-step clipping.
-        padded, lengths, cluster_of = pack_index_clusters(
-            clusters, pad=self.lookahead + 2
-        )
-        if lengths.size == 0 or length == 0:
-            return list(np.full((n_clusters, length), self.fill_symbol,
-                                dtype=np.int64))
-        return list(self.scan_padded(padded, lengths, cluster_of,
-                                     n_clusters, length))
+        return list(self.reconstruct_batch(ReadBatch.from_arrays(clusters),
+                                           length))
 
-    def reconstruct_batch(self, batch, length: int) -> np.ndarray:
+    def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
         """Columnar entry point: scan a whole
         :class:`~repro.channel.readbatch.ReadBatch` without touching
-        per-read Python objects. The batch's flat buffer becomes the
-        padded read matrix via one vectorized gather; empty reads are
-        harmless (they are never active)."""
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        if batch.n_reads == 0 or length == 0:
+        per-read Python objects. Lost clusters and empty reads are
+        harmless: they never vote, so their estimate is ``fill_symbol``."""
+        reads = self._read_matrix(batch, length)
+        if reads is None:
             return np.full((batch.n_clusters, length), self.fill_symbol,
                            dtype=np.int64)
-        padded, lengths = batch.padded_matrix(pad=self.lookahead + 2)
-        return self.scan_padded(padded, lengths, batch.cluster_ids,
-                                batch.n_clusters, length)
+        return self.scan_padded(*reads, batch.n_clusters, length)
+
+    def _read_matrix(
+        self, batch: ReadBatch, length: int, both_ways: bool = False
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The scan's read matrix, built once from ``batch``'s flat buffer.
+
+        Rows are the batch's non-empty reads as ``int8`` symbols with
+        sentinel -1 past each read's end and ``lookahead + 2`` more
+        sentinel columns, so every gather of a step stays inside its row.
+        With ``both_ways`` the same reads follow reversed, their cluster
+        ids shifted by ``batch.n_clusters``. Returns
+        ``(matrix, cluster_of)``, or ``None`` when there is nothing to
+        scan. Raises ``ValueError`` for a read symbol outside the
+        alphabet, checked once with one ``max`` over all symbols.
+        """
+        if length < 0:
+            raise ValueError(f"length must be non-negative, got {length}")
+        keep = batch.lengths > 0
+        lengths = batch.lengths[keep]
+        if lengths.size == 0:
+            return None
+        # Buffer index of every base of every kept read, read after read.
+        index = np.repeat(batch.offsets[keep] - np.cumsum(lengths) + lengths,
+                          lengths)
+        index += np.arange(index.size)
+        symbols = batch.buffer[index]
+        top = int(symbols.max())
+        if top >= self.n_alphabet:
+            raise ValueError(
+                f"read symbol {top} outside the {self.n_alphabet}-letter "
+                "alphabet"
+            )
+        if length == 0:
+            return None
+        n_reads = lengths.size
+        width = int(lengths.max()) + self.lookahead + 2
+        # Row-major mask of the read cells: assigning the symbol run
+        # through it lays the reads out one per row.
+        cells = np.arange(width) < lengths[:, None]
+        cluster_of = batch.cluster_ids[keep]
+        matrix = np.full((2 * n_reads if both_ways else n_reads, width), -1,
+                         dtype=np.int8)
+        matrix[:n_reads][cells] = symbols
+        if both_ways:
+            # The reversed run reverses every read and the read order, so
+            # the reversed rows hold the reads last to first.
+            matrix[n_reads:][cells[::-1]] = symbols[::-1]
+            cluster_of = np.concatenate(
+                [cluster_of, cluster_of[::-1] + batch.n_clusters]
+            )
+        return matrix, cluster_of
 
     def scan_padded(
         self,
-        padded: np.ndarray,
-        lengths: np.ndarray,
+        matrix: np.ndarray,
         cluster_of: np.ndarray,
         n_clusters: int,
         length: int,
     ) -> np.ndarray:
-        """The batched scan over an already-padded read matrix.
+        """The batched scan over a read matrix (see :meth:`_read_matrix`).
 
-        ``padded`` must be int64 with sentinel -1 and at least
-        ``lookahead + 2`` sentinel columns past the longest read; rows are
-        reads, tagged by ``cluster_of``. Returns ``(n_clusters, length)``.
+        ``matrix`` is ``int8`` with sentinel -1 past each row's read and
+        at least ``lookahead + 2`` sentinel columns past the longest; rows
+        are reads, tagged by ``cluster_of`` in ``[0, n_clusters)``.
+        Returns ``(n_clusters, length)``.
         """
-        output = np.full((n_clusters, length), self.fill_symbol,
-                         dtype=np.int64)
         window = self.lookahead
-        n_reads = padded.shape[0]
-        pointers = np.zeros(n_reads, dtype=np.int64)
-        rows = np.arange(n_reads)
-        offsets = np.arange(1, window + 1)
+        # Ballot slot 0 of every cluster (and of every lookahead offset)
+        # collects the sentinel, so exhausted reads never vote. A ballot
+        # winner w decodes to symbol w - 1; w = 0 means no votes and
+        # decodes to -2, which matches no character, not even the
+        # sentinel.
+        stride = self.n_alphabet + 1
+        decode = np.arange(-1, self.n_alphabet, dtype=np.int8)
+        decode[0] = -2
+        flat = matrix.ravel()
+        # cursor[i] = flat index of read i's pointer.
+        cursor = np.arange(matrix.shape[0], dtype=np.int64) * matrix.shape[1]
+        vote_keys = cluster_of * stride + 1
+        # Lookahead arrays are offset-major, (window, reads), so every
+        # numpy loop runs along the long axis. Offset o of a read in
+        # cluster c votes under key o * n_clusters * stride + the read's
+        # vote key.
+        ahead = np.arange(1, window + 1)[:, None]
+        ahead_keys = (ahead - 1) * (n_clusters * stride)
+        output = np.zeros((n_clusters, length), dtype=np.int64)
 
         for position in range(length):
-            active = pointers < lengths
-            if not np.any(active):
+            current = flat[cursor]
+            votes = np.bincount(vote_keys + current,
+                                minlength=n_clusters * stride)
+            votes = votes.reshape(n_clusters, stride)
+            votes[:, 0] = 0
+            winner = votes.argmax(axis=1)
+            if not winner.any():
                 break  # every read of every cluster exhausted
-            current = padded[rows, pointers]
-            votes = self._segmented_counts(
-                cluster_of[active], current[active], n_clusters
-            )
-            consensus = np.argmax(votes, axis=1)
-            # Clusters whose reads are all exhausted cast no votes; their
-            # output stays at fill_symbol from here on (the single-cluster
-            # scan breaks out of its loop at this point).
-            voted = votes.sum(axis=1) > 0
-            output[voted, position] = consensus[voted]
-
-            consensus_per_read = consensus[cluster_of]
-            agree = active & (current == consensus_per_read)
-            lookahead = self._estimate_lookahead(
-                padded, pointers, agree, cluster_of, n_clusters, offsets
-            )
-            disagree_rows = np.flatnonzero(active & ~agree)
-            pointers[agree] += 1
-            if disagree_rows.size:
-                pointers[disagree_rows] += self._classify_errors(
-                    padded,
-                    pointers[disagree_rows],
-                    disagree_rows,
-                    consensus_per_read[disagree_rows],
-                    lookahead[cluster_of[disagree_rows]],
+            output[:, position] = winner
+            consensus = decode[winner]
+            agree = current == consensus[cluster_of]
+            # Active reads (off the sentinel) that do not agree; every
+            # agreeing read is active, so xor is and-not.
+            disagree = current >= 0
+            disagree ^= agree
+            rows = np.flatnonzero(disagree)
+            if rows.size:
+                # Lookahead ballots for just the clusters holding a
+                # disagreeing read, from their agreeing reads (presumed
+                # synchronized): one bincount over (cluster, offset,
+                # symbol) keys.
+                clusters = cluster_of[rows]
+                hot = np.zeros(n_clusters, dtype=bool)
+                hot[clusters] = True
+                voters = np.flatnonzero(agree & hot[cluster_of])
+                keys = ahead_keys + vote_keys[voters] \
+                    + flat[ahead + cursor[voters]]
+                ballots = np.bincount(
+                    keys.ravel(), minlength=window * n_clusters * stride
+                ).reshape(window, n_clusters, stride)[:, clusters]
+                ballots[:, :, 0] = 0
+                cursor[rows] += self._classify_errors(
+                    flat, cursor[rows], consensus[clusters],
+                    decode[ballots.argmax(axis=2)],
                 )
-        return output
+            cursor += agree
+        # Clusters whose reads are all exhausted cast no votes; their
+        # output is fill_symbol from there on (the single-cluster scan
+        # breaks out of its loop at that point).
+        return np.where(output > 0, output - 1, self.fill_symbol)
 
-    def _segmented_counts(
-        self, segments: np.ndarray, symbols: np.ndarray, n_segments: int
-    ) -> np.ndarray:
-        """Per-cluster ballot: counts[c, s] = votes for symbol s in cluster c."""
-        flat = np.bincount(
-            segments * self.n_alphabet + symbols,
-            minlength=n_segments * self.n_alphabet,
-        )
-        return flat.reshape(n_segments, self.n_alphabet)
-
-    def _estimate_lookahead(
-        self,
-        padded: np.ndarray,
-        pointers: np.ndarray,
-        agree: np.ndarray,
-        cluster_of: np.ndarray,
-        n_clusters: int,
-        offsets: np.ndarray,
-    ) -> np.ndarray:
-        """Majority-vote the next ``window`` characters per cluster.
-
-        Reads whose current character matches their cluster's consensus are
-        presumed synchronized, so their upcoming characters are the best
-        available estimate of the upcoming consensus. Cluster/offset slots
-        with no votes carry the sentinel -1 (they match nothing during
-        scoring).
-        """
-        window = np.full((n_clusters, len(offsets)), -1, dtype=np.int64)
-        agree_rows = np.flatnonzero(agree)
-        if agree_rows.size == 0:
-            return window
-        # ahead[i, o] = agreeing read i's character at pointer + 1 + o.
-        ahead = padded[agree_rows[:, None],
-                       pointers[agree_rows][:, None] + offsets[None, :]]
-        clusters = cluster_of[agree_rows]
-        for o in range(len(offsets)):
-            column = ahead[:, o]
-            valid = column >= 0
-            if np.any(valid):
-                counts = self._segmented_counts(
-                    clusters[valid], column[valid], n_clusters
-                )
-                has_votes = counts.sum(axis=1) > 0
-                window[has_votes, o] = np.argmax(counts, axis=1)[has_votes]
-        return window
-
+    @staticmethod
     def _classify_errors(
-        self,
-        padded: np.ndarray,
-        pointers: np.ndarray,
-        read_rows: np.ndarray,
+        flat: np.ndarray,
+        cursor: np.ndarray,
         consensus: np.ndarray,
         lookahead: np.ndarray,
     ) -> np.ndarray:
-        """Pointer advances for the disagreeing reads (vectorized).
+        """Pointer advances for the disagreeing reads at ``cursor``.
 
-        Three hypotheses are scored by how well the read's characters after
-        the hypothesized correction line up with its cluster's estimated
-        lookahead:
+        Three hypotheses are scored by how well the read's characters
+        after the hypothesized correction line up with its cluster's
+        estimated lookahead (offsets without votes match nothing):
 
         * substitution — current character wrong; advance by 1;
         * deletion — the read lost the consensus character, so its current
@@ -219,27 +244,14 @@ class OneWayReconstructor(Reconstructor):
           match the consensus; advance by 2.
 
         Ties resolve substitution > deletion > insertion (strict
-        improvements only), keeping the scan deterministic. ``consensus``
-        and ``lookahead`` are per-read here (each read carries its own
-        cluster's values).
+        improvements only), keeping the scan deterministic.
+        ``consensus`` (per read) and ``lookahead`` (offset-major,
+        ``(window, reads)``) carry each read's own cluster's values.
         """
-        valid_la = lookahead >= 0
-        gather = np.arange(lookahead.shape[1])
-
-        def score(start_offset: int) -> np.ndarray:
-            chars = padded[read_rows[:, None],
-                           pointers[:, None] + start_offset + gather[None, :]]
-            return ((chars == lookahead) & valid_la).sum(axis=1)
-
-        substitution = score(1)
-        deletion = score(0)
-        next_char = padded[read_rows, pointers + 1]
-        insertion = np.where(next_char == consensus, 1 + score(2), -1)
-
-        advance = np.ones(len(read_rows), dtype=np.int64)
-        best = substitution.copy()
-        better_deletion = deletion > best
-        advance[better_deletion] = 0
-        np.maximum(best, deletion, out=best)
-        advance[insertion > best] = 2
-        return advance
+        chars = flat[np.arange(lookahead.shape[0] + 2)[:, None] + cursor]
+        substitution = (chars[1:-1] == lookahead).sum(axis=0)
+        deletion = (chars[:-2] == lookahead).sum(axis=0)
+        insertion = np.where(chars[1] == consensus,
+                             1 + (chars[2:] == lookahead).sum(axis=0), -1)
+        return np.where(insertion > np.maximum(substitution, deletion), 2,
+                        np.where(deletion > substitution, 0, 1))

@@ -7,91 +7,45 @@ reconstructor therefore keeps the first half of the forward scan and the
 second half of the backward scan — "the best of both worlds" — which moves
 the error peak from the far end (Fig 3) to the middle (Fig 4).
 
-Both directions ride the batched one-way engine: a whole unit's clusters
-are reconstructed with two batched scans (one forward, one over the
-reversed reads) instead of two scans per cluster.
+Both directions ride *one* batched one-way scan. The ``int8`` read matrix
+(sentinel -1 past each read's end) is built once from the batch's flat
+buffer with every read twice: forward, and reversed under cluster id
+``+ n_clusters``. A step of the scan then votes, and pays for disagreeing
+reads, in both directions at once. A scan's output at a position never
+depends on later positions, so the stacked scan stops once each direction
+has produced the half it keeps: ``L - L // 2`` steps instead of two scans
+of ``L``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor
+from repro.channel.readbatch import ReadBatch
 from repro.consensus.bma import OneWayReconstructor
 
 
-class TwoWayReconstructor(Reconstructor):
+class TwoWayReconstructor(OneWayReconstructor):
     """Forward + backward one-way scans, best half of each.
 
     Args:
-        lookahead: lookahead window of the underlying one-way scans.
+        lookahead: lookahead window of the scan (both directions).
         n_alphabet: alphabet size.
     """
 
     def __init__(self, lookahead: int = 3, n_alphabet: int = 4) -> None:
-        self._one_way = OneWayReconstructor(
-            lookahead=lookahead, n_alphabet=n_alphabet
-        )
+        super().__init__(lookahead=lookahead, n_alphabet=n_alphabet)
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        forward = self._one_way.reconstruct_many_indices(clusters, length)
-        reversed_clusters = [
-            [np.asarray(read)[::-1] for read in reads] for reads in clusters
-        ]
-        backward = self._one_way.reconstruct_many_indices(
-            reversed_clusters, length
-        )
-        midpoint = length // 2
-        return [
-            np.concatenate([fwd[:midpoint], bwd[::-1][midpoint:]])
-            for fwd, bwd in zip(forward, backward)
-        ]
-
-    def reconstruct_batch(self, batch, length: int) -> np.ndarray:
-        """Columnar entry point: both scans straight off the batch.
-
-        The padded read matrix is gathered from the batch's flat buffer
-        once; the backward scan runs over a row-wise reversal of the same
-        matrix (reversing each read in place of the per-read ``[::-1]``
-        copies of the list path). Output equals
-        :meth:`reconstruct_many_indices` row for row.
-        """
-        one_way = self._one_way
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        if batch.n_reads == 0 or length == 0:
-            return np.full((batch.n_clusters, length), one_way.fill_symbol,
+    def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
+        """Columnar entry point: both directions as one stacked scan."""
+        n_clusters = batch.n_clusters
+        reads = self._read_matrix(batch, length, both_ways=True)
+        if reads is None:
+            return np.full((n_clusters, length), self.fill_symbol,
                            dtype=np.int64)
-        padded, lengths = batch.padded_matrix(pad=one_way.lookahead + 2)
-        forward = one_way.scan_padded(
-            padded, lengths, batch.cluster_ids, batch.n_clusters, length
-        )
-        columns = np.arange(padded.shape[1], dtype=np.int64)
-        src = lengths[:, None] - 1 - columns[None, :]
-        valid = src >= 0
-        reversed_padded = np.where(
-            valid, np.take_along_axis(padded, np.where(valid, src, 0), axis=1),
-            -1,
-        )
-        backward = one_way.scan_padded(
-            reversed_padded, lengths, batch.cluster_ids, batch.n_clusters,
-            length,
-        )
         midpoint = length // 2
+        scanned = self.scan_padded(*reads, 2 * n_clusters, length - midpoint)
         return np.concatenate(
-            [forward[:, :midpoint], backward[:, ::-1][:, midpoint:]], axis=1
+            [scanned[:n_clusters, :midpoint], scanned[n_clusters:, ::-1]],
+            axis=1,
         )

@@ -31,7 +31,7 @@ import numpy as np
 from repro.channel.readbatch import ReadBatch
 from repro.channel.sequencer import ReadCluster
 from repro.codec.basemap import indices_to_bases
-from repro.consensus.base import Reconstructor
+from repro.consensus.base import Reconstructor, consensus_span
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.core.layout import LayoutPolicy, MatrixConfig, build_layout
 from repro.ecc.batched import reason_counts
@@ -434,18 +434,7 @@ class DnaStoragePipeline:
             and hasattr(self.reconstructor, "reconstruct_with_confidence")
         )
         confidences: Optional[np.ndarray] = None
-        tracer = get_tracer()
-        if tracer.is_recording:
-            # Counted here so every reconstructor (two-way, iterative,
-            # posterior, median) reports uniformly; the batched
-            # refiners add their own iteration/sweep counters on top.
-            tracer.metrics.counter("consensus.clusters").add(live.n_clusters)
-            tracer.metrics.counter("consensus.reads").add(live.n_reads)
-        with tracer.span(
-            "consensus.reconstruct",
-            n_clusters=live.n_clusters,
-            n_reads=live.n_reads,
-        ):
+        with consensus_span(live):
             if use_confidence:
                 results = \
                     self.reconstructor.reconstruct_batch_with_confidence(

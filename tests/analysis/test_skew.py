@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.analysis import positional_error_profile, positional_error_profile_binary
+from repro.analysis import (
+    positional_confidence_profile,
+    positional_error_profile,
+    positional_error_profile_binary,
+)
 from repro.channel import ErrorModel
 from repro.consensus import (
     OneWayReconstructor,
     OptimalMedianReconstructor,
+    PosteriorReconstructor,
     TwoWayReconstructor,
 )
+from repro.observability import Tracer, use_tracer
 
 
 class TestPositionalErrorProfile:
@@ -84,3 +90,48 @@ class TestBinaryProfile:
             error_model=ErrorModel.uniform(0.15), coverage=4, trials=10, rng=5,
         )
         assert profile.shape == (24,)
+
+
+class TestConsensusSpan:
+    """The profiles report their consensus call like the pipeline's
+    decode does: a ``consensus.reconstruct`` span plus the
+    ``consensus.clusters`` and ``consensus.reads`` counters."""
+
+    def assert_one_consensus_span(self, tracer, trials, coverage):
+        spans = [root for root in tracer.roots
+                 if root.name == "consensus.reconstruct"]
+        assert len(spans) == 1
+        assert spans[0].attributes == {"n_clusters": trials,
+                                       "n_reads": trials * coverage}
+        assert spans[0].seconds > 0
+        metrics = tracer.metrics
+        assert metrics.counter("consensus.clusters").value == trials
+        assert metrics.counter("consensus.reads").value == trials * coverage
+
+    def test_positional_error_profile(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            positional_error_profile(
+                TwoWayReconstructor(), length=30,
+                error_model=ErrorModel.uniform(0.05), coverage=4, trials=12,
+                rng=3,
+            )
+        self.assert_one_consensus_span(tracer, trials=12, coverage=4)
+
+    def test_confidence_and_binary_profiles(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            positional_confidence_profile(
+                PosteriorReconstructor(), length=20,
+                error_model=ErrorModel.uniform(0.05), coverage=3, trials=5,
+                rng=4,
+            )
+        self.assert_one_consensus_span(tracer, trials=5, coverage=3)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            positional_error_profile_binary(
+                OneWayReconstructor(n_alphabet=2), length=20,
+                error_model=ErrorModel.uniform(0.05), coverage=3, trials=6,
+                rng=5,
+            )
+        self.assert_one_consensus_span(tracer, trials=6, coverage=3)

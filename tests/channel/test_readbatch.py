@@ -62,6 +62,22 @@ class TestConstruction:
             ReadBatch(np.zeros(1, np.uint8), [0], [1], [0], n_clusters=1,
                       source_indices=[1, 2])
 
+    @pytest.mark.parametrize("bad", [300, 256, -1])
+    def test_from_arrays_rejects_symbols_past_uint8(self, bad):
+        """The uint8 buffer cannot hold them; 300 used to wrap to 44."""
+        with pytest.raises(ValueError, match=f"symbol {bad} outside 0..255"):
+            ReadBatch.from_arrays([[np.array([bad, 1, 2])]])
+        with pytest.raises(ValueError, match="outside 0..255"):
+            ReadBatch.from_arrays([[[0, 1]], [[2, bad]]])
+
+    def test_from_arrays_keeps_in_range_symbols(self):
+        batch = ReadBatch.from_arrays(
+            [[np.array([255, 0, 7], dtype=np.int64)], [[]]]
+        )
+        np.testing.assert_array_equal(batch.buffer, [255, 0, 7])
+        assert batch.buffer.dtype == np.uint8
+        np.testing.assert_array_equal(batch.lengths, [3, 0])
+
 
 class TestSequenceProtocol:
     def test_len_iter_getitem(self):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel
+from repro.channel import ErrorModel, ReadBatch
 from repro.codec.basemap import random_bases
-from repro.consensus import OneWayReconstructor
+from repro.consensus import OneWayReconstructor, TwoWayReconstructor
 
 
 @pytest.fixture
@@ -42,6 +42,53 @@ class TestBasics:
     def test_bad_fill_symbol_rejected(self):
         with pytest.raises(ValueError):
             OneWayReconstructor(n_alphabet=2, fill_symbol=2)
+
+    @pytest.mark.parametrize("cls", [OneWayReconstructor,
+                                     TwoWayReconstructor])
+    @pytest.mark.parametrize("n_alphabet", [0, 1, 128, 256])
+    def test_alphabet_outside_int8_range_rejected(self, cls, n_alphabet):
+        """The read matrix is int8 with a -1 sentinel: 2..127 letters."""
+        with pytest.raises(ValueError, match="n_alphabet must be in 2..127"):
+            cls(n_alphabet=n_alphabet)
+
+    def test_alphabet_bounds_accepted(self):
+        assert OneWayReconstructor(n_alphabet=127).reconstruct_indices(
+            [np.array([126, 0, 5])] * 2, 3
+        ).tolist() == [126, 0, 5]
+        assert TwoWayReconstructor(n_alphabet=2).reconstruct_indices(
+            [np.array([1, 0, 1])], 3
+        ).tolist() == [1, 0, 1]
+
+
+class TestOutOfAlphabetSymbols:
+    """A symbol past the alphabet used to land in the next cluster's
+    ballot (key ``cluster * n_alphabet + symbol``): symbol 7 in cluster 0
+    of a 4-letter scan voted for symbol 3 in cluster 1."""
+
+    @pytest.mark.parametrize("cls", [OneWayReconstructor,
+                                     TwoWayReconstructor])
+    def test_neighbouring_cluster_not_corrupted(self, cls):
+        a = np.array([7] * 4)
+        b = np.array([0] * 4)
+        np.testing.assert_array_equal(
+            cls().reconstruct_many_indices([[b]], 4)[0], [0, 0, 0, 0]
+        )
+        with pytest.raises(ValueError,
+                           match="symbol 7 outside the 4-letter alphabet"):
+            cls().reconstruct_many_indices([[a, a], [b]], 4)
+
+    @pytest.mark.parametrize("cls", [OneWayReconstructor,
+                                     TwoWayReconstructor])
+    def test_lone_cluster_rejected(self, cls):
+        with pytest.raises(ValueError, match="symbol 7 outside"):
+            cls().reconstruct_indices([np.array([7] * 4)], 4)
+
+    def test_batch_entry_point_rejected(self):
+        batch = ReadBatch.from_arrays([[np.array([0, 1])],
+                                       [np.array([2, 1])]])
+        with pytest.raises(ValueError,
+                           match="symbol 2 outside the 2-letter alphabet"):
+            TwoWayReconstructor(n_alphabet=2).reconstruct_batch(batch, 2)
 
     def test_deterministic(self, reconstructor, rng):
         strand = random_bases(80, rng)

@@ -50,6 +50,44 @@ def random_unit(seed, n_clusters, length, rate, max_coverage, n_alphabet=4):
     return clusters
 
 
+def workload_unit(seed, n_clusters, coverage, length, rate, n_alphabet=4):
+    """A unit shaped like the store's: many clusters at ``coverage`` reads
+    and a low error rate, so unanimous clusters sit next to disagreeing
+    ones in the same step. About 6% of clusters are lost; some clusters
+    carry an empty read, a read extended past ``length``, or only empty
+    reads."""
+    rng = np.random.default_rng(seed)
+    model = ErrorModel.uniform(rate)
+    clusters = []
+    for c in range(n_clusters):
+        original = rng.integers(0, n_alphabet, length).astype(np.uint8)
+        count = 0 if rng.random() < 0.06 else int(rng.poisson(coverage))
+        reads = [model.apply_indices(original, rng, n_alphabet=n_alphabet)
+                 for _ in range(count)]
+        if reads and rng.random() < 0.05:
+            reads.insert(int(rng.integers(len(reads))),
+                         np.zeros(0, dtype=np.uint8))
+        if reads and rng.random() < 0.05:
+            tail = rng.integers(0, n_alphabet, int(rng.integers(1, 12)))
+            reads[-1] = np.concatenate([reads[-1], tail]).astype(np.uint8)
+        if c == n_clusters // 2:
+            reads = [np.zeros(0, dtype=np.uint8)] * 2
+        clusters.append(reads)
+    return clusters
+
+
+def assert_entry_points_match_reference(fast, slow, clusters, length):
+    """``reconstruct_batch`` and ``reconstruct_many_indices`` both equal
+    the reference run one cluster at a time."""
+    expected = np.stack([slow.reconstruct_indices(reads, length)
+                         for reads in clusters])
+    batched = fast.reconstruct_batch(ReadBatch.from_arrays(clusters), length)
+    np.testing.assert_array_equal(batched, expected)
+    assert batched.dtype == np.int64
+    listed = fast.reconstruct_many_indices(clusters, length)
+    np.testing.assert_array_equal(np.stack(listed), expected)
+
+
 def assert_batch_matches_reference(fast, slow, clusters, length):
     batched = fast.reconstruct_many_indices(clusters, length)
     assert len(batched) == len(clusters)
@@ -116,6 +154,32 @@ class TestBatchedMatchesReference:
         clusters = random_unit(5, 3, 10, 0.1, 3)
         for estimate in fast_cls().reconstruct_many_indices(clusters, 0):
             assert estimate.shape == (0,)
+
+
+@pytest.mark.parametrize("fast_cls,ref_cls", PAIRS[:2], ids=PAIR_IDS[:2])
+class TestScanMatchesReferenceAtWorkloadScale:
+    """The pointer scans on the store's consensus calls, where most
+    clusters are unanimous at a step and the few that are not get
+    lookahead ballots. (The iterative pair is left out: its reference is
+    far too slow at these sizes, and its seed is the two-way scan.)"""
+
+    @pytest.mark.parametrize("length,n_alphabet", [(28, 4), (27, 2)])
+    def test_serve_shape(self, fast_cls, ref_cls, length, n_alphabet):
+        """The serve workload: 256 clusters at coverage 16 and 1% error,
+        L=28 (and an odd length over the binary alphabet)."""
+        clusters = workload_unit(length, 256, 16, length, 0.01,
+                                 n_alphabet=n_alphabet)
+        assert_entry_points_match_reference(
+            fast_cls(n_alphabet=n_alphabet), ref_cls(n_alphabet=n_alphabet),
+            clusters, length,
+        )
+
+    @pytest.mark.slow
+    def test_archive_shape(self, fast_cls, ref_cls):
+        """The archive workload: 240 clusters at coverage 8, L=664."""
+        clusters = workload_unit(664, 240, 8, 664, 0.01)
+        assert_entry_points_match_reference(fast_cls(), ref_cls(), clusters,
+                                            664)
 
 
 class TestPosteriorMatchesReference:
@@ -309,6 +373,15 @@ class TestOneWayParameterVariants:
         fast = OneWayReconstructor(lookahead=lookahead, fill_symbol=fill)
         slow = ReferenceOneWayReconstructor(lookahead=lookahead, fill_symbol=fill)
         assert_batch_matches_reference(fast, slow, clusters, 25)
+
+    @pytest.mark.parametrize("lookahead", range(1, 7))
+    @pytest.mark.parametrize("fast_cls,ref_cls", PAIRS[:2], ids=PAIR_IDS[:2])
+    def test_lookahead_at_workload_scale(self, fast_cls, ref_cls, lookahead):
+        clusters = workload_unit(lookahead, 64, 16, 29, 0.02)
+        assert_entry_points_match_reference(
+            fast_cls(lookahead=lookahead), ref_cls(lookahead=lookahead),
+            clusters, 29,
+        )
 
     def test_string_batch_api(self):
         """reconstruct_many (string variant) agrees with the reference."""

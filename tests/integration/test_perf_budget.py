@@ -41,6 +41,10 @@ from repro.core.store import DnaStore
 #: Seconds allowed for one small-unit decode (receive + RS correction).
 DECODE_BUDGET_SECONDS = 2.0
 
+#: Minimum lead of the batched two-way scan over the per-cluster
+#: reference on a serve-shaped call (median CPU time of 3 runs each).
+CONSENSUS_SPEEDUP_FACTOR = 40
+
 #: Seconds allowed for one batched store-plane decode of the many-unit
 #: perf configuration below.
 STORE_DECODE_BUDGET_SECONDS = 0.5
@@ -101,6 +105,18 @@ def best_of(repeats, fn):
     return best, result
 
 
+def median_cpu(repeats, fn):
+    """Median CPU seconds (``time.process_time``) of ``repeats`` calls:
+    CPU time ignores the wall-clock stalls of a shared box, and the median
+    ignores one disturbed run."""
+    samples = []
+    for _ in range(repeats):
+        start = time.process_time()
+        fn()
+        samples.append(time.process_time() - start)
+    return float(np.median(samples))
+
+
 def quickstart_unit(seed, n_clusters=120, coverage=10, length=68, rate=0.06):
     """Index-array clusters shaped like the quickstart encoding unit."""
     rng = np.random.default_rng(seed)
@@ -137,32 +153,37 @@ class TestPerfBudget:
         )
 
     def test_batched_consensus_beats_per_cluster_reference(self):
-        """The batch path must stay meaningfully faster than the frozen
-        reference — the whole point of the engine."""
+        """The batched two-way scan must lead the frozen per-cluster
+        reference by at least 40x on a serve-shaped call (128 clusters x
+        16 reads, L=28, 1% error): median CPU time of 3 runs each. A scan
+        that builds lookahead ballots for every cluster at every position
+        and runs the two directions as separate scans leads by only
+        ~17-21x; the stacked scan that pays only for disagreeing reads
+        leads by ~200x on a 2-core x86 box."""
         from oracles.consensus import ReferenceTwoWayReconstructor
         from repro.consensus import TwoWayReconstructor
 
         rng = np.random.default_rng(1)
-        model = ErrorModel.uniform(0.06)
+        model = ErrorModel.uniform(0.01)
         clusters = []
-        for _ in range(60):
-            original = rng.integers(0, 4, 68).astype(np.uint8)
+        for _ in range(128):
+            original = rng.integers(0, 4, 28).astype(np.uint8)
             clusters.append([model.apply_indices(original, rng)
-                             for _ in range(8)])
-
-        start = time.perf_counter()
-        TwoWayReconstructor().reconstruct_many_indices(clusters, 68)
-        batched = time.perf_counter() - start
-
-        start = time.perf_counter()
+                             for _ in range(16)])
+        fast = TwoWayReconstructor()
         reference = ReferenceTwoWayReconstructor()
-        for reads in clusters:
-            reference.reconstruct_indices(reads, 68)
-        scalar = time.perf_counter() - start
 
-        assert batched < scalar, (
-            f"batched scan ({batched:.3f}s) no faster than the per-cluster "
-            f"reference ({scalar:.3f}s)"
+        batched = median_cpu(
+            3, lambda: fast.reconstruct_many_indices(clusters, 28)
+        )
+        scalar = median_cpu(3, lambda: [
+            reference.reconstruct_indices(reads, 28) for reads in clusters
+        ])
+
+        assert batched * CONSENSUS_SPEEDUP_FACTOR <= scalar, (
+            f"batched scan ({batched * 1e3:.1f}ms) is not "
+            f"{CONSENSUS_SPEEDUP_FACTOR}x faster than the per-cluster "
+            f"reference ({scalar * 1e3:.0f}ms)"
         )
 
     @pytest.mark.slow
