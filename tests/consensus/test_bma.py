@@ -59,6 +59,13 @@ class TestBasics:
             [np.array([1, 0, 1])], 3
         ).tolist() == [1, 0, 1]
 
+    def test_deterministic(self, reconstructor, rng):
+        strand = random_bases(80, rng)
+        reads = ErrorModel.uniform(0.1).apply_many(strand, 5, rng)
+        first = reconstructor.reconstruct(reads, 80)
+        second = reconstructor.reconstruct(reads, 80)
+        assert first == second
+
 
 class TestOutOfAlphabetSymbols:
     """A symbol past the alphabet used to land in the next cluster's
@@ -89,13 +96,6 @@ class TestOutOfAlphabetSymbols:
         with pytest.raises(ValueError,
                            match="symbol 2 outside the 2-letter alphabet"):
             TwoWayReconstructor(n_alphabet=2).reconstruct_batch(batch, 2)
-
-    def test_deterministic(self, reconstructor, rng):
-        strand = random_bases(80, rng)
-        reads = ErrorModel.uniform(0.1).apply_many(strand, 5, rng)
-        first = reconstructor.reconstruct(reads, 80)
-        second = reconstructor.reconstruct(reads, 80)
-        assert first == second
 
 
 class TestErrorCorrection:

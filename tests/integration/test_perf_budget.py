@@ -265,10 +265,10 @@ class TestPerfBudget:
         payload must issue exactly *one* reconstructor batch call, return
         bits byte-identical to the frozen per-unit oracle loop
         (``decode_units_reference``), and lead it by at least 3x (measured
-        ~4.5x on the development machine). Many small units make the
-        per-call overhead the reference pays 32 times the dominant cost —
-        only a regression of the spanning path back to per-unit
-        processing can close the gap."""
+        ~6x on a 2-core x86 box). Many small units make the per-call
+        overhead the reference pays 32 times the dominant cost — only a
+        regression of the spanning path back to per-unit processing can
+        close the gap."""
         from repro.consensus import TwoWayReconstructor
 
         calls = []
@@ -296,19 +296,23 @@ class TestPerfBudget:
         store.read(request)  # warm-up
 
         calls.clear()
-        start = time.perf_counter()
         decoded, report = store.read(request)
-        batched_seconds = time.perf_counter() - start
         assert len(calls) == 1, (
             f"store decode issued {len(calls)} reconstructor batch calls; "
             f"the store plane must batch them into one"
         )
 
-        start = time.perf_counter()
-        expected, expected_report = decode_units_reference(
-            store, batch, bits.size
-        )
-        reference_seconds = time.perf_counter() - start
+        # Best of 5 alternating rounds: the one-pass decode takes ~10ms, so
+        # a single sample (or a burst of box noise covering several
+        # back-to-back samples) can swamp the gap the floor guards.
+        batched_seconds = reference_seconds = float("inf")
+        for _ in range(5):
+            seconds, _ = best_of(1, lambda: store.read(request))
+            batched_seconds = min(batched_seconds, seconds)
+            seconds, (expected, expected_report) = best_of(
+                1, lambda: decode_units_reference(store, batch, bits.size)
+            )
+            reference_seconds = min(reference_seconds, seconds)
 
         np.testing.assert_array_equal(decoded, expected)
         np.testing.assert_array_equal(decoded, bits)
