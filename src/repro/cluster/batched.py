@@ -15,9 +15,10 @@ one round per **cluster** instead of one step per read:
    array ops over signatures precomputed in a single pass
    (:func:`~repro.cluster.signatures.batch_signatures`), then one
    stacked banded edit-distance sweep
-   (:func:`~repro.cluster.distance.banded_edit_distances_stack`) that
-   advances every surviving candidate's DP in lockstep with early
-   bail-out;
+   (:func:`~repro.cluster.distance.banded_edit_distances_stack`): the
+   bit-parallel kernel packs every surviving candidate's band into one
+   lane of a Python integer and advances them all by one founder base
+   per step;
 3. matching reads join the new cluster and drop out of the active set.
 
 A read assigned in round ``r`` matched representative ``r`` and, having
@@ -44,8 +45,8 @@ from repro.observability.trace import get_tracer
 def padded_int16_matrix(batch: ReadBatch) -> Tuple[np.ndarray, np.ndarray]:
     """The batch's padded read matrix, narrowed for the DP sweeps.
 
-    Base indices and the -1 sentinel fit comfortably in int16; the
-    stacked kernel's row arithmetic runs in int32 regardless. Shared by
+    Base indices and the -1 sentinel fit comfortably in int16, which
+    halves the bytes the stacked kernel's match masks compare. Shared by
     every columnar clusterer (batched greedy and LSH).
     """
     matrix, lengths = batch.padded_matrix()
@@ -73,12 +74,110 @@ def relabel_batch(
     )
 
 
-class BatchedGreedyClusterer:
+class ColumnarClusterer:
+    """The batch surface shared by every columnar clusterer.
+
+    ``assign``/``cluster_batch``/``cluster_pools`` over a
+    :class:`ReadBatch`. A subclass provides ``_prepare(batch)`` — state
+    derived once per batch from read content — and ``_assign_rows(start,
+    stop, *prepared)``, which clusters the read rows ``[start, stop)`` as
+    one pool and returns ``(assignment, n_clusters)``.
+    """
+
+    def assign(self, batch: ReadBatch) -> Tuple[np.ndarray, int]:
+        """Cluster id of every read of ``batch``, treated as one pool.
+
+        The batch's own cluster structure is ignored. Returns
+        ``(assignment, n_clusters)``; ``assignment[i]`` is the cluster
+        of read ``i``, numbered as the subclass documents.
+        """
+        return self._assign_rows(0, batch.n_reads, *self._prepare(batch))
+
+    def cluster_batch(self, batch: ReadBatch) -> ReadBatch:
+        """Cluster every read of ``batch`` as one unlabeled pool.
+
+        Returns a re-labeled batch sharing the input buffer zero-copy:
+        cluster ``c`` holds the reads :meth:`assign` put there (reads
+        keep their pool order within each cluster), and
+        ``source_indices`` is the cluster numbering — there is no ground
+        truth. The result is a spanning batch any consumer of labeled
+        reads (``pipeline.receive``, ``pipeline.decode``) takes
+        unchanged.
+        """
+        with get_tracer().span(
+            "cluster.batch", n_reads=batch.n_reads
+        ) as span:
+            assignment, n_clusters = self.assign(batch)
+            span.set(n_clusters=n_clusters)
+            return relabel_batch(batch, assignment, n_clusters)
+
+    def cluster_pools(
+        self,
+        batch: ReadBatch,
+        pool_boundaries: Optional[np.ndarray] = None,
+    ) -> Tuple[ReadBatch, np.ndarray]:
+        """Cluster each pool of ``batch`` independently.
+
+        Pools are the batch's clusters (what ``SequencingSimulator.
+        sequence_store(..., labeled=False)`` emits: one shuffled
+        amplification pool per encoding unit); ``pool_boundaries`` — a
+        cluster-granular table like ``receive_many``'s unit boundaries —
+        groups several input clusters into one pool instead. Reads never
+        cluster across pool borders (units are separately amplifiable,
+        so pool membership is physical). The per-batch state
+        (``_prepare``) is built once for the whole batch; each pool then
+        clusters only its own rows.
+
+        Returns ``(labeled, boundaries)``: one spanning re-labeled batch
+        with every pool's recovered clusters back to back, and the
+        recovered-cluster boundary table (pool ``p`` owns cluster slots
+        ``boundaries[p] .. boundaries[p + 1]``) — exactly the pair
+        :meth:`~repro.core.pipeline.DnaStoragePipeline.receive_many`
+        consumes.
+        """
+        if pool_boundaries is None:
+            pool_boundaries = np.arange(batch.n_clusters + 1, dtype=np.int64)
+        tracer = get_tracer()
+        with tracer.span(
+            "cluster.pools", n_reads=batch.n_reads,
+            n_pools=pool_boundaries.size - 1,
+        ) as span:
+            row_bounds = batch.group_rows(pool_boundaries)
+            prepared = self._prepare(batch)
+            n_pools = row_bounds.size - 1
+            assignment = np.full(batch.n_reads, -1, dtype=np.int64)
+            source_parts = []
+            counts = np.zeros(n_pools, dtype=np.int64)
+            offset = 0
+            for p in range(n_pools):
+                start, stop = int(row_bounds[p]), int(row_bounds[p + 1])
+                local, k = self._assign_rows(start, stop, *prepared)
+                assignment[start:stop] = local + offset
+                source_parts.append(np.arange(k, dtype=np.int64))
+                counts[p] = k
+                offset += k
+            boundaries = np.concatenate(
+                [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
+            )
+            source_indices = (np.concatenate(source_parts) if source_parts
+                              else np.zeros(0, dtype=np.int64))
+            span.set(n_clusters=int(offset))
+            if tracer.is_recording:
+                tracer.metrics.counter("cluster.recovered_clusters").add(
+                    int(offset)
+                )
+            labeled = relabel_batch(batch, assignment, int(offset),
+                                    source_indices=source_indices)
+        return labeled, boundaries
+
+
+class BatchedGreedyClusterer(ColumnarClusterer):
     """Greedy edit-distance clustering over a :class:`ReadBatch`.
 
     Assignment-identical to the sequential first-match greedy scan at
     any ``threshold``/``qgram_size``; the work is vectorized across the
-    whole pool.
+    whole pool. Reads are processed in row order, and cluster ids are
+    the creation order.
 
     Args:
         threshold: maximum edit distance to a cluster representative.
@@ -105,18 +204,13 @@ class BatchedGreedyClusterer:
 
     # -- assignment ----------------------------------------------------------
 
-    def assign(self, batch: ReadBatch) -> Tuple[np.ndarray, int]:
-        """Greedy cluster id of every read of ``batch``, in read order.
-
-        The batch's own cluster structure is ignored — all reads form one
-        unlabeled pool, processed in row order. Returns ``(assignment,
-        n_clusters)`` where ``assignment[i]`` is the id (creation order)
-        of the cluster read ``i`` joins.
-        """
-        matrix, lengths = self._padded_int16(batch)
+    def _prepare(self, batch: ReadBatch) -> Tuple:
+        """``(matrix, lengths, signatures)``: the padded read matrix and
+        the q-gram signatures (None with the prefilter off)."""
+        matrix, lengths = padded_int16_matrix(batch)
         signatures = (batch_signatures(batch, self.qgram_size)
                       if self.qgram_size else None)
-        return self._assign_rows(0, batch.n_reads, matrix, lengths, signatures)
+        return matrix, lengths, signatures
 
     def _assign_rows(
         self,
@@ -181,87 +275,3 @@ class BatchedGreedyClusterer:
             metrics.counter("cluster.prefilter_pruned").add(pruned)
             metrics.counter("cluster.dp_comparisons").add(dp_rows)
         return assignment, n_clusters
-
-    # -- batch entry points --------------------------------------------------
-
-    def cluster_batch(self, batch: ReadBatch) -> ReadBatch:
-        """Cluster every read of ``batch`` as one unlabeled pool.
-
-        Returns a re-labeled batch sharing the input buffer zero-copy:
-        cluster ``c`` holds the reads greedy assignment put there (reads
-        keep their pool order within each cluster), and
-        ``source_indices`` is the creation order — there is no ground
-        truth. The result is a spanning batch any consumer of labeled
-        reads (``pipeline.receive``, ``pipeline.decode``) takes
-        unchanged.
-        """
-        with get_tracer().span(
-            "cluster.batch", n_reads=batch.n_reads
-        ) as span:
-            assignment, n_clusters = self.assign(batch)
-            span.set(n_clusters=n_clusters)
-            return self._relabel(batch, assignment, n_clusters)
-
-    def cluster_pools(
-        self,
-        batch: ReadBatch,
-        pool_boundaries: Optional[np.ndarray] = None,
-    ) -> Tuple[ReadBatch, np.ndarray]:
-        """Cluster each pool of ``batch`` independently.
-
-        Pools are the batch's clusters (what ``SequencingSimulator.
-        sequence_store(..., labeled=False)`` emits: one shuffled
-        amplification pool per encoding unit); ``pool_boundaries`` — a
-        cluster-granular table like ``receive_many``'s unit boundaries —
-        groups several input clusters into one pool instead. Reads never
-        cluster across pool borders (units are separately amplifiable,
-        so pool membership is physical).
-
-        Returns ``(labeled, boundaries)``: one spanning re-labeled batch
-        with every pool's recovered clusters back to back, and the
-        recovered-cluster boundary table (pool ``p`` owns cluster slots
-        ``boundaries[p] .. boundaries[p + 1]``) — exactly the pair
-        :meth:`~repro.core.pipeline.DnaStoragePipeline.receive_many`
-        consumes.
-        """
-        if pool_boundaries is None:
-            pool_boundaries = np.arange(batch.n_clusters + 1, dtype=np.int64)
-        tracer = get_tracer()
-        with tracer.span(
-            "cluster.pools", n_reads=batch.n_reads,
-            n_pools=pool_boundaries.size - 1,
-        ) as span:
-            row_bounds = batch.group_rows(pool_boundaries)
-            matrix, lengths = self._padded_int16(batch)
-            signatures = (batch_signatures(batch, self.qgram_size)
-                          if self.qgram_size else None)
-            n_pools = row_bounds.size - 1
-            assignment = np.full(batch.n_reads, -1, dtype=np.int64)
-            source_parts = []
-            counts = np.zeros(n_pools, dtype=np.int64)
-            offset = 0
-            for p in range(n_pools):
-                start, stop = int(row_bounds[p]), int(row_bounds[p + 1])
-                local, k = self._assign_rows(start, stop, matrix, lengths,
-                                             signatures)
-                assignment[start:stop] = local + offset
-                source_parts.append(np.arange(k, dtype=np.int64))
-                counts[p] = k
-                offset += k
-            boundaries = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-            )
-            source_indices = (np.concatenate(source_parts) if source_parts
-                              else np.zeros(0, dtype=np.int64))
-            span.set(n_clusters=int(offset))
-            if tracer.is_recording:
-                tracer.metrics.counter("cluster.recovered_clusters").add(
-                    int(offset)
-                )
-            labeled = self._relabel(batch, assignment, int(offset),
-                                    source_indices=source_indices)
-        return labeled, boundaries
-
-    # Shared columnar helpers, kept as aliases for existing call sites.
-    _padded_int16 = staticmethod(padded_int16_matrix)
-    _relabel = staticmethod(relabel_batch)

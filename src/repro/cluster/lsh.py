@@ -9,19 +9,21 @@ standard minhash-banding recipe, while keeping the *output* exact in the
 sense that matters: every pair that ends up in one cluster was verified
 by the exact banded edit-distance kernel.
 
-1. **Signatures.** Each read's q-gram *set* comes from the one-pass
-   sparse COO kernel (:func:`~repro.cluster.signatures
-   .batch_signatures_sparse`), so the 4**q code space is never
-   materialized.
+1. **Signatures.** Each read's q-gram window codes come from the
+   one-pass window kernel behind the sparse signatures
+   (:mod:`repro.cluster.signatures`), so the 4**q code space is never
+   materialized. They are not deduplicated: the minimum over a read's
+   windows is the minimum over its distinct q-grams.
 2. **Banding.** Every minhash row owns a fixed RNG substream
    (``SeedSequence(seed, spawn_key=(row,))``) that draws an odd
-   multiplier for multiply-shift hashing; a band's key is the mix of its
-   ``rows_per_band`` minhash values. Two reads land in the same bin of a
-   band with probability ≈ their q-gram Jaccard similarity to the
-   ``rows_per_band``-th power — high for noisy copies of one strand,
-   vanishing for reads of different strands. Single-row *rescue bands*
-   run after the paired bands to also catch very dissimilar true pairs
-   (heavy error rates, coverage-2 pools).
+   multiplier for multiply-shift hashing, once per clusterer; a band's
+   key is the mix of its ``rows_per_band`` minhash values. Two reads
+   land in the same bin of a band with probability ≈ their q-gram
+   Jaccard similarity to the ``rows_per_band``-th power — high for
+   noisy copies of one strand, vanishing for reads of different
+   strands. Single-row *rescue bands* run after the paired bands to
+   also catch very dissimilar true pairs (heavy error rates, coverage-2
+   pools).
 3. **Candidates from collisions only.** Within a bin, each current
    component is collapsed to one *delegate* (its lowest content
    fingerprint — merging components needs one edge, so more members
@@ -32,14 +34,20 @@ by the exact banded edit-distance kernel.
    on most sketch rows, so the sort pulls them into adjacent runs and
    the chain of verified adjacent edges unions each run transitively.
    Everything keys off content, never row indices, so the edge set is
-   invariant under read-order shuffles.
+   invariant under read-order shuffles. Both sorts give the order
+   ``np.lexsort`` over the raw values would, as stable argsorts of
+   int64 composites (component and fingerprint, then the band key;
+   bin, sketch rows and fingerprint) over dense ranks of the minhash
+   rows and fingerprints built once per batch.
 4. **Exact verification.** A candidate pair must survive two
    exact-safe screens — length gap within the threshold, and agreement
    on ``min_sketch_matches`` of the minhash rows the banding already
    computed (a free unbiased Jaccard estimate) — then runs through
-   :func:`~repro.cluster.distance.banded_edit_distances_stack`; only
-   pairs at exact edit distance ≤ ``threshold`` are united. Pairs that
-   fail the DP are memoized and never verified again.
+   :func:`~repro.cluster.distance.banded_edit_distances_stack`, the
+   bit-parallel banded kernel that checks a band's whole candidate
+   stack in one lockstep pass over the target bases; only pairs at
+   exact edit distance ≤ ``threshold`` are united. Pairs that fail the
+   DP are memoized and never verified again.
 5. **Vectorized union-find.** Components resolve by min-label hooking
    (``np.minimum.at``) plus pointer jumping — no Python loop over edges.
 
@@ -63,9 +71,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.channel.readbatch import ReadBatch
-from repro.cluster.batched import padded_int16_matrix, relabel_batch
+from repro.cluster.batched import ColumnarClusterer, padded_int16_matrix
 from repro.cluster.distance import banded_edit_distances_stack
-from repro.cluster.signatures import batch_signatures_sparse
+from repro.cluster.signatures import _valid_window_codes
 from repro.observability.trace import get_tracer
 
 _FNV_PRIME = np.uint64(1099511628211)
@@ -94,6 +102,47 @@ def _content_fingerprints(matrix: np.ndarray,
     return fp
 
 
+def _dense_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its row of a 2-D array.
+
+    Equal values share a rank and ranks keep the values' order, so a
+    composite of ranks sorts exactly as the values would. int32: a batch
+    never nears 2**31 reads.
+    """
+    order = np.argsort(rows, axis=1)
+    ordered = np.take_along_axis(rows, order, axis=1)
+    steps = np.zeros(rows.shape, dtype=np.int32)
+    steps[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=1, dtype=np.int32),
+                      axis=1)
+    return ranks
+
+
+def _lex_order(columns, radix: int) -> np.ndarray:
+    """The order ``np.lexsort(columns[::-1])`` gives for integer columns
+    in ``[0, radix)``, most significant first. Columns pack, least
+    significant first, into an int64 key while ``radix ** k`` fits (all
+    five of the chain sort's for batches under ~6k reads), and each key
+    costs one stable argsort."""
+    order = None
+    key, span = 0, 1
+    for column in columns[::-1]:
+        if span * radix >= 1 << 63:
+            order = _refine(order, key)
+            key, span = 0, 1
+        key = column.astype(np.int64) * span + key
+        span *= radix
+    return _refine(order, key)
+
+
+def _refine(order: Optional[np.ndarray], key: np.ndarray) -> np.ndarray:
+    """``order`` (identity when None) refined by a stable sort on ``key``."""
+    if order is None:
+        return np.argsort(key, kind="stable")
+    return order[np.argsort(key[order], kind="stable")]
+
+
 def _union_components(labels: np.ndarray, u: np.ndarray,
                       v: np.ndarray) -> np.ndarray:
     """Merge the components containing ``u[i]`` and ``v[i]`` for every i.
@@ -118,17 +167,19 @@ def _union_components(labels: np.ndarray, u: np.ndarray,
             labels = jumped
 
 
-class LSHClusterer:
+class LSHClusterer(ColumnarClusterer):
     """Minhash-banded clustering over a :class:`ReadBatch`.
 
     Drop-in for :class:`~repro.cluster.batched.BatchedGreedyClusterer`
     everywhere a ``clusterer=`` is accepted (``ReadRequest``,
-    ``StoreService.put``): same
-    ``assign``/``cluster_batch``/``cluster_pools`` surface, same
+    ``StoreService.put``): the same
+    ``assign``/``cluster_batch``/``cluster_pools`` surface and
     relabeled-spanning-batch outputs. Candidate pairs come from LSH bin
     collisions instead of pool × representative scans, so work grows
     near-linearly with pool size; every pair placed in one cluster was
-    verified at exact edit distance ≤ ``threshold``.
+    verified at exact edit distance ≤ ``threshold``. Cluster ids are in
+    order of each component's first read, so a pool that happens to
+    arrive sorted by true cluster gets the familiar 0,0,..,1,1,.. shape.
 
     Args:
         threshold: maximum exact edit distance for two reads to share a
@@ -188,6 +239,14 @@ class LSHClusterer:
         self.n_rescue_bands = n_rescue_bands
         self.min_sketch_matches = min_sketch_matches
         self.seed = seed
+        # One odd multiply-shift multiplier per minhash row, each from
+        # its own fixed substream, drawn once for every batch.
+        self._multipliers = np.array([
+            int(np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(row,)
+            )).integers(0, 2 ** 62, dtype=np.uint64)) * 2 + 1
+            for row in range(n_rows)
+        ], dtype=np.uint64)
 
     @classmethod
     def for_strand_length(cls, length: int, **kwargs) -> "LSHClusterer":
@@ -200,34 +259,29 @@ class LSHClusterer:
     # -- banding -------------------------------------------------------------
 
     def _minhash_rows(self, batch: ReadBatch) -> np.ndarray:
-        """``(n_bands * rows_per_band, n_reads)`` minhash matrix.
+        """``(n_bands * rows_per_band + n_rescue_bands, n_reads)`` minhashes.
 
-        Row ``r`` multiply-shift-hashes every read's distinct q-gram
-        codes with an odd multiplier drawn from the fixed substream
+        Row ``r`` multiply-shift-hashes every read's q-gram window codes
+        with the odd multiplier of the fixed substream
         ``SeedSequence(seed, spawn_key=(r,))`` and takes the per-read
-        minimum (one segmented ``minimum.reduceat`` over the sorted COO
-        triples). Depends only on read *content*, never on row order or
-        pool structure, so it is computed once per batch.
+        minimum (one segmented ``minimum.reduceat`` over the windows,
+        which arrive grouped by read). Depends only on read *content*,
+        never on row order or pool structure, so it is computed once per
+        batch.
         """
-        read_ids, codes, _ = batch_signatures_sparse(batch, self.q)
-        n_reads = batch.n_reads
-        bounds = np.searchsorted(read_ids, np.arange(n_reads + 1))
+        owners, codes, n_reads = _valid_window_codes(batch, self.q,
+                                                     n_alphabet=4)
+        bounds = np.searchsorted(owners, np.arange(n_reads + 1))
         nonempty = bounds[1:] > bounds[:-1]
         seg_starts = bounds[:-1][nonempty]
         shifted = codes.astype(np.uint64) + np.uint64(1)
-        n_rows = self.n_bands * self.rows_per_band + self.n_rescue_bands
-        mins = np.full((n_rows, n_reads), _EMPTY_MINHASH, dtype=np.uint64)
-        for row in range(n_rows):
-            substream = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(row,)
-            )
-            rng = np.random.default_rng(substream)
-            multiplier = np.uint64(
-                int(rng.integers(0, 2 ** 62, dtype=np.uint64)) * 2 + 1
-            )
-            if seg_starts.size:
-                hashed = shifted * multiplier
-                mins[row, nonempty] = np.minimum.reduceat(hashed, seg_starts)
+        mins = np.full((self._multipliers.size, n_reads), _EMPTY_MINHASH,
+                       dtype=np.uint64)
+        if seg_starts.size:
+            for row, multiplier in enumerate(self._multipliers):
+                mins[row, nonempty] = np.minimum.reduceat(
+                    shifted * multiplier, seg_starts
+                )
         return mins
 
     def _band_keys(self, mins: np.ndarray) -> np.ndarray:
@@ -252,22 +306,23 @@ class LSHClusterer:
             )
         return keys
 
-    # -- assignment ----------------------------------------------------------
+    def _prepare(self, batch: ReadBatch) -> Tuple[np.ndarray, ...]:
+        """Everything ``_assign_rows`` needs of a batch, built once.
 
-    def assign(self, batch: ReadBatch) -> Tuple[np.ndarray, int]:
-        """Cluster id of every read of ``batch``, treated as one pool.
-
-        The batch's own cluster structure is ignored. Returns
-        ``(assignment, n_clusters)``; ids are in order of each
-        component's first read, so a pool that happens to arrive sorted
-        by true cluster gets the familiar 0,0,..,1,1,.. shape.
+        ``(matrix, lengths, band_keys, sketch_ranks, fp_ranks)``: the
+        padded read matrix for the DP, the band keys, and dense ranks of
+        the minhash rows and of the content fingerprints. The ranks
+        stand in for the raw 64-bit values — equality and order are all
+        the banding uses of them — so they pack into int64 sort keys.
         """
         matrix, lengths = padded_int16_matrix(batch)
         mins = self._minhash_rows(batch)
-        band_keys = self._band_keys(mins)
-        fingerprints = _content_fingerprints(matrix, lengths)
-        return self._assign_rows(0, batch.n_reads, matrix, lengths,
-                                 band_keys, mins, fingerprints)
+        return (
+            matrix, lengths, self._band_keys(mins), _dense_ranks(mins),
+            _dense_ranks(_content_fingerprints(matrix, lengths)[None])[0],
+        )
+
+    # -- assignment ----------------------------------------------------------
 
     def _assign_rows(
         self,
@@ -276,8 +331,8 @@ class LSHClusterer:
         matrix: np.ndarray,
         lengths: np.ndarray,
         band_keys: np.ndarray,
-        mins: np.ndarray,
-        fingerprints: np.ndarray,
+        sketch_ranks: np.ndarray,
+        fp_ranks: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
         """Cluster the read rows ``[start, stop)`` as one pool.
 
@@ -293,10 +348,12 @@ class LSHClusterer:
         if n == 0:
             return np.zeros(0, dtype=np.int64), 0
         threshold = self.threshold
-        fp = fingerprints[start:stop]
+        fp = fp_ranks[start:stop]
         lens = lengths[start:stop]
         labels = np.arange(n, dtype=np.int64)
-        n_rows = mins.shape[0]
+        n_rows = sketch_ranks.shape[0]
+        # Every rank, label and bin number is below the batch size + 1.
+        radix = fp_ranks.size + 1
         n_bins = n_candidates = n_verified = 0
         # Pairs that reached the DP once and failed never pay for it
         # again: without the memo, a pair of sketch-similar but distant
@@ -313,7 +370,8 @@ class LSHClusterer:
             # waste, and the collapse is what keeps late (and rescue)
             # bands near-free once most of the pool has merged.
             keys = band_keys[band, start:stop]
-            order = np.lexsort((fp, labels, keys))
+            order = _lex_order((labels, fp), radix)
+            order = order[np.argsort(keys[order], kind="stable")]
             sorted_keys = keys[order]
             new_bin = np.empty(n, dtype=bool)
             new_bin[0] = True
@@ -338,14 +396,16 @@ class LSHClusterer:
             # a quadratic number of representative comparisons
             # otherwise.) All sort keys are content-derived, so the
             # edge set stays invariant under read-order shuffles.
-            delegate_key = sorted_keys[delegate_pos]
-            s1 = mins[(2 * band + 1) % n_rows, start + delegate_read]
-            s2 = mins[(2 * band + 7) % n_rows, start + delegate_read]
-            s3 = mins[(2 * band + 13) % n_rows, start + delegate_read]
-            chain = np.lexsort((fp[delegate_read], s3, s2, s1, delegate_key))
+            # Bins in key order, numbered densely for the packed sort key.
+            delegate_bin = np.cumsum(new_bin)[delegate_pos]
+            s1 = sketch_ranks[(2 * band + 1) % n_rows, start + delegate_read]
+            s2 = sketch_ranks[(2 * band + 7) % n_rows, start + delegate_read]
+            s3 = sketch_ranks[(2 * band + 13) % n_rows, start + delegate_read]
+            chain = _lex_order((delegate_bin, s1, s2, s3, fp[delegate_read]),
+                               radix)
             chained = delegate_read[chain]
-            chained_key = delegate_key[chain]
-            same_bin = chained_key[1:] == chained_key[:-1]
+            chained_bin = delegate_bin[chain]
+            same_bin = chained_bin[1:] == chained_bin[:-1]
             u = chained[:-1][same_bin]
             v = chained[1:][same_bin]
             n_candidates += u.size
@@ -359,7 +419,8 @@ class LSHClusterer:
             u, v = u[close], v[close]
             if u.size and self.min_sketch_matches:
                 agreeing = np.count_nonzero(
-                    mins[:, start + u] == mins[:, start + v], axis=0
+                    sketch_ranks[:, start + u] == sketch_ranks[:, start + v],
+                    axis=0,
                 )
                 similar = agreeing >= self.min_sketch_matches
                 u, v = u[similar], v[similar]
@@ -399,77 +460,3 @@ class LSHClusterer:
             metrics.counter("cluster.lsh.candidate_pairs").add(n_candidates)
             metrics.counter("cluster.lsh.verified_pairs").add(n_verified)
         return assignment.astype(np.int64), int(components.size)
-
-    # -- batch entry points --------------------------------------------------
-
-    def cluster_batch(self, batch: ReadBatch) -> ReadBatch:
-        """Cluster every read of ``batch`` as one unlabeled pool.
-
-        Returns a re-labeled batch sharing the input buffer zero-copy —
-        the same contract as
-        :meth:`BatchedGreedyClusterer.cluster_batch`, consumable
-        unchanged by ``pipeline.receive`` / ``DnaStore.read``.
-        """
-        with get_tracer().span(
-            "cluster.batch", n_reads=batch.n_reads
-        ) as span:
-            assignment, n_clusters = self.assign(batch)
-            span.set(n_clusters=n_clusters)
-            return relabel_batch(batch, assignment, n_clusters)
-
-    def cluster_pools(
-        self,
-        batch: ReadBatch,
-        pool_boundaries: Optional[np.ndarray] = None,
-    ) -> Tuple[ReadBatch, np.ndarray]:
-        """Cluster each pool of ``batch`` independently.
-
-        Same contract as
-        :meth:`BatchedGreedyClusterer.cluster_pools`: pools are the
-        batch's clusters (or groups of them via ``pool_boundaries``),
-        reads never cluster across pool borders, and the result is the
-        ``(labeled, boundaries)`` pair ``receive_many`` consumes. The
-        minhash matrix and fingerprints are computed once for the whole
-        batch (they depend only on read content); each pool then bins
-        and verifies only its own rows.
-        """
-        if pool_boundaries is None:
-            pool_boundaries = np.arange(batch.n_clusters + 1, dtype=np.int64)
-        tracer = get_tracer()
-        with tracer.span(
-            "cluster.pools", n_reads=batch.n_reads,
-            n_pools=pool_boundaries.size - 1,
-        ) as span:
-            row_bounds = batch.group_rows(pool_boundaries)
-            matrix, lengths = padded_int16_matrix(batch)
-            mins = self._minhash_rows(batch)
-            band_keys = self._band_keys(mins)
-            fingerprints = _content_fingerprints(matrix, lengths)
-            n_pools = row_bounds.size - 1
-            assignment = np.full(batch.n_reads, -1, dtype=np.int64)
-            source_parts = []
-            counts = np.zeros(n_pools, dtype=np.int64)
-            offset = 0
-            for p in range(n_pools):
-                pool_start = int(row_bounds[p])
-                pool_stop = int(row_bounds[p + 1])
-                local, k = self._assign_rows(pool_start, pool_stop, matrix,
-                                             lengths, band_keys, mins,
-                                             fingerprints)
-                assignment[pool_start:pool_stop] = local + offset
-                source_parts.append(np.arange(k, dtype=np.int64))
-                counts[p] = k
-                offset += k
-            boundaries = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-            )
-            source_indices = (np.concatenate(source_parts) if source_parts
-                              else np.zeros(0, dtype=np.int64))
-            span.set(n_clusters=int(offset))
-            if tracer.is_recording:
-                tracer.metrics.counter("cluster.recovered_clusters").add(
-                    int(offset)
-                )
-            labeled = relabel_batch(batch, assignment, int(offset),
-                                    source_indices=source_indices)
-        return labeled, boundaries

@@ -23,8 +23,8 @@ combinatorially in ``q`` — a million reads at ``q=8`` would need a
 quarter terabyte — so :func:`batch_signatures` enforces a byte budget,
 and :func:`batch_signatures_sparse` provides the ``(read_id, code,
 count)`` COO form whose size follows the reads, not the code space.
-The sparse form is what the LSH clusterer's minhash banding consumes
-(:mod:`repro.cluster.lsh`).
+The LSH clusterer's minhashes (:mod:`repro.cluster.lsh`) take the raw
+window codes of the kernel under both, :func:`_valid_window_codes`.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ def _valid_window_codes(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """``(owners, codes, n_reads)`` of every in-read q-gram window.
 
-    The shared kernel behind both signature layouts: reads are gathered
+    The shared kernel behind both signature layouts and the LSH
+    minhashes (which need no deduplication): reads are gathered
     tight (a no-op when the batch already is), window codes roll across
     the whole buffer, and windows straddling a read boundary are masked
     out by one segmented comparison. ``owners`` is sorted ascending.

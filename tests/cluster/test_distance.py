@@ -1,10 +1,24 @@
-"""Unit and property tests for edit distance."""
+"""Unit and property tests for edit distance.
+
+The banded kernel is pinned value for value to the frozen integer DP in
+``tests/oracles/cluster.py`` (bands 0-70, strands up to paper scale,
+every input dtype the clusterers and primer selector pass), and both
+clusterers must partition a pool-shaped batch identically on either.
+"""
+
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.cluster import (
+    banded_edit_distance_indices_reference,
+    banded_edit_distances_stack_reference,
+)
+from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
+from repro.cluster import BatchedGreedyClusterer, LSHClusterer
 from repro.cluster.distance import (
     banded_edit_distance,
     banded_edit_distance_indices,
@@ -13,6 +27,8 @@ from repro.cluster.distance import (
     edit_distance_indices,
 )
 from repro.codec.basemap import bases_to_indices
+from repro.core import DnaStore, MatrixConfig, PipelineConfig
+from repro.observability import Tracer, use_tracer
 
 DNA = st.text(alphabet="ACGT", max_size=40)
 
@@ -188,3 +204,174 @@ class TestBandedEditDistancesStack:
                 np.ones(1, dtype=np.int64),
                 band=-1,
             )
+
+
+def _mutated(rng, strand, n_edits):
+    """``strand`` after ``n_edits`` random substitutions, insertions or
+    deletions."""
+    out = list(strand)
+    for _ in range(n_edits):
+        kind = int(rng.integers(3))
+        pos = int(rng.integers(0, len(out) + 1))
+        if kind == 0 or not out:
+            out.insert(pos, int(rng.integers(4)))
+        elif kind == 1:
+            del out[min(pos, len(out) - 1)]
+        else:
+            out[min(pos, len(out) - 1)] = int(rng.integers(4))
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def pair_stacks(draw, max_len, max_pairs=8, max_band=70):
+    """``(band, [(query, target), ...])``: noisy copies with around
+    ``band`` edits (distances either side of the band edge) mixed with
+    unrelated strands. Bands 31/32 straddle one 64-bit lane."""
+    band = draw(st.one_of(st.integers(0, max_band), st.sampled_from([31, 32])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, max_pairs))):
+        query = rng.integers(0, 4, draw(st.integers(0, max_len)))
+        if draw(st.booleans()):
+            target = _mutated(rng, query, draw(st.integers(0, band + 3)))
+        else:
+            target = rng.integers(0, 4, draw(st.integers(0, max_len)))
+        pairs.append((query, target))
+    return band, pairs
+
+
+#: Past-the-end sentinel per input dtype (uint8 has no -1).
+_SENTINELS = {np.uint8: 255, np.int16: -1, np.int64: -1}
+
+
+def _padded(strands, dtype=np.int16):
+    width = max([strand.size for strand in strands] + [1])
+    stack = np.full((len(strands), width), _SENTINELS[dtype], dtype=dtype)
+    for k, strand in enumerate(strands):
+        stack[k, :strand.size] = strand
+    return stack, np.array([strand.size for strand in strands])
+
+
+def _both_kernels(queries, targets, band, dtype=np.int16):
+    """(live, frozen) distances for the pairs ``zip(queries, targets)``."""
+    args = (*_padded(queries, dtype), *_padded(targets, dtype), band)
+    return (banded_edit_distances_stack(*args),
+            banded_edit_distances_stack_reference(*args))
+
+
+class TestStackMatchesFrozenDP:
+    """The bit-parallel kernel returns exactly what the frozen DP does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair_stacks(max_len=160),
+           st.sampled_from([np.uint8, np.int16, np.int64]))
+    def test_matches_frozen_dp(self, case, dtype):
+        band, pairs = case
+        live, frozen = _both_kernels(*zip(*pairs), band, dtype)
+        np.testing.assert_array_equal(live, frozen)
+
+    @settings(max_examples=10, deadline=None)
+    @given(pair_stacks(max_len=800, max_pairs=3))
+    def test_paper_scale_lengths(self, case):
+        band, pairs = case
+        live, frozen = _both_kernels(*zip(*pairs), band)
+        np.testing.assert_array_equal(live, frozen)
+
+    @pytest.mark.parametrize("band", [0, 1, 7, 31, 32, 63, 70])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_length_gap_at_band_edge(self, rng, band, extra):
+        """``gap`` inserted bases make the distance exactly ``gap``: a
+        gap of ``band`` is still inside the band, ``band + 1`` is not."""
+        gap = band + extra
+        queries, targets = [], []
+        for _ in range(6):
+            short = rng.integers(0, 4, int(rng.integers(0, 120)))
+            long = short.copy()
+            for _ in range(gap):
+                pos = int(rng.integers(0, long.size + 1))
+                long = np.insert(long, pos, rng.integers(4))
+            queries += [short, long]
+            targets += [long, short]
+        live, frozen = _both_kernels(queries, targets, band)
+        np.testing.assert_array_equal(live, frozen)
+        assert (live == min(gap, band + 1)).all()
+
+    @pytest.mark.parametrize("band", [0, 3, 31, 32, 70])
+    def test_empty_queries_and_targets(self, rng, band):
+        empty = np.zeros(0, dtype=np.int64)
+        others = [rng.integers(0, 4, n) for n in range(band + 3)]
+        queries = [empty] * len(others) + others
+        targets = others + [empty] * len(others)
+        live, frozen = _both_kernels(queries, targets, band)
+        np.testing.assert_array_equal(live, frozen)
+        sizes = np.array([other.size for other in others] * 2)
+        np.testing.assert_array_equal(live, np.minimum(sizes, band + 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(pair_stacks(max_len=140))
+    def test_read_only_broadcast_targets(self, case):
+        """The greedy scan and the primer selector pass one target row
+        broadcast (read-only, zero strides) across the stack."""
+        band, pairs = case
+        queries, qlen = _padded([query for query, _ in pairs])
+        founder, founder_len = _padded([pairs[0][1]])
+        targets = np.broadcast_to(founder[0], (len(pairs), founder.shape[1]))
+        assert not targets.flags.writeable
+        tlen = np.full(len(pairs), founder_len[0])
+        np.testing.assert_array_equal(
+            banded_edit_distances_stack(queries, qlen, targets, tlen, band),
+            banded_edit_distances_stack_reference(queries, qlen, targets,
+                                                  tlen, band),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair_stacks(max_len=120, max_pairs=1))
+    def test_one_pair_call_matches_frozen_loop(self, case):
+        band, [(query, target)] = case
+        assert banded_edit_distance_indices(query, target, band) \
+            == banded_edit_distance_indices_reference(query, target, band)
+
+
+def pool_read_batch(seed=3):
+    """One unlabeled pool shaped like the repo benchmark's pool read:
+    ``MatrixConfig()`` strands (L=124), 6% IDS errors, coverage 10
+    (~2.5k reads)."""
+    store = DnaStore(PipelineConfig(matrix=MatrixConfig()))
+    rng = np.random.default_rng(seed)
+    image = store.encode(
+        rng.integers(0, 2, store.unit_capacity_bits).astype(np.uint8)
+    )
+    simulator = SequencingSimulator(ErrorModel.uniform(0.06),
+                                    FixedCoverage(10))
+    return simulator.sequence_store(image, rng=seed, labeled=False)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("clusterer_cls", [LSHClusterer,
+                                           BatchedGreedyClusterer])
+def test_partitions_identical_on_frozen_dp(clusterer_cls, monkeypatch):
+    """Swapping the frozen DP in under either clusterer changes neither
+    the assignment nor any ``cluster.*`` counter (LSH bins, candidate
+    and verified pairs; greedy DP comparisons)."""
+    batch = pool_read_batch()
+    clusterer = clusterer_cls.for_strand_length(
+        MatrixConfig().strand_length)
+
+    def assign():
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assignment, n_clusters = clusterer.assign(batch)
+        counters = tracer.metrics.snapshot()["counters"]
+        return assignment, n_clusters, {
+            name: value for name, value in counters.items()
+            if name.startswith("cluster.")
+        }
+
+    live = assign()
+    monkeypatch.setattr(importlib.import_module(clusterer_cls.__module__),
+                        "banded_edit_distances_stack",
+                        banded_edit_distances_stack_reference)
+    frozen = assign()
+    np.testing.assert_array_equal(live[0], frozen[0])
+    assert live[1:] == frozen[1:]
+    assert live[2]["cluster.reads_in"] == batch.n_reads > 2000

@@ -154,6 +154,33 @@ class TestCounters:
         assert labeled.n_reads == batch.n_reads
 
 
+class TestRankSorts:
+    """Banding sorts packed int64 keys of per-batch ranks; the order must
+    be the ``np.lexsort`` order of the raw 64-bit values."""
+
+    def test_dense_ranks_keep_order_and_ties(self, rng):
+        from repro.cluster.lsh import _dense_ranks
+
+        values = rng.integers(0, 2 ** 64, (3, 400), dtype=np.uint64)
+        values[:, 1::2] = values[:, ::2]  # every value twice
+        ranks = _dense_ranks(values)
+        for row, rank in zip(values, ranks):
+            np.testing.assert_array_equal(np.argsort(rank, kind="stable"),
+                                          np.argsort(row, kind="stable"))
+            assert np.unique(rank).size == np.unique(row).size \
+                == rank.max() + 1
+
+    @pytest.mark.parametrize("radix", [9, 1 << 20])
+    def test_lex_order_matches_lexsort(self, rng, radix):
+        """Radix 2**20 packs at most three of the five columns per key,
+        so the order is refined over several stable passes."""
+        from repro.cluster.lsh import _lex_order
+
+        columns = [rng.integers(0, 9, 600) * (radix // 9) for _ in range(5)]
+        np.testing.assert_array_equal(_lex_order(columns, radix),
+                                      np.lexsort(columns[::-1]))
+
+
 class TestClusterPools:
     def test_pools_cluster_independently(self, rng):
         """The same strand set in two pools must never merge across the

@@ -20,7 +20,9 @@ one reconstructor batch call and lead the frozen per-unit oracle loop
 loop: a store decode must route every unit's codewords through exactly
 one ``ReedSolomon.decode_many`` call, and the batched chain must lead
 the frozen per-codeword scalar loop by at least 3x on an all-dirty
-multi-unit store.
+multi-unit store. The clustering layer's banded edit-distance kernel
+must lead the frozen integer DP (``oracles.cluster``) by at least 2x on
+the DP calls one pool-workload read makes.
 """
 
 import time
@@ -90,6 +92,10 @@ CLUSTERING_SPEEDUP_FACTOR = 5
 #: measures >5x at 50k reads) — 3x at 1200 reads is the floor a
 #: regression to pool x representative candidate generation cannot meet.
 LSH_SPEEDUP_FACTOR = 3
+
+#: Minimum lead of the bit-parallel banded kernel over the frozen integer
+#: DP on one pool read's DP calls (measured 5x-7x on a 2-core box).
+BANDED_KERNEL_SPEEDUP_FACTOR = 2
 
 
 def best_of(repeats, fn):
@@ -520,6 +526,54 @@ class TestPerfBudget:
             f"{LSH_SPEEDUP_FACTOR}x faster than the batched greedy scan "
             f"({greedy_seconds * 1e3:.0f}ms)"
         )
+
+    @pytest.mark.slow
+    def test_banded_kernel_beats_frozen_dp_on_pool_read_calls(
+            self, monkeypatch):
+        """Replay the banded-DP calls LSH clustering makes on one
+        pool-workload read (MatrixConfig() strands, 6% IDS, coverage
+        10: mostly stacks of under 50 pairs, a few of hundreds) through
+        the live kernel and the frozen DP; the median of 3 CPU-time runs
+        of the live side must be ``BANDED_KERNEL_SPEEDUP_FACTOR`` times
+        faster, with equal answers."""
+        import repro.cluster.lsh as lsh_module
+        from oracles.cluster import banded_edit_distances_stack_reference
+        from repro.cluster import LSHClusterer
+        from repro.cluster.distance import banded_edit_distances_stack
+
+        from tests.cluster.test_distance import pool_read_batch
+
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append((args, kwargs))
+            return banded_edit_distances_stack(*args, **kwargs)
+
+        monkeypatch.setattr(lsh_module, "banded_edit_distances_stack",
+                            capture)
+        LSHClusterer.for_strand_length(
+            MatrixConfig().strand_length).assign(pool_read_batch())
+        monkeypatch.undo()
+        assert len(calls) > 20
+
+        def replay(kernel):
+            return lambda: [kernel(*args, **kwargs)
+                            for args, kwargs in calls]
+
+        for live, frozen in zip(
+                replay(banded_edit_distances_stack)(),
+                replay(banded_edit_distances_stack_reference)()):
+            np.testing.assert_array_equal(live, frozen)
+        kernel_seconds = median_cpu(3, replay(banded_edit_distances_stack))
+        frozen_seconds = median_cpu(
+            3, replay(banded_edit_distances_stack_reference))
+        assert kernel_seconds * BANDED_KERNEL_SPEEDUP_FACTOR \
+            <= frozen_seconds, (
+                f"banded kernel ({kernel_seconds * 1e3:.0f}ms CPU) is not "
+                f"{BANDED_KERNEL_SPEEDUP_FACTOR}x faster than the frozen DP "
+                f"({frozen_seconds * 1e3:.0f}ms CPU) on one pool read's "
+                f"{len(calls)} calls"
+            )
 
     @pytest.mark.slow
     def test_unlabeled_quickstart_pool_clusters_and_decodes_within_budget(self):
