@@ -12,13 +12,14 @@ Two design choices DESIGN.md calls out:
 import numpy as np
 
 from benchmarks.conftest import print_series
-from repro.channel import ErrorModel
+from repro.channel import ErrorModel, ReadBatch
 from repro.codec.basemap import bases_to_indices, random_bases
 from repro.consensus import (
     IterativeReconstructor,
     OneWayReconstructor,
     TwoWayReconstructor,
 )
+from repro.consensus.base import consensus_span
 
 LENGTH = 150
 ERROR_RATE = 0.08
@@ -36,19 +37,22 @@ def run_experiment(rng=2022):
         "lookahead=2": OneWayReconstructor(lookahead=2),
         "lookahead=5": OneWayReconstructor(lookahead=5),
     }
-    errors = {name: 0 for name in algorithms}
     model = ErrorModel.uniform(ERROR_RATE)
+    originals, clusters = [], []
     for _ in range(TRIALS):
         original = random_bases(LENGTH, generator)
         reads = model.apply_many(original, COVERAGE, generator)
-        target = bases_to_indices(original)
-        for name, algorithm in algorithms.items():
-            estimate = algorithm.reconstruct_indices(
-                [bases_to_indices(r) for r in reads], LENGTH
-            )
-            errors[name] += int((estimate != target).sum())
+        originals.append(bases_to_indices(original))
+        clusters.append([bases_to_indices(read) for read in reads])
+    targets = np.stack(originals)
+    batch = ReadBatch.from_arrays(clusters)
     total = TRIALS * LENGTH
-    return {name: count / total for name, count in errors.items()}
+    rates = {}
+    for name, algorithm in algorithms.items():
+        with consensus_span(batch):
+            estimates = algorithm.reconstruct_batch(batch, LENGTH)
+        rates[name] = int((estimates != targets).sum()) / total
+    return rates
 
 
 def test_ablation_consensus(benchmark):

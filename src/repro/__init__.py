@@ -39,16 +39,17 @@ every base of every read, and the result is a columnar
 offsets — that ``pipeline.decode`` consumes without ever materializing a
 DNA string. ``simulator.sequence(...)`` still returns familiar
 ``ReadCluster`` objects (zero-copy views whose ``.reads`` strings decode
-lazily), and both forms decode identically. The batched consensus API is
-also available directly, columnar or list-shaped::
+lazily), and both forms decode identically. Every consensus engine has one
+entry point, ``reconstruct_batch``, also available directly::
 
     from repro import TwoWayReconstructor
 
     estimates = TwoWayReconstructor().reconstruct_batch(
         batch.drop_lost(), config.matrix.strand_length,
-    )  # (n_clusters, L) array, identical to reconstructing one-by-one
+    )  # (n_clusters, L) array; row i equals cluster i's own batch
 
-The refinement layers are batched through the same entry points:
+``reconstruct(reads, length)`` is its one-cluster case for a list of
+base strings. The refinement layers are batched the same way:
 ``IterativeReconstructor().reconstruct_batch(...)`` sweeps the unit-cost
 edit DP over every read of every cluster at once (realign-and-vote with
 per-cluster fixed-point dropout), and

@@ -108,8 +108,10 @@ def positional_confidence_profile(
     confidence dips — alignment ambiguity *is* the reliability skew.
 
     Args:
-        reconstructor: must expose ``reconstruct_batch_with_confidence``
-            (see :class:`repro.consensus.posterior.PosteriorReconstructor`).
+        reconstructor: must expose ``reconstruct_batch_with_confidence``,
+            which only
+            :class:`~repro.consensus.posterior.PosteriorReconstructor`
+            defines among the engines.
         length: strand length L.
         error_model: uniform ``ErrorModel`` or positional ``ErrorRateMap``.
         coverage: reads per cluster N.

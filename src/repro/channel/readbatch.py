@@ -13,7 +13,9 @@ Invariants:
 
 * ``offsets``/``lengths`` describe arbitrary (not necessarily contiguous
   or disjoint) windows of ``buffer``, so sub-batches (prefix selections,
-  cluster ranges) share the parent's buffer zero-copy;
+  cluster ranges) share the parent's buffer zero-copy; every window lies
+  inside ``buffer`` (the constructor rejects a negative length or offset
+  and a window past the end);
 * ``cluster_ids`` is non-decreasing: reads are grouped by cluster, and
   reads within a cluster keep their generation order;
 * every cluster id in ``[0, n_clusters)`` exists conceptually even when
@@ -66,6 +68,16 @@ class ReadBatch:
         if not (self.offsets.shape == self.lengths.shape
                 == self.cluster_ids.shape):
             raise ValueError("offsets, lengths and cluster_ids must align")
+        if self.lengths.size:
+            if self.lengths.min() < 0:
+                raise ValueError("lengths must be non-negative")
+            if self.offsets.min() < 0:
+                raise ValueError("offsets must be non-negative")
+            if (self.offsets + self.lengths).max() > self.buffer.size:
+                raise ValueError(
+                    "offsets + lengths run past the end of the "
+                    f"{self.buffer.size}-base buffer"
+                )
         if self.cluster_ids.size:
             if np.any(np.diff(self.cluster_ids) < 0):
                 raise ValueError("cluster_ids must be non-decreasing")
@@ -236,10 +248,6 @@ class ReadBatch:
         """The reads of one cluster as zero-copy index arrays."""
         start, stop = self.cluster_rows(cluster)
         return [self.read(i) for i in range(start, stop)]
-
-    def clusters_as_indices(self) -> List[List[np.ndarray]]:
-        """Per-cluster lists of index arrays (zero-copy buffer views)."""
-        return [self.reads_of(c) for c in range(self.n_clusters)]
 
     def cluster_view(self, cluster: int) -> "ReadCluster":
         """One cluster as a batch-backed :class:`ReadCluster` (lazy strings)."""

@@ -19,20 +19,22 @@ Algorithms provided:
   constrained edit-distance median via branch and bound, with the paper's
   adversarial tie-breaking (Fig 6).
 
-The production engines are *batched end to end*: every reconstructor
-accepts a whole unit's clusters through ``reconstruct_many`` /
-``reconstruct_many_indices`` (or a columnar ``ReadBatch`` through
-``reconstruct_batch``), the one-way/two-way scans advance all clusters
-simultaneously, and the refinement layers (iterative realign-and-vote,
-posterior lattice) sweep all reads of all clusters as one padded stack
-with per-cluster fixed-point dropout. The frozen single-cluster originals
-are test oracles (``tests/oracles/consensus.py``), pinned against the
-batched engines by the differential tests —
-byte-identical for the integer-domain scans and the iterative refinement,
-and to float round-off for the posterior's soft confidences.
+Every engine has one entry point, ``reconstruct_batch(batch, length)``:
+a whole columnar :class:`~repro.channel.readbatch.ReadBatch` in, one
+``(n_clusters, length)`` estimate array out. The one-way/two-way scans
+advance all clusters simultaneously, and the refinement layers (iterative
+realign-and-vote, posterior lattice) sweep all reads of all clusters as
+one padded stack with per-cluster fixed-point dropout. The posterior
+engine also offers ``reconstruct_batch_with_confidence``, the only
+confidence output. ``Reconstructor.reconstruct(reads, length)`` is the
+one-cluster case for callers holding strings. The frozen single-cluster
+originals are test oracles (``tests/oracles/consensus.py``), pinned
+against the batched engines by the differential tests — byte-identical
+for the integer-domain scans and the iterative refinement, and to float
+round-off for the posterior's soft confidences.
 """
 
-from repro.consensus.base import Reconstructor, majority_vote, pack_index_clusters
+from repro.consensus.base import Reconstructor
 from repro.consensus.bma import OneWayReconstructor
 from repro.consensus.iterative import IterativeReconstructor
 from repro.consensus.median import OptimalMedianReconstructor
@@ -41,8 +43,6 @@ from repro.consensus.two_way import TwoWayReconstructor
 
 __all__ = [
     "Reconstructor",
-    "majority_vote",
-    "pack_index_clusters",
     "OneWayReconstructor",
     "TwoWayReconstructor",
     "IterativeReconstructor",

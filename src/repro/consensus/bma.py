@@ -16,11 +16,11 @@ The scan here is batched across *clusters* as well as reads, and past one
 vote per read its cost scales with the reads that disagree. The reads of
 every cluster live in one ``int8`` matrix with sentinel -1 past each
 read's end, built straight from a
-:class:`~repro.channel.readbatch.ReadBatch`'s flat buffer (every entry
-point, the list API included, rides :meth:`reconstruct_batch`), and every
-read keeps a flat cursor into it. A step gathers each read's current
-character (the sentinel marks exhausted reads) and votes every cluster at
-once with one ``bincount`` over ``(cluster, symbol)`` keys. Only then does
+:class:`~repro.channel.readbatch.ReadBatch`'s flat buffer by
+:meth:`reconstruct_batch`, and every read keeps a flat cursor into it. A
+step gathers each read's current character (the sentinel marks exhausted
+reads) and votes every cluster at once with one ``bincount`` over
+``(cluster, symbol)`` keys. Only then does
 it look at the reads that disagree with their cluster's plurality:
 lookahead ballots are built for just the clusters holding such a read,
 from those clusters' agreeing reads, with one ``bincount`` over
@@ -35,12 +35,11 @@ differential test suite.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.channel.readbatch import ReadBatch
-from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.consensus.base import Reconstructor
 
 
@@ -69,21 +68,6 @@ class OneWayReconstructor(Reconstructor):
         self.lookahead = lookahead
         self.n_alphabet = n_alphabet
         self.fill_symbol = fill_symbol
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        return list(self.reconstruct_batch(ReadBatch.from_arrays(clusters),
-                                           length))
 
     def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
         """Columnar entry point: scan a whole

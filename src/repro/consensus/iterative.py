@@ -35,12 +35,13 @@ always return the desired length; ours does by construction).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor, pack_index_clusters
+from repro.channel.readbatch import ReadBatch
+from repro.cluster.distance import banded_edit_distances_stack
+from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.observability.trace import get_tracer
 
@@ -66,32 +67,11 @@ class IterativeReconstructor(Reconstructor):
         self.n_alphabet = n_alphabet
         self._seed = TwoWayReconstructor(n_alphabet=n_alphabet)
 
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        """Batch variant: the two-way seeds come from one batched scan and
-        the realign-and-vote refinement sweeps all clusters' reads as one
-        padded stack (see :meth:`_refine_batched`)."""
-        seeds = self._seed.reconstruct_many_indices(clusters, length)
-        if not seeds:
-            return []
-        estimates = np.stack([np.asarray(s, dtype=np.int64) for s in seeds])
-        padded, lengths, cluster_of = pack_index_clusters(clusters)
-        return list(self._refine_batched(padded, lengths, cluster_of,
-                                         estimates))
-
-    def reconstruct_batch(self, batch, length: int) -> np.ndarray:
-        """Columnar variant: seeds and refinement both run straight off
-        the batch's flat buffer — no per-read Python objects anywhere."""
+    def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
+        """The two-way seeds come from one batched scan, and the
+        realign-and-vote refinement sweeps all clusters' reads as one
+        padded stack (see :meth:`_refine_batched`), both straight off the
+        batch's flat buffer."""
         if batch.n_clusters == 0:
             return np.zeros((0, length), dtype=np.int64)
         seeds = np.asarray(self._seed.reconstruct_batch(batch, length),
@@ -175,12 +155,15 @@ class IterativeReconstructor(Reconstructor):
         majority = self._positional_majority_batched(
             padded, lengths, local_live, live.size, length
         )
-        distance_estimate = self._edit_distances(
-            padded, lengths, estimates[cluster_of]
-        )
-        distance_majority = self._edit_distances(
-            padded, lengths, majority[local_live]
-        )
+        # One stack of (read, candidate) pairs for both candidates; a band
+        # as wide as the longer string makes every distance exact.
+        distance_estimate, distance_majority = banded_edit_distances_stack(
+            np.concatenate([padded, padded]),
+            np.concatenate([lengths, lengths]),
+            np.concatenate([estimates[cluster_of], majority[local_live]]),
+            np.full(2 * lengths.size, length),
+            max(width, length),
+        ).reshape(2, -1)
         total_estimate = np.bincount(
             local_live, weights=distance_estimate, minlength=live.size
         )
@@ -232,11 +215,13 @@ class IterativeReconstructor(Reconstructor):
     ) -> np.ndarray:
         """Full unit-cost DP matrices for every (estimate, read) pair.
 
-        The row-vectorized min-accumulate trick of :meth:`_edit_matrix`,
-        swept over the whole ``(n_reads, width)`` stack at once: each DP
-        step updates one ``(n_reads, width + 1)`` row. Columns past a
-        read's end hold sentinel ``-1`` (which matches nothing), so those
-        entries are garbage-but-harmless: every entry at column
+        With unit gap costs a DP row is ``row[j] = min_k<=j (tmp[k] +
+        (j - k))``, where ``tmp`` holds the vertical/diagonal candidates:
+        one min-accumulate per row. The sweep runs over the whole
+        ``(n_reads, width)`` stack at once, each DP step updating one
+        ``(n_reads, width + 1)`` row. Columns past a read's end hold
+        sentinel ``-1`` (which matches nothing), so those entries are
+        garbage-but-harmless: every entry at column
         ``j <= len(read)`` depends only on real read characters and equals
         the reference's per-read matrix.
         """
@@ -326,53 +311,3 @@ class IterativeReconstructor(Reconstructor):
         ).reshape(n_clusters, length, self.n_alphabet)
         voted = counts.sum(axis=2) > 0
         return np.where(voted, counts.argmax(axis=2), 0).astype(np.int64)
-
-    @staticmethod
-    def _edit_distances(
-        reads: np.ndarray, lengths: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Edit distance of every read to its candidate row, batched.
-
-        Same row-sweep as :meth:`_edit_matrix_stack` but with a rolling
-        row (no traceback needed), so memory stays ``(n_reads, width+1)``.
-        """
-        n_reads, width = reads.shape
-        length = candidates.shape[1]
-        offsets = np.arange(width + 1, dtype=np.int32)
-        row = np.tile(offsets, (n_reads, 1))
-        candidates_row = np.empty_like(row)
-        for i in range(1, length + 1):
-            substitution = (reads != candidates[:, i - 1, None]).astype(np.int32)
-            candidates_row[:, 0] = row[:, 0] + 1
-            np.minimum(
-                row[:, :-1] + substitution, row[:, 1:] + 1,
-                out=candidates_row[:, 1:],
-            )
-            row = np.minimum.accumulate(candidates_row - offsets, axis=1) \
-                + offsets
-        return row[np.arange(n_reads), lengths]
-
-    @staticmethod
-    def _edit_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Full unit-cost DP matrix between sequences ``a`` and ``b``.
-
-        The single-pair form of :meth:`_edit_matrix_stack`, kept as the
-        readable statement of the row recurrence: with unit gap costs,
-        ``row[j] = min_k<=j (tmp[k] + (j - k))`` where ``tmp`` holds the
-        vertical/diagonal candidates, computable in O(len(b)) per row.
-        """
-        n, m = len(a), len(b)
-        matrix = np.zeros((n + 1, m + 1), dtype=np.int32)
-        matrix[0] = np.arange(m + 1)
-        matrix[:, 0] = np.arange(n + 1)
-        offsets = np.arange(m + 1)
-        for i in range(1, n + 1):
-            previous = matrix[i - 1]
-            substitution = (b != a[i - 1]).astype(np.int32)
-            candidates = np.empty(m + 1, dtype=np.int32)
-            candidates[0] = previous[0] + 1
-            candidates[1:] = np.minimum(
-                previous[:-1] + substitution, previous[1:] + 1
-            )
-            matrix[i] = np.minimum.accumulate(candidates - offsets) + offsets
-        return matrix

@@ -26,7 +26,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.codec.basemap import bases_to_indices, indices_to_bases
+from repro.channel.readbatch import ReadBatch
+from repro.cluster.distance import edit_distance_indices
 from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 
@@ -63,31 +64,19 @@ class OptimalMedianReconstructor(Reconstructor):
         self.n_alphabet = n_alphabet
         self.max_candidates = max_candidates
 
-    # -- public API -----------------------------------------------------------
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        result = self.search(reads, length)
-        return result.candidates[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        """Batch variant: the heuristic bound seeds for every cluster come
-        from one batched two-way scan; the branch-and-bound searches
-        themselves remain per-cluster (they share no state)."""
+    def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
+        """Exact medians of every cluster: one batched two-way pass seeds
+        each search's pruning bound, then the branch-and-bound searches
+        run per cluster (they share no state)."""
         seeds = TwoWayReconstructor(
             n_alphabet=self.n_alphabet
-        ).reconstruct_many_indices(clusters, length)
-        return [
-            self.search(reads, length, seed=seed).candidates[0]
-            for reads, seed in zip(clusters, seeds)
-        ]
+        ).reconstruct_batch(batch, length)
+        estimates = np.zeros((batch.n_clusters, length), dtype=np.int64)
+        for cluster, seed in enumerate(seeds):
+            estimates[cluster] = self.search(
+                batch.reads_of(cluster), length, seed=seed
+            ).candidates[0]
+        return estimates
 
     def search(
         self,
@@ -172,10 +161,12 @@ class _BranchAndBound:
         self._prefix = np.zeros(length, dtype=np.int64)
         # Seed the bound with a good heuristic solution so pruning starts hot.
         if seed is None:
-            seed = TwoWayReconstructor(n_alphabet=n_alphabet).reconstruct_indices(
-                reads, length
-            )
-        self.best_cost = int(sum(self._edit_distance(seed, r) for r in reads))
+            seed = TwoWayReconstructor(
+                n_alphabet=n_alphabet
+            ).reconstruct_batch(ReadBatch.from_arrays([reads]), length)[0]
+        self.best_cost = int(
+            sum(edit_distance_indices(seed, read) for read in reads)
+        )
 
     def run(self) -> MedianResult:
         initial_rows = [
@@ -251,9 +242,3 @@ class _BranchAndBound:
             tails = np.abs((n - np.arange(n + 1)) - remaining)
             total += int(np.min(row + tails))
         return total
-
-    def _edit_distance(self, a: np.ndarray, b: np.ndarray) -> int:
-        row = np.arange(len(b) + 1, dtype=np.int64)
-        for symbol in a:
-            row = self._advance_row(row, b, int(symbol))
-        return int(row[-1])

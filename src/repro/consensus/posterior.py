@@ -9,9 +9,10 @@ re-voted; the procedure repeats to a fixed point (soft-EM flavour of
 :class:`repro.consensus.iterative.IterativeReconstructor`).
 
 Besides reconstruction, the lattice exposes the paper's skew from a new
-angle: :meth:`PosteriorReconstructor.positional_confidence` returns each
-position's winning posterior mass, which dips exactly where the paper's
-error curves peak — alignment ambiguity *is* the reliability skew.
+angle: :meth:`PosteriorReconstructor.reconstruct_batch_with_confidence`
+returns each position's winning posterior mass alongside the estimate,
+which dips exactly where the paper's error curves peak — alignment
+ambiguity *is* the reliability skew.
 
 Model: a read is generated from the estimate left to right; at estimate
 position ``i`` the channel deletes (``p_del``), inserts a uniform base
@@ -43,14 +44,14 @@ suite pins as the defined behavior.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.signal import lfilter
 
 from repro.channel.errors import ErrorModel
-from repro.codec.basemap import bases_to_indices, indices_to_bases
-from repro.consensus.base import Reconstructor, pack_index_clusters
+from repro.channel.readbatch import ReadBatch
+from repro.consensus.base import Reconstructor
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.observability.trace import get_tracer
 
@@ -89,70 +90,26 @@ class PosteriorReconstructor(Reconstructor):
         self.n_alphabet = n_alphabet
         self._seed = TwoWayReconstructor(n_alphabet=n_alphabet)
 
-    # -- public API -----------------------------------------------------------
-
-    def reconstruct(self, reads: Sequence[str], length: int) -> str:
-        arrays = [bases_to_indices(read) for read in reads]
-        return indices_to_bases(self.reconstruct_indices(arrays, length))
-
-    def reconstruct_indices(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        return self.reconstruct_many_indices([reads], length)[0]
-
-    def positional_confidence(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> np.ndarray:
-        """Winning posterior mass per position (1.0 = certain).
-
-        Low confidence marks positions where alignment ambiguity leaves
-        the vote split — the positional signature of the reliability skew.
-        """
-        _, confidence = self.reconstruct_with_confidence(reads, length)
-        return confidence
-
-    def reconstruct_with_confidence(
-        self, reads: Sequence[np.ndarray], length: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One pass returning both the estimate and its per-position
-        confidence — what confidence-assisted decoding consumes."""
-        return self.reconstruct_many_with_confidence([reads], length)[0]
-
-    def reconstruct_many_indices(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[np.ndarray]:
-        return [e for e, _ in self.reconstruct_many_with_confidence(
-            clusters, length)]
-
-    def reconstruct_many_with_confidence(
-        self, clusters: Sequence[Sequence[np.ndarray]], length: int
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batch variant: the two-way seeds for every cluster come from
-        one batched scan and the lattice refinement advances all clusters'
-        reads together (see :meth:`_run_batched`)."""
-        seeds = self._seed.reconstruct_many_indices(clusters, length)
-        if not seeds:
-            return []
-        estimates = np.stack([np.asarray(s, dtype=np.int64) for s in seeds])
-        padded, lengths, cluster_of = pack_index_clusters(clusters)
-        estimates, confidences = self._run_batched(
-            padded, lengths, cluster_of, estimates
-        )
-        return list(zip(estimates, confidences))
-
-    def reconstruct_batch(self, batch, length: int) -> np.ndarray:
+    def reconstruct_batch(self, batch: ReadBatch, length: int) -> np.ndarray:
+        """The estimates of :meth:`reconstruct_batch_with_confidence`."""
         if batch.n_clusters == 0:
             return np.zeros((0, length), dtype=np.int64)
         results = self.reconstruct_batch_with_confidence(batch, length)
         return np.stack([estimate for estimate, _ in results])
 
     def reconstruct_batch_with_confidence(
-        self, batch, length: int
+        self, batch: ReadBatch, length: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Columnar variant of :meth:`reconstruct_many_with_confidence`:
-        seeds from one scan over the batch's flat buffer, lattice
-        refinement over its padded read stack — end to end without
-        per-read Python objects."""
+        """``(estimate, confidence)`` per cluster of ``batch``.
+
+        The confidence is each position's winning posterior mass (1.0 =
+        certain); it dips where alignment ambiguity leaves the vote
+        split, the positional signature of the reliability skew, and it
+        is what confidence-assisted decoding consumes. The two-way seeds
+        come from one scan over the batch's flat buffer and the lattice
+        refinement advances all clusters' reads together (see
+        :meth:`_run_batched`), end to end without per-read Python
+        objects."""
         if batch.n_clusters == 0:
             return []
         seeds = np.asarray(self._seed.reconstruct_batch(batch, length),

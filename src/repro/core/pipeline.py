@@ -320,7 +320,7 @@ class DnaStoragePipeline:
                 :class:`~repro.channel.readbatch.ReadBatch` covering the
                 unit.
             confidence_threshold: when set *and* the reconstructor exposes
-                ``reconstruct_with_confidence`` (see
+                ``reconstruct_batch_with_confidence`` (see
                 :class:`repro.consensus.posterior.PosteriorReconstructor`),
                 payload symbols whose bases fall below this posterior
                 confidence are flagged as *cell erasures*. RS treats
@@ -431,7 +431,8 @@ class DnaStoragePipeline:
         length = config.strand_length
         use_confidence = (
             confidence_threshold is not None
-            and hasattr(self.reconstructor, "reconstruct_with_confidence")
+            and hasattr(self.reconstructor,
+                        "reconstruct_batch_with_confidence")
         )
         confidences: Optional[np.ndarray] = None
         with consensus_span(live):

@@ -62,6 +62,20 @@ class TestConstruction:
             ReadBatch(np.zeros(1, np.uint8), [0], [1], [0], n_clusters=1,
                       source_indices=[1, 2])
 
+    @pytest.mark.parametrize("offsets,lengths,message", [
+        # Repro: a read running past the buffer was accepted, and the
+        # consensus scans then failed with an IndexError.
+        ([0, 6], [4, 4], "offsets \\+ lengths run past"),
+        # Repro: a negative length was accepted and scanned as an empty
+        # read.
+        ([0, 4], [4, -2], "lengths must be non-negative"),
+        ([-1, 4], [1, 4], "offsets must be non-negative"),
+    ])
+    def test_read_outside_buffer_rejected(self, offsets, lengths, message):
+        with pytest.raises(ValueError, match=message):
+            ReadBatch(np.arange(8) % 4, offsets=offsets, lengths=lengths,
+                      cluster_ids=[0, 0], n_clusters=1)
+
     @pytest.mark.parametrize("bad", [300, 256, -1])
     def test_from_arrays_rejects_symbols_past_uint8(self, bad):
         """The uint8 buffer cannot hold them; 300 used to wrap to 44."""

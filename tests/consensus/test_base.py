@@ -1,43 +1,38 @@
-"""Tests for shared consensus helpers."""
+"""The consensus interface: one batch method and its one-cluster adapter."""
 
 import numpy as np
 import pytest
 
-from repro.consensus.base import column_votes, majority_vote
+from repro.channel import ReadBatch
+from repro.consensus import Reconstructor
 
 
-class TestMajorityVote:
-    def test_clear_majority(self):
-        assert majority_vote([1, 1, 2]) == 1
+class CountingEngine(Reconstructor):
+    """Estimates ``0, 1, 2, 3, 0, ...`` for every cluster and keeps the
+    batches it was given."""
 
-    def test_empty_ballot(self):
-        assert majority_vote([]) is None
+    def __init__(self):
+        self.batches = []
 
-    def test_tie_breaks_to_lowest(self):
-        assert majority_vote([3, 0]) == 0
-
-    def test_single_vote(self):
-        assert majority_vote([2]) == 2
-
-    def test_unknown_tie_break(self):
-        with pytest.raises(ValueError):
-            majority_vote([1], tie_break="random")
-
-    def test_binary_alphabet(self):
-        assert majority_vote([1, 1, 0], n_alphabet=2) == 1
+    def reconstruct_batch(self, batch, length):
+        self.batches.append(batch)
+        return np.tile(np.arange(length) % 4, (batch.n_clusters, 1))
 
 
-class TestColumnVotes:
-    def test_counts_active_reads(self):
-        reads = [np.array([0, 1]), np.array([2]), np.array([0])]
-        pointers = np.array([0, 0, 0])
-        np.testing.assert_array_equal(
-            column_votes(reads, pointers), [2, 0, 1, 0]
-        )
+class TestReconstructor:
+    def test_reconstruct_batch_must_be_implemented(self):
+        with pytest.raises(NotImplementedError):
+            Reconstructor().reconstruct_batch(ReadBatch.from_strings([]), 3)
 
-    def test_exhausted_reads_do_not_vote(self):
-        reads = [np.array([0]), np.array([1, 1])]
-        pointers = np.array([1, 1])  # first read exhausted
-        np.testing.assert_array_equal(
-            column_votes(reads, pointers), [0, 1, 0, 0]
-        )
+    def test_reconstruct_is_row_zero_of_a_one_cluster_batch(self):
+        engine = CountingEngine()
+        assert engine.reconstruct(["ACG", "", "TT"], 5) == "ACGTA"
+        (batch,) = engine.batches
+        assert batch.n_clusters == 1
+        assert [batch.read_string(i) for i in range(batch.n_reads)] \
+            == ["ACG", "", "TT"]
+
+    def test_reconstruct_empty_cluster(self):
+        engine = CountingEngine()
+        assert engine.reconstruct([], 2) == "AC"
+        assert engine.batches[0].n_reads == 0

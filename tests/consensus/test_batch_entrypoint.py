@@ -1,19 +1,30 @@
-"""The columnar ``reconstruct_batch`` entry point equals the list APIs.
+"""Batching invariance of the ``reconstruct_batch`` entry point.
 
-Every reconstructor must produce byte-identical estimates whether it is
-fed per-cluster index lists (``reconstruct_many_indices``) or one
-columnar :class:`~repro.channel.readbatch.ReadBatch` — including batches
-with empty reads, lost clusters, and non-default alphabets.
+Every engine must estimate a cluster the same way whether the cluster
+arrives alone or inside a multi-cluster
+:class:`~repro.channel.readbatch.ReadBatch` — next to lost clusters,
+clusters of empty reads and other clusters' noisy reads, over the DNA
+and the binary alphabet. The one-cluster batch is the reference: it is
+what ``Reconstructor.reconstruct`` runs for one cluster of strings.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.channel import ErrorModel, FixedCoverage, ReadBatch, SequencingSimulator
+from repro.channel import (
+    BatchedChannelEngine,
+    ErrorModel,
+    FixedCoverage,
+    ReadBatch,
+    SequencingSimulator,
+)
 from repro.codec.basemap import random_bases
 from repro.consensus import (
     IterativeReconstructor,
     OneWayReconstructor,
+    OptimalMedianReconstructor,
     PosteriorReconstructor,
     TwoWayReconstructor,
 )
@@ -22,6 +33,9 @@ RECONSTRUCTORS = [
     OneWayReconstructor, TwoWayReconstructor, IterativeReconstructor,
     PosteriorReconstructor,
 ]
+
+#: Cluster kinds the property mixes into one batch.
+LOST, ALL_EMPTY, NOISY, NOISY_WITH_EMPTY = range(4)
 
 
 def noisy_batch(seed=0, n_strands=15, length=48, coverage=6, rate=0.08):
@@ -32,31 +46,90 @@ def noisy_batch(seed=0, n_strands=15, length=48, coverage=6, rate=0.08):
     return simulator.sequence_batch(strands, rng=seed)
 
 
+def mixed_batch(seed, kinds, length, rate, n_alphabet):
+    """One cluster per entry of ``kinds``, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    model = ErrorModel.uniform(rate)
+    empty = np.zeros(0, dtype=np.uint8)
+    clusters = []
+    for kind in kinds:
+        if kind == LOST:
+            reads = []
+        elif kind == ALL_EMPTY:
+            reads = [empty] * int(rng.integers(1, 4))
+        else:
+            original = rng.integers(0, n_alphabet, length).astype(np.uint8)
+            reads = [model.apply_indices(original, rng, n_alphabet=n_alphabet)
+                     for _ in range(int(rng.integers(1, 6)))]
+            if kind == NOISY_WITH_EMPTY:
+                reads.insert(int(rng.integers(len(reads) + 1)), empty)
+        clusters.append(reads)
+    return ReadBatch.from_arrays(clusters)
+
+
+def one_cluster_batches(batch):
+    """Every cluster of ``batch`` as a batch of its own."""
+    return [ReadBatch.from_arrays([batch.reads_of(c)])
+            for c in range(batch.n_clusters)]
+
+
+def assert_rows_equal_one_cluster_batches(reconstructor, batch, length):
+    together = reconstructor.reconstruct_batch(batch, length)
+    assert together.shape == (batch.n_clusters, length)
+    assert together.dtype == np.int64
+    for row, alone in zip(together, one_cluster_batches(batch)):
+        np.testing.assert_array_equal(
+            row, reconstructor.reconstruct_batch(alone, length)[0]
+        )
+
+
+@pytest.mark.parametrize("engine_cls,max_length", [
+    pytest.param(OneWayReconstructor, 40, id="one_way"),
+    pytest.param(TwoWayReconstructor, 40, id="two_way"),
+    pytest.param(IterativeReconstructor, 40, id="iterative"),
+    pytest.param(PosteriorReconstructor, 40, id="posterior"),
+    pytest.param(OptimalMedianReconstructor, 8, id="median"),
+])
+class TestBatchingInvariance:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.integers(LOST, NOISY_WITH_EMPTY), min_size=1,
+                       max_size=6),
+        rate=st.floats(0.0, 0.25),
+        data=st.data(),
+    )
+    def test_rows_equal_one_cluster_batches(self, engine_cls, max_length,
+                                            seed, kinds, rate, data):
+        """The exact median search runs on the binary alphabet only, at
+        L <= 8: a cluster of empty reads ties all 2**L strings, and the
+        search collects every tie (~20 s per example at L = 12)."""
+        length = data.draw(st.integers(0, max_length), label="length")
+        binary = (engine_cls is OptimalMedianReconstructor
+                  or data.draw(st.booleans(), label="binary"))
+        n_alphabet = 2 if binary else 4
+        batch = mixed_batch(seed, kinds, length, rate, n_alphabet)
+        assert_rows_equal_one_cluster_batches(
+            engine_cls(n_alphabet=n_alphabet), batch, length
+        )
+
+
 @pytest.mark.parametrize("reconstructor_cls", RECONSTRUCTORS)
 class TestBatchEqualsList:
+    """Fixed examples of the invariance: a multi-cluster batch equals
+    the list of its one-cluster batches."""
+
     def test_noisy_batch(self, reconstructor_cls):
-        batch = noisy_batch()
-        reconstructor = reconstructor_cls()
-        from_batch = reconstructor.reconstruct_batch(batch, 48)
-        from_lists = reconstructor.reconstruct_many_indices(
-            batch.clusters_as_indices(), 48
+        assert_rows_equal_one_cluster_batches(
+            reconstructor_cls(), noisy_batch(), 48
         )
-        assert from_batch.shape == (batch.n_clusters, 48)
-        for row, expected in zip(from_batch, from_lists):
-            np.testing.assert_array_equal(row, expected)
 
     def test_degenerate_clusters(self, reconstructor_cls):
         # Lost cluster, cluster of empty reads, ordinary cluster.
         batch = ReadBatch.from_strings(
             [[], ["", ""], ["ACGTAC", "ACTTAC", "AGGTAC"]]
         )
-        reconstructor = reconstructor_cls()
-        from_batch = reconstructor.reconstruct_batch(batch, 6)
-        from_lists = reconstructor.reconstruct_many_indices(
-            batch.clusters_as_indices(), 6
-        )
-        for row, expected in zip(from_batch, from_lists):
-            np.testing.assert_array_equal(row, expected)
+        assert_rows_equal_one_cluster_batches(reconstructor_cls(), batch, 6)
 
     def test_zero_length(self, reconstructor_cls):
         batch = noisy_batch(n_strands=3)
@@ -73,28 +146,27 @@ class TestBinaryAlphabetBatch:
     def test_two_way_binary(self):
         rng = np.random.default_rng(5)
         originals = rng.integers(0, 2, size=(8, 30)).astype(np.uint8)
-        model = ErrorModel.uniform(0.1)
-        from repro.channel import BatchedChannelEngine
-
-        engine = BatchedChannelEngine(model, n_alphabet=2)
+        engine = BatchedChannelEngine(ErrorModel.uniform(0.1), n_alphabet=2)
         batch = engine.sequence_counts(originals, np.full(8, 5), rng)
-        reconstructor = TwoWayReconstructor(n_alphabet=2)
-        from_batch = reconstructor.reconstruct_batch(batch, 30)
-        from_lists = reconstructor.reconstruct_many_indices(
-            batch.clusters_as_indices(), 30
+        assert_rows_equal_one_cluster_batches(
+            TwoWayReconstructor(n_alphabet=2), batch, 30
         )
-        for row, expected in zip(from_batch, from_lists):
-            np.testing.assert_array_equal(row, expected)
 
 
 class TestPosteriorBatchConfidence:
     def test_confidence_matches_list_variant(self):
+        """Confidences of a multi-cluster batch equal each cluster's own
+        one-cluster batch, to float round-off: the read stacks differ in
+        padded width, which regroups sums over zero-mass columns."""
         batch = noisy_batch(n_strands=5, coverage=4)
         reconstructor = PosteriorReconstructor()
-        from_batch = reconstructor.reconstruct_batch_with_confidence(batch, 48)
-        from_lists = reconstructor.reconstruct_many_with_confidence(
-            batch.clusters_as_indices(), 48
-        )
-        for (be, bc), (le, lc) in zip(from_batch, from_lists):
-            np.testing.assert_array_equal(be, le)
-            np.testing.assert_allclose(bc, lc)
+        together = reconstructor.reconstruct_batch_with_confidence(batch, 48)
+        assert len(together) == batch.n_clusters
+        for (estimate, confidence), alone in zip(
+            together, one_cluster_batches(batch)
+        ):
+            (expected, expected_confidence), = \
+                reconstructor.reconstruct_batch_with_confidence(alone, 48)
+            np.testing.assert_array_equal(estimate, expected)
+            np.testing.assert_allclose(confidence, expected_confidence,
+                                       rtol=1e-9, atol=1e-12)

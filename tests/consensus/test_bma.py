@@ -52,12 +52,12 @@ class TestBasics:
             cls(n_alphabet=n_alphabet)
 
     def test_alphabet_bounds_accepted(self):
-        assert OneWayReconstructor(n_alphabet=127).reconstruct_indices(
-            [np.array([126, 0, 5])] * 2, 3
-        ).tolist() == [126, 0, 5]
-        assert TwoWayReconstructor(n_alphabet=2).reconstruct_indices(
-            [np.array([1, 0, 1])], 3
-        ).tolist() == [1, 0, 1]
+        assert OneWayReconstructor(n_alphabet=127).reconstruct_batch(
+            ReadBatch.from_arrays([[np.array([126, 0, 5])] * 2]), 3
+        ).tolist() == [[126, 0, 5]]
+        assert TwoWayReconstructor(n_alphabet=2).reconstruct_batch(
+            ReadBatch.from_arrays([[np.array([1, 0, 1])]]), 3
+        ).tolist() == [[1, 0, 1]]
 
     def test_deterministic(self, reconstructor, rng):
         strand = random_bases(80, rng)
@@ -78,17 +78,20 @@ class TestOutOfAlphabetSymbols:
         a = np.array([7] * 4)
         b = np.array([0] * 4)
         np.testing.assert_array_equal(
-            cls().reconstruct_many_indices([[b]], 4)[0], [0, 0, 0, 0]
+            cls().reconstruct_batch(ReadBatch.from_arrays([[b]]), 4),
+            [[0, 0, 0, 0]],
         )
         with pytest.raises(ValueError,
                            match="symbol 7 outside the 4-letter alphabet"):
-            cls().reconstruct_many_indices([[a, a], [b]], 4)
+            cls().reconstruct_batch(ReadBatch.from_arrays([[a, a], [b]]), 4)
 
     @pytest.mark.parametrize("cls", [OneWayReconstructor,
                                      TwoWayReconstructor])
     def test_lone_cluster_rejected(self, cls):
         with pytest.raises(ValueError, match="symbol 7 outside"):
-            cls().reconstruct_indices([np.array([7] * 4)], 4)
+            cls().reconstruct_batch(
+                ReadBatch.from_arrays([[np.array([7] * 4)]]), 4
+            )
 
     def test_batch_entry_point_rejected(self):
         batch = ReadBatch.from_arrays([[np.array([0, 1])],
@@ -178,6 +181,8 @@ class TestBinaryAlphabet:
         model = ErrorModel.uniform(0.1)
         reads = [model.apply_indices(original, rng, n_alphabet=2)
                  for _ in range(7)]
-        estimate = reconstructor.reconstruct_indices(reads, 40)
+        estimate = reconstructor.reconstruct_batch(
+            ReadBatch.from_arrays([reads]), 40
+        )[0]
         assert estimate.shape == (40,)
         assert (estimate == original).mean() > 0.8

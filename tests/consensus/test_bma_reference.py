@@ -10,8 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel import ErrorModel
+from repro.channel import ErrorModel, ReadBatch
 from repro.consensus import OneWayReconstructor
+
+
+def _one_cluster(reconstructor, reads, length):
+    """The engine's estimate for ``reads`` as a one-cluster batch."""
+    return reconstructor.reconstruct_batch(ReadBatch.from_arrays([reads]),
+                                           length)[0]
 
 
 def _reference_one_way(reads, length, lookahead=3, n_alphabet=4,
@@ -85,7 +91,7 @@ class TestVectorizedMatchesReference:
         original = rng.integers(0, 4, length).astype(np.uint8)
         model = ErrorModel.uniform(rate)
         reads = [model.apply_indices(original, rng) for _ in range(coverage)]
-        fast = OneWayReconstructor().reconstruct_indices(reads, length)
+        fast = _one_cluster(OneWayReconstructor(), reads, length)
         slow = _reference_one_way(reads, length)
         np.testing.assert_array_equal(fast, slow)
 
@@ -97,7 +103,7 @@ class TestVectorizedMatchesReference:
         model = ErrorModel.uniform(0.2)
         reads = [model.apply_indices(original, rng, n_alphabet=2)
                  for _ in range(4)]
-        fast = OneWayReconstructor(n_alphabet=2).reconstruct_indices(reads, 30)
+        fast = _one_cluster(OneWayReconstructor(n_alphabet=2), reads, 30)
         slow = _reference_one_way(reads, 30, n_alphabet=2)
         np.testing.assert_array_equal(fast, slow)
 
@@ -105,6 +111,6 @@ class TestVectorizedMatchesReference:
         reads = [np.array([0, 1], dtype=np.int64),
                  np.array([1], dtype=np.int64),
                  np.array([0, 1, 2, 3, 0, 1], dtype=np.int64)]
-        fast = OneWayReconstructor().reconstruct_indices(reads, 10)
+        fast = _one_cluster(OneWayReconstructor(), reads, 10)
         slow = _reference_one_way(reads, 10)
         np.testing.assert_array_equal(fast, slow)

@@ -63,17 +63,24 @@ class TestEmptyBatch:
         np.testing.assert_array_equal(result, np.zeros((2, 5), dtype=np.int64))
 
 
+def _edit_matrix(a, b):
+    """The DP matrix of one (estimate ``a``, read ``b``) pair: the
+    one-pair stack of the refinement's DP sweep."""
+    return _Impl._edit_matrix_stack(np.asarray(a)[None, :],
+                                    np.asarray(b)[None, :])[0]
+
+
 class TestEditMatrix:
     def test_matches_levenshtein(self, rng):
         from repro.cluster.distance import edit_distance_indices
         for _ in range(20):
             a = rng.integers(0, 4, rng.integers(0, 25))
             b = rng.integers(0, 4, rng.integers(0, 25))
-            matrix = _Impl._edit_matrix(a, b)
+            matrix = _edit_matrix(a, b)
             assert matrix[len(a), len(b)] == edit_distance_indices(a, b)
 
     def test_boundary_rows(self):
-        matrix = _Impl._edit_matrix(np.array([0, 1]), np.array([1]))
+        matrix = _edit_matrix(np.array([0, 1]), np.array([1]))
         np.testing.assert_array_equal(matrix[0], [0, 1])
         np.testing.assert_array_equal(matrix[:, 0], [0, 1, 2])
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel
+from repro.channel import ErrorModel, ReadBatch
 from repro.cluster.distance import edit_distance_indices
 from repro.consensus import OptimalMedianReconstructor
 
@@ -64,8 +64,11 @@ class TestExactness:
         assert result.candidates[0].shape == (6,)
 
     def test_reconstruct_indices_returns_length(self, median, rng):
+        """A one-cluster batch's estimate is one optimum of length L."""
         reads = [rng.integers(0, 2, 7).astype(np.uint8) for _ in range(3)]
-        assert median.reconstruct_indices(reads, 7).shape == (7,)
+        estimates = median.reconstruct_batch(ReadBatch.from_arrays([reads]), 7)
+        assert estimates.shape == (1, 7)
+        assert _total_cost(estimates[0], reads) == median.search(reads, 7).cost
 
     def test_truncation_flag(self, rng):
         tight = OptimalMedianReconstructor(n_alphabet=2, max_candidates=1)

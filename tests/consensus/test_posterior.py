@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel
+from repro.channel import ErrorModel, ReadBatch
 from repro.codec.basemap import bases_to_indices, random_bases
 from repro.consensus import TwoWayReconstructor
 from repro.consensus.posterior import PosteriorReconstructor
@@ -16,6 +16,24 @@ def reconstructor():
 
 def _index_reads(model, strand, coverage, rng):
     return [bases_to_indices(r) for r in model.apply_many(strand, coverage, rng)]
+
+
+def _trials(model, length, coverage, trials, rng):
+    """``trials`` random strands, each followed by its reads, drawn in
+    turn: the strands as rows, and their clusters as one batch."""
+    targets, clusters = [], []
+    for _ in range(trials):
+        strand = random_bases(length, rng)
+        targets.append(bases_to_indices(strand))
+        clusters.append(_index_reads(model, strand, coverage, rng))
+    return np.stack(targets), ReadBatch.from_arrays(clusters)
+
+
+def _with_confidence(reconstructor, batch, length):
+    """The estimates and confidences of ``batch`` as two stacked arrays."""
+    results = reconstructor.reconstruct_batch_with_confidence(batch, length)
+    return (np.stack([estimate for estimate, _ in results]),
+            np.stack([confidence for _, confidence in results]))
 
 
 class TestBasics:
@@ -41,9 +59,9 @@ class TestBasics:
     def test_deterministic(self, reconstructor, rng):
         strand = random_bases(80, rng)
         model = ErrorModel.uniform(0.08)
-        reads = _index_reads(model, strand, 5, rng)
-        first = reconstructor.reconstruct_indices(reads, 80)
-        second = reconstructor.reconstruct_indices(reads, 80)
+        batch = ReadBatch.from_arrays([_index_reads(model, strand, 5, rng)])
+        first = reconstructor.reconstruct_batch(batch, 80)
+        second = reconstructor.reconstruct_batch(batch, 80)
         np.testing.assert_array_equal(first, second)
 
 
@@ -51,8 +69,6 @@ class TestEmptyBatch:
     """The explicit empty-batch early returns of the columnar entry points."""
 
     def test_zero_cluster_batch(self, reconstructor):
-        from repro.channel import ReadBatch
-
         batch = ReadBatch.from_strings([])
         result = reconstructor.reconstruct_batch(batch, 7)
         assert result.shape == (0, 7)
@@ -60,8 +76,6 @@ class TestEmptyBatch:
         assert reconstructor.reconstruct_batch_with_confidence(batch, 7) == []
 
     def test_clusters_without_reads_fully_confident(self, reconstructor):
-        from repro.channel import ReadBatch
-
         batch = ReadBatch.from_strings([[], ["", ""]])
         results = reconstructor.reconstruct_batch_with_confidence(batch, 4)
         assert len(results) == 2
@@ -76,46 +90,40 @@ class TestAccuracy:
         posterior = PosteriorReconstructor(channel=model)
         two_way = TwoWayReconstructor()
         length = 120
-        posterior_errors = two_way_errors = 0
-        for _ in range(12):
-            strand = random_bases(length, rng)
-            reads = _index_reads(model, strand, 6, rng)
-            target = bases_to_indices(strand)
-            posterior_errors += int(
-                (posterior.reconstruct_indices(reads, length) != target).sum()
-            )
-            two_way_errors += int(
-                (two_way.reconstruct_indices(reads, length) != target).sum()
-            )
+        targets, batch = _trials(model, length, 6, 12, rng)
+        posterior_errors = int(
+            (posterior.reconstruct_batch(batch, length) != targets).sum()
+        )
+        two_way_errors = int(
+            (two_way.reconstruct_batch(batch, length) != targets).sum()
+        )
         assert posterior_errors <= two_way_errors * 1.15
 
     def test_substitution_only_nearly_perfect(self, rng):
         model = ErrorModel.substitutions_only(0.12)
         reconstructor = PosteriorReconstructor(channel=model)
         length = 100
-        total = 0
-        for _ in range(10):
-            strand = random_bases(length, rng)
-            reads = _index_reads(model, strand, 5, rng)
-            total += int(
-                (reconstructor.reconstruct_indices(reads, length)
-                 != bases_to_indices(strand)).sum()
-            )
+        targets, batch = _trials(model, length, 5, 10, rng)
+        total = int(
+            (reconstructor.reconstruct_batch(batch, length) != targets).sum()
+        )
         assert total <= 5
 
 
 class TestConfidence:
     def test_shape_and_range(self, reconstructor, rng):
         strand = random_bases(60, rng)
-        reads = _index_reads(ErrorModel.uniform(0.08), strand, 4, rng)
-        confidence = reconstructor.positional_confidence(reads, 60)
+        batch = ReadBatch.from_arrays(
+            [_index_reads(ErrorModel.uniform(0.08), strand, 4, rng)]
+        )
+        _, (confidence,) = _with_confidence(reconstructor, batch, 60)
         assert confidence.shape == (60,)
         assert (confidence > 0).all() and (confidence <= 1.0 + 1e-9).all()
 
     def test_clean_cluster_fully_confident(self, reconstructor):
         strand = "ACGTACGTACGTACGT"
-        reads = [bases_to_indices(strand)] * 4
-        confidence = reconstructor.positional_confidence(reads, len(strand))
+        batch = ReadBatch.from_strings([[strand] * 4])
+        _, confidence = _with_confidence(reconstructor, batch, len(strand))
         assert confidence.min() > 0.95
 
     def test_wrong_positions_less_confident(self, rng):
@@ -123,32 +131,19 @@ class TestConfidence:
         model = ErrorModel.uniform(0.10)
         reconstructor = PosteriorReconstructor(channel=model)
         length = 120
-        confidence_correct = []
-        confidence_wrong = []
-        for _ in range(25):
-            strand = random_bases(length, rng)
-            reads = _index_reads(model, strand, 5, rng)
-            target = bases_to_indices(strand)
-            estimate, confidence = reconstructor.reconstruct_with_confidence(
-                reads, length
-            )
-            wrong = estimate != target
-            confidence_correct.extend(confidence[~wrong])
-            confidence_wrong.extend(confidence[wrong])
-        assert np.mean(confidence_wrong) < np.mean(confidence_correct)
+        targets, batch = _trials(model, length, 5, 25, rng)
+        estimates, confidence = _with_confidence(reconstructor, batch, length)
+        wrong = estimates != targets
+        assert confidence[wrong].mean() < confidence[~wrong].mean()
 
     def test_confidence_dips_mid_strand(self, rng):
         """The skew, seen through posterior mass: middle < ends."""
         model = ErrorModel.uniform(0.10)
         reconstructor = PosteriorReconstructor(channel=model)
         length = 120
-        profile = np.zeros(length)
-        trials = 25
-        for _ in range(trials):
-            strand = random_bases(length, rng)
-            reads = _index_reads(model, strand, 5, rng)
-            profile += reconstructor.positional_confidence(reads, length)
-        profile /= trials
+        _, batch = _trials(model, length, 5, 25, rng)
+        _, confidence = _with_confidence(reconstructor, batch, length)
+        profile = confidence.mean(axis=0)
         edges = np.concatenate([profile[:15], profile[-15:]]).mean()
         middle = profile[45:75].mean()
         assert middle < edges

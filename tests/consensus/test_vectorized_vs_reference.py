@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import ErrorModel, ReadBatch
+from repro.codec.basemap import indices_to_bases
 from oracles.consensus import (
     ReferenceIterativeReconstructor,
     ReferenceOneWayReconstructor,
@@ -76,25 +77,15 @@ def workload_unit(seed, n_clusters, coverage, length, rate, n_alphabet=4):
     return clusters
 
 
-def assert_entry_points_match_reference(fast, slow, clusters, length):
-    """``reconstruct_batch`` and ``reconstruct_many_indices`` both equal
-    the reference run one cluster at a time."""
-    expected = np.stack([slow.reconstruct_indices(reads, length)
-                         for reads in clusters])
-    batched = fast.reconstruct_batch(ReadBatch.from_arrays(clusters), length)
-    np.testing.assert_array_equal(batched, expected)
-    assert batched.dtype == np.int64
-    listed = fast.reconstruct_many_indices(clusters, length)
-    np.testing.assert_array_equal(np.stack(listed), expected)
-
-
 def assert_batch_matches_reference(fast, slow, clusters, length):
-    batched = fast.reconstruct_many_indices(clusters, length)
-    assert len(batched) == len(clusters)
+    """``reconstruct_batch`` over all ``clusters`` equals the reference
+    run one cluster at a time."""
+    batched = fast.reconstruct_batch(ReadBatch.from_arrays(clusters), length)
+    assert batched.shape == (len(clusters), length)
+    assert batched.dtype == np.int64
     for reads, estimate in zip(clusters, batched):
         expected = slow.reconstruct_indices(reads, length)
         np.testing.assert_array_equal(estimate, expected)
-        assert estimate.shape == (length,)
 
 
 @pytest.mark.parametrize("fast_cls,ref_cls", PAIRS, ids=PAIR_IDS)
@@ -121,16 +112,17 @@ class TestBatchedMatchesReference:
         )
 
     def test_scalar_entry_point_matches_reference(self, fast_cls, ref_cls):
+        """The one-cluster string adapter, ``reconstruct``."""
         clusters = random_unit(99, 6, 30, 0.15, 5)
         fast, slow = fast_cls(), ref_cls()
         for reads in clusters:
-            np.testing.assert_array_equal(
-                fast.reconstruct_indices(reads, 30),
-                slow.reconstruct_indices(reads, 30),
-            )
+            strings = [indices_to_bases(read) for read in reads]
+            assert fast.reconstruct(strings, 30) \
+                == slow.reconstruct(strings, 30)
 
     def test_empty_batch(self, fast_cls, ref_cls):
-        assert fast_cls().reconstruct_many_indices([], 10) == []
+        empty = ReadBatch.from_arrays([])
+        assert fast_cls().reconstruct_batch(empty, 10).shape == (0, 10)
 
     def test_empty_and_singleton_clusters(self, fast_cls, ref_cls):
         clusters = [
@@ -151,9 +143,8 @@ class TestBatchedMatchesReference:
         assert_batch_matches_reference(fast_cls(), ref_cls(), clusters, 60)
 
     def test_zero_length_output(self, fast_cls, ref_cls):
-        clusters = random_unit(5, 3, 10, 0.1, 3)
-        for estimate in fast_cls().reconstruct_many_indices(clusters, 0):
-            assert estimate.shape == (0,)
+        batch = ReadBatch.from_arrays(random_unit(5, 3, 10, 0.1, 3))
+        assert fast_cls().reconstruct_batch(batch, 0).shape == (3, 0)
 
 
 @pytest.mark.parametrize("fast_cls,ref_cls", PAIRS[:2], ids=PAIR_IDS[:2])
@@ -169,7 +160,7 @@ class TestScanMatchesReferenceAtWorkloadScale:
         L=28 (and an odd length over the binary alphabet)."""
         clusters = workload_unit(length, 256, 16, length, 0.01,
                                  n_alphabet=n_alphabet)
-        assert_entry_points_match_reference(
+        assert_batch_matches_reference(
             fast_cls(n_alphabet=n_alphabet), ref_cls(n_alphabet=n_alphabet),
             clusters, length,
         )
@@ -178,8 +169,7 @@ class TestScanMatchesReferenceAtWorkloadScale:
     def test_archive_shape(self, fast_cls, ref_cls):
         """The archive workload: 240 clusters at coverage 8, L=664."""
         clusters = workload_unit(664, 240, 8, 664, 0.01)
-        assert_entry_points_match_reference(fast_cls(), ref_cls(), clusters,
-                                            664)
+        assert_batch_matches_reference(fast_cls(), ref_cls(), clusters, 664)
 
 
 class TestPosteriorMatchesReference:
@@ -195,7 +185,9 @@ class TestPosteriorMatchesReference:
     def assert_matches(self, clusters, length, channel):
         fast = PosteriorReconstructor(channel=channel)
         slow = ReferencePosteriorReconstructor(channel=channel)
-        batched = fast.reconstruct_many_with_confidence(clusters, length)
+        batched = fast.reconstruct_batch_with_confidence(
+            ReadBatch.from_arrays(clusters), length
+        )
         assert len(batched) == len(clusters)
         for reads, (estimate, confidence) in zip(clusters, batched):
             expected, expected_confidence = slow.reconstruct_with_confidence(
@@ -242,16 +234,17 @@ class TestPosteriorMatchesReference:
         reads = [rng.integers(0, 4, 40).astype(np.int64),
                  rng.integers(0, 4, 25).astype(np.int64)]
         fast = PosteriorReconstructor(channel=channel)
-        estimate, confidence = fast.reconstruct_many_with_confidence(
-            [reads], 30
-        )[0]
+        batch = ReadBatch.from_arrays([reads])
+        (estimate, confidence), = fast.reconstruct_batch_with_confidence(
+            batch, 30
+        )
         assert np.isfinite(confidence).all()
         assert estimate.shape == (30,)
         assert ((estimate >= 0) & (estimate < 4)).all()
         # And it is deterministic, not NaN-poisoned garbage.
-        again, again_confidence = fast.reconstruct_many_with_confidence(
-            [reads], 30
-        )[0]
+        (again, again_confidence), = fast.reconstruct_batch_with_confidence(
+            batch, 30
+        )
         np.testing.assert_array_equal(estimate, again)
         np.testing.assert_array_equal(confidence, again_confidence)
 
@@ -268,7 +261,9 @@ class TestPosteriorMatchesReference:
         fast = PosteriorReconstructor(channel=model, n_alphabet=2)
         slow = ReferencePosteriorReconstructor(channel=model, n_alphabet=2)
         for reads, (estimate, confidence) in zip(
-            clusters, fast.reconstruct_many_with_confidence(clusters, 30)
+            clusters, fast.reconstruct_batch_with_confidence(
+                ReadBatch.from_arrays(clusters), 30
+            )
         ):
             expected, expected_confidence = slow.reconstruct_with_confidence(
                 reads, 30
@@ -312,25 +307,22 @@ class TestBatchedRefinementInternals:
     def test_iterative_chunked_equals_unchunked(self, monkeypatch):
         """A tiny DP budget forces many chunks; votes are additive, so the
         result must not change."""
-        clusters = random_unit(21, 10, 40, 0.12, 6)
-        whole = IterativeReconstructor().reconstruct_many_indices(clusters, 40)
+        batch = ReadBatch.from_arrays(random_unit(21, 10, 40, 0.12, 6))
+        whole = IterativeReconstructor().reconstruct_batch(batch, 40)
         monkeypatch.setattr(IterativeReconstructor, "dp_budget_bytes", 1)
-        chunked = IterativeReconstructor().reconstruct_many_indices(
-            clusters, 40
-        )
-        for a, b in zip(whole, chunked):
-            np.testing.assert_array_equal(a, b)
+        chunked = IterativeReconstructor().reconstruct_batch(batch, 40)
+        np.testing.assert_array_equal(whole, chunked)
 
     def test_posterior_chunked_equals_unchunked(self, monkeypatch):
         """Chunk boundaries fall inside clusters; the segmented reduceat
         accumulation must keep per-cluster read order regardless."""
-        clusters = random_unit(22, 8, 32, 0.1, 6)
-        whole = PosteriorReconstructor().reconstruct_many_with_confidence(
-            clusters, 32
+        batch = ReadBatch.from_arrays(random_unit(22, 8, 32, 0.1, 6))
+        whole = PosteriorReconstructor().reconstruct_batch_with_confidence(
+            batch, 32
         )
         monkeypatch.setattr(PosteriorReconstructor, "lattice_budget_bytes", 1)
-        chunked = PosteriorReconstructor().reconstruct_many_with_confidence(
-            clusters, 32
+        chunked = PosteriorReconstructor().reconstruct_batch_with_confidence(
+            batch, 32
         )
         for (ew, cw), (ec, cc) in zip(whole, chunked):
             np.testing.assert_array_equal(ew, ec)
@@ -341,9 +333,11 @@ class TestBatchedRefinementInternals:
         to a cluster that needs many iterations."""
         easy = [np.array([0, 1, 2, 3] * 6, dtype=np.int64)] * 4
         hard = random_unit(33, 1, 24, 0.25, 6)[0]
-        solo = IterativeReconstructor().reconstruct_indices(easy, 24)
-        together = IterativeReconstructor().reconstruct_many_indices(
-            [easy, hard, easy], 24
+        solo = IterativeReconstructor().reconstruct_batch(
+            ReadBatch.from_arrays([easy]), 24
+        )[0]
+        together = IterativeReconstructor().reconstruct_batch(
+            ReadBatch.from_arrays([easy, hard, easy]), 24
         )
         np.testing.assert_array_equal(together[0], solo)
         np.testing.assert_array_equal(together[2], solo)
@@ -357,7 +351,7 @@ class TestBatchedRefinementInternals:
         fast = IterativeReconstructor()
         slow = ReferenceIterativeReconstructor()
         np.testing.assert_array_equal(
-            fast.reconstruct_many_indices(clusters, 45)[0],
+            fast.reconstruct_batch(ReadBatch.from_arrays(clusters), 45)[0],
             slow.reconstruct_indices(clusters[0], 45),
         )
 
@@ -378,13 +372,13 @@ class TestOneWayParameterVariants:
     @pytest.mark.parametrize("fast_cls,ref_cls", PAIRS[:2], ids=PAIR_IDS[:2])
     def test_lookahead_at_workload_scale(self, fast_cls, ref_cls, lookahead):
         clusters = workload_unit(lookahead, 64, 16, 29, 0.02)
-        assert_entry_points_match_reference(
+        assert_batch_matches_reference(
             fast_cls(lookahead=lookahead), ref_cls(lookahead=lookahead),
             clusters, 29,
         )
 
     def test_string_batch_api(self):
-        """reconstruct_many (string variant) agrees with the reference."""
+        """A batch packed from strings agrees with the reference."""
         rng = np.random.default_rng(11)
         model = ErrorModel.uniform(0.1)
         strands = ["".join("ACGT"[i] for i in rng.integers(0, 4, 30))
@@ -392,6 +386,6 @@ class TestOneWayParameterVariants:
         clusters = [model.apply_many(s, 4, rng) for s in strands]
         fast = TwoWayReconstructor()
         slow = ReferenceTwoWayReconstructor()
-        batched = fast.reconstruct_many(clusters, 30)
+        batched = fast.reconstruct_batch(ReadBatch.from_strings(clusters), 30)
         for reads, estimate in zip(clusters, batched):
-            assert estimate == slow.reconstruct(reads, 30)
+            assert indices_to_bases(estimate) == slow.reconstruct(reads, 30)

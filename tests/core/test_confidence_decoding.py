@@ -107,15 +107,16 @@ class TestSoftErasureCorrection:
 
 class TestMinimalConfidenceReconstructor:
     def test_batch_input_falls_back_to_per_cluster_confidence(self, rng):
-        """A reconstructor exposing only the scalar
-        ``reconstruct_with_confidence`` must work on ReadBatch input: the
-        batch confidence path has the same per-cluster fallback as the
-        cluster-list path."""
+        """Any reconstructor defining ``reconstruct_batch_with_confidence``
+        takes the confidence path, from ReadBatch and from cluster-list
+        input alike."""
+        calls = []
 
         class MinimalConfidence(TwoWayReconstructor):
-            def reconstruct_with_confidence(self, reads, length):
-                estimate = self.reconstruct_indices(reads, length)
-                return estimate, np.ones(length, dtype=np.float64)
+            def reconstruct_batch_with_confidence(self, batch, length):
+                calls.append(batch.n_clusters)
+                return [(estimate, np.ones(length, dtype=np.float64))
+                        for estimate in self.reconstruct_batch(batch, length)]
 
         model = ErrorModel.uniform(0.05)
         pipeline = DnaStoragePipeline(
@@ -131,6 +132,7 @@ class TestMinimalConfidenceReconstructor:
             simulator.sequence(unit.strands, rng=0),
             confidence_threshold=0.5,
         )
+        assert len(calls) == 2
         assert received.matrix.shape == from_list.matrix.shape
         decoded, report = pipeline.correct(received, bits.size)
         np.testing.assert_array_equal(decoded, bits)

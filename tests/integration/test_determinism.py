@@ -9,8 +9,14 @@ a full unit decode is bit-identical however the clusters are fed in.
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel, FixedCoverage, GammaCoverage, SequencingSimulator
-from repro.codec.basemap import random_bases
+from repro.channel import (
+    ErrorModel,
+    FixedCoverage,
+    GammaCoverage,
+    ReadBatch,
+    SequencingSimulator,
+)
+from repro.codec.basemap import indices_to_bases, random_bases
 from repro.consensus import (
     IterativeReconstructor,
     OneWayReconstructor,
@@ -60,21 +66,22 @@ class TestSequencingDeterminism:
 class TestBatchDeterminism:
     def test_batch_reproducible_run_to_run(self, reconstructor_cls):
         _, clusters = make_clusters()
-        index_clusters = [c.read_indices() for c in clusters]
-        first = reconstructor_cls().reconstruct_many_indices(index_clusters, 40)
-        second = reconstructor_cls().reconstruct_many_indices(index_clusters, 40)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
+        batch = ReadBatch.from_clusters(clusters)
+        first = reconstructor_cls().reconstruct_batch(batch, 40)
+        second = reconstructor_cls().reconstruct_batch(batch, 40)
+        np.testing.assert_array_equal(first, second)
 
     def test_batch_equals_scalar_entry_point(self, reconstructor_cls):
+        """Each row of the batch equals the one-cluster string adapter,
+        ``reconstruct``, on that cluster's reads."""
         _, clusters = make_clusters()
-        index_clusters = [c.read_indices() for c in clusters]
         reconstructor = reconstructor_cls()
-        batched = reconstructor.reconstruct_many_indices(index_clusters, 40)
-        for reads, estimate in zip(index_clusters, batched):
-            np.testing.assert_array_equal(
-                estimate, reconstructor.reconstruct_indices(reads, 40)
-            )
+        batched = reconstructor.reconstruct_batch(
+            ReadBatch.from_clusters(clusters), 40
+        )
+        for cluster, estimate in zip(clusters, batched):
+            assert indices_to_bases(estimate) \
+                == reconstructor.reconstruct(cluster.reads, 40)
 
 
 class TestLSHClusteringDeterminism:

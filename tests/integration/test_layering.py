@@ -3,6 +3,9 @@
 Frozen differential oracles live in ``tests/oracles/``: nothing under
 ``src/repro`` may define one, steer callers off a deprecated front door,
 or reach into the test tree — and every exported name must resolve.
+A consensus engine implements one method, ``reconstruct_batch`` (plus
+the posterior's ``reconstruct_batch_with_confidence``), so the retired
+per-cluster and list entry points may not come back.
 """
 
 import ast
@@ -13,6 +16,17 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).parent
+ROOT = SRC.parent.parent
+
+#: Consensus entry points retired in favour of ``reconstruct_batch``.
+RETIRED_ENTRY_POINTS = frozenset({
+    "reconstruct_indices",
+    "reconstruct_many",
+    "reconstruct_many_indices",
+    "reconstruct_with_confidence",
+    "reconstruct_many_with_confidence",
+    "positional_confidence",
+})
 
 
 def _dotted(node):
@@ -65,3 +79,35 @@ def test_every_exported_name_resolves():
         if not hasattr(package, name)
     ]
     assert missing == []
+
+
+def _retired_entry_points(path):
+    """Definitions (in ``src/repro`` classes), calls and by-name probes
+    (``hasattr(x, "...")``) of a retired entry point. Names must match
+    exactly: ``positional_confidence_profile`` is not retired."""
+    where = path.relative_to(ROOT)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and path.is_relative_to(SRC):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and item.name in RETIRED_ENTRY_POINTS:
+                    yield f"{where}:{item.lineno} defines " \
+                          f"{node.name}.{item.name}"
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func).split(".")[-1]
+            if name in RETIRED_ENTRY_POINTS:
+                yield f"{where}:{node.lineno} calls {name}"
+        if isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) \
+                and node.value in RETIRED_ENTRY_POINTS:
+            yield f"{where}:{node.lineno} names {node.value}"
+
+
+def test_no_retired_consensus_entry_points():
+    paths = [path for top in ("src", "benchmarks", "examples")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert SRC / "consensus" / "base.py" in paths
+    assert ROOT / "benchmarks" / "test_ablation_consensus.py" in paths
+    problems = [problem for path in paths
+                for problem in _retired_entry_points(path)]
+    assert problems == []

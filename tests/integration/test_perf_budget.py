@@ -31,7 +31,12 @@ import numpy as np
 import pytest
 
 from oracles.core import correct_matrix_loop_reference, decode_units_reference
-from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
+from repro.channel import (
+    ErrorModel,
+    FixedCoverage,
+    ReadBatch,
+    SequencingSimulator,
+)
 from repro.core import (
     DnaStoragePipeline,
     MatrixConfig,
@@ -179,9 +184,9 @@ class TestPerfBudget:
         fast = TwoWayReconstructor()
         reference = ReferenceTwoWayReconstructor()
 
-        batched = median_cpu(
-            3, lambda: fast.reconstruct_many_indices(clusters, 28)
-        )
+        batched = median_cpu(3, lambda: fast.reconstruct_batch(
+            ReadBatch.from_arrays(clusters), 28
+        ))
         scalar = median_cpu(3, lambda: [
             reference.reconstruct_indices(reads, 28) for reads in clusters
         ])
@@ -204,11 +209,12 @@ class TestPerfBudget:
 
         clusters = quickstart_unit(seed=1)
         fast = IterativeReconstructor()
-        fast.reconstruct_many_indices(clusters[:5], 68)  # warm-up
+        # Warm-up.
+        fast.reconstruct_batch(ReadBatch.from_arrays(clusters[:5]), 68)
 
-        batched_seconds, batched = best_of(
-            3, lambda: fast.reconstruct_many_indices(clusters, 68)
-        )
+        batched_seconds, batched = best_of(3, lambda: fast.reconstruct_batch(
+            ReadBatch.from_arrays(clusters), 68
+        ))
 
         reference = ReferenceIterativeReconstructor()
         start = time.perf_counter()
@@ -242,10 +248,13 @@ class TestPerfBudget:
         model = ErrorModel.uniform(0.06)
         clusters = quickstart_unit(seed=2)
         fast = PosteriorReconstructor(channel=model)
-        fast.reconstruct_many_indices(clusters[:5], 68)  # warm-up
+        # Warm-up.
+        fast.reconstruct_batch(ReadBatch.from_arrays(clusters[:5]), 68)
 
         batched_seconds, batched = best_of(
-            3, lambda: fast.reconstruct_many_with_confidence(clusters, 68)
+            3, lambda: fast.reconstruct_batch_with_confidence(
+                ReadBatch.from_arrays(clusters), 68
+            )
         )
 
         reference = ReferencePosteriorReconstructor(channel=model)

@@ -138,7 +138,7 @@ def receive_loop_reference(
     length = config.strand_length
     if (confidence_threshold is not None
             and hasattr(pipeline.reconstructor,
-                        "reconstruct_with_confidence")):
+                        "reconstruct_batch_with_confidence")):
         results = pipeline.reconstructor.reconstruct_batch_with_confidence(
             live, length
         )
