@@ -36,6 +36,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.channel.sequencer import ReadCluster
 
 
+def packed_bases(
+    buffer: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Every read's bases back to back, in read order.
+
+    Reads are *tight* when they already lie back to back: their offsets
+    are ``cumsum(lengths) - lengths`` and ``buffer`` holds nothing else.
+    Then ``buffer`` itself comes back, uncopied (callers only read it);
+    otherwise one gather through the index of every base. Takes the raw
+    columnar arrays, so a :class:`ReadBatch` and a bare ``(buffer,
+    offsets, lengths)`` triple share this one check.
+    """
+    starts = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+    if buffer.size == total and np.array_equal(offsets, starts):
+        return buffer
+    # Base j of read r sits at flat position starts[r] + j and at buffer
+    # position offsets[r] + j.
+    index = np.repeat(offsets - starts, lengths)
+    index += np.arange(total, dtype=np.int64)
+    return buffer[index]
+
+
 class ReadBatch:
     """Flat columnar storage for the noisy reads of many clusters.
 
@@ -159,10 +182,11 @@ class ReadBatch:
         :class:`~repro.core.store.DnaStore` maps the spanning batch's
         clusters back to encoding units.
 
-        Each piece's referenced bases are gathered into a tight buffer
-        (one vectorized pass over the actual reads), so concatenating
-        zero-copy sub-batches of a large pool copies only the selected
-        reads, never the parent buffers.
+        The result is tight: each piece contributes its reads' bases back
+        to back (:func:`packed_bases`: the piece's own buffer when it
+        already is tight, else one gather over the actual reads), so
+        concatenating zero-copy sub-batches of a large pool copies only
+        the selected reads, never the parent buffers.
         """
         batches = list(batches)
         buffers: List[np.ndarray] = []
@@ -171,12 +195,9 @@ class ReadBatch:
         source_parts: List[np.ndarray] = []
         cluster_offset = 0
         for batch in batches:
-            total = int(batch.lengths.sum())
-            tight_starts = np.cumsum(batch.lengths) - batch.lengths
-            within = (np.arange(total, dtype=np.int64)
-                      - np.repeat(tight_starts, batch.lengths))
-            src = np.repeat(batch.offsets, batch.lengths) + within
-            buffers.append(batch.buffer[src])
+            buffers.append(
+                packed_bases(batch.buffer, batch.offsets, batch.lengths)
+            )
             lengths_parts.append(batch.lengths)
             cluster_parts.append(batch.cluster_ids + cluster_offset)
             source_parts.append(batch.source_indices)

@@ -33,7 +33,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.channel.readbatch import ReadBatch
+from repro.channel.readbatch import ReadBatch, packed_bases
 
 #: Anything the batch kernel accepts: a ReadBatch or a raw columnar
 #: ``(buffer, offsets, lengths)`` triple.
@@ -98,8 +98,9 @@ def _valid_window_codes(
     """``(owners, codes, n_reads)`` of every in-read q-gram window.
 
     The shared kernel behind both signature layouts and the LSH
-    minhashes (which need no deduplication): reads are gathered
-    tight (a no-op when the batch already is), window codes roll across
+    minhashes (which need no deduplication): reads are laid back to back
+    (:func:`~repro.channel.readbatch.packed_bases`, a no-op when the
+    batch already is tight), window codes roll across
     the whole buffer, and windows straddling a read boundary are masked
     out by one segmented comparison. ``owners`` is sorted ascending.
     """
@@ -113,13 +114,9 @@ def _valid_window_codes(
         return empty, empty, n_reads
     tight_starts = np.cumsum(lengths) - lengths
     read_of_base = np.repeat(np.arange(n_reads, dtype=np.int64), lengths)
-    if buffer.size == total and np.array_equal(offsets, tight_starts):
-        flat = buffer
-    else:
-        within = np.arange(total, dtype=np.int64) \
-            - tight_starts[read_of_base]
-        flat = buffer[offsets[read_of_base] + within]
-    codes = rolling_qgram_codes(flat, q, n_alphabet)
+    codes = rolling_qgram_codes(
+        packed_bases(buffer, offsets, lengths), q, n_alphabet
+    )
     if codes.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, n_reads

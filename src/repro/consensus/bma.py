@@ -13,23 +13,27 @@ distance scanned, so the far end of a strand is reconstructed much less
 reliably than the near end.
 
 The scan here is batched across *clusters* as well as reads, and past one
-vote per read its cost scales with the reads that disagree. The reads of
-every cluster live in one ``int8`` matrix with sentinel -1 past each
-read's end, built straight from a
-:class:`~repro.channel.readbatch.ReadBatch`'s flat buffer by
-:meth:`reconstruct_batch`, and every read keeps a flat cursor into it. A
-step gathers each read's current character (the sentinel marks exhausted
-reads) and votes every cluster at once with one ``bincount`` over
-``(cluster, symbol)`` keys. Only then does
-it look at the reads that disagree with their cluster's plurality:
-lookahead ballots are built for just the clusters holding such a read,
-from those clusters' agreeing reads, with one ``bincount`` over
-``(cluster, offset, symbol)`` keys, and the error guess is scored for the
-disagreeing reads alone. At 1% error most clusters are unanimous at most
-positions, so those clusters cost a step nothing past their vote. The
-storage pipeline runs this scan for every unit, making it the hottest
-loop in the repository; the frozen single-cluster original is a test
-oracle (``tests/oracles/consensus.py``), pinned byte-identical by the
+vote per distinct read its cost scales with the reads that disagree. The
+reads of every cluster live in one ``int8`` matrix with sentinel -1 past
+each read's end, built by :meth:`reconstruct_batch` straight from a
+:class:`~repro.channel.readbatch.ReadBatch`'s bases back to back (a tight
+batch's buffer as it is, anything else gathered once). Reads equal in
+content and cluster share one *weighted* row: at 1% error most reads of a
+cluster are exact copies of its strand, and identical reads of one cluster
+start at the same offset, see the same consensus and ballots at every step
+and so make the same move, so one row of weight k casts exactly the votes
+of its k copies. Every row keeps a flat cursor into the matrix. A step
+gathers each row's current character (the sentinel marks exhausted reads)
+and votes every cluster at once with one weighted ``bincount`` over
+``(cluster, symbol)`` keys. Only then does it look at the rows that
+disagree with their cluster's plurality: lookahead ballots are built for
+just the clusters holding such a row, from those clusters' agreeing rows,
+with one weighted ``bincount`` over ``(cluster, offset, symbol)`` keys, and
+the error guess is scored for the disagreeing rows alone. Most clusters are
+unanimous at most positions, so those clusters cost a step nothing past
+their vote. The storage pipeline runs this scan for every unit, making it
+the hottest loop in the repository; the frozen single-cluster original is a
+test oracle (``tests/oracles/consensus.py``), pinned byte-identical by the
 differential test suite.
 """
 
@@ -39,7 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.channel.readbatch import ReadBatch
+from repro.channel.readbatch import ReadBatch, packed_bases
 from repro.consensus.base import Reconstructor
 
 
@@ -78,21 +82,34 @@ class OneWayReconstructor(Reconstructor):
         if reads is None:
             return np.full((batch.n_clusters, length), self.fill_symbol,
                            dtype=np.int64)
-        return self.scan_padded(*reads, batch.n_clusters, length)
+        matrix, cluster_of, weights = reads
+        return self.scan_padded(matrix, cluster_of, batch.n_clusters, length,
+                                weights)
 
     def _read_matrix(
         self, batch: ReadBatch, length: int, both_ways: bool = False
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The scan's read matrix, built once from ``batch``'s flat buffer.
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        """The scan's read matrix: one row per distinct (cluster, read).
 
-        Rows are the batch's non-empty reads as ``int8`` symbols with
-        sentinel -1 past each read's end and ``lookahead + 2`` more
-        sentinel columns, so every gather of a step stays inside its row.
-        With ``both_ways`` the same reads follow reversed, their cluster
-        ids shifted by ``batch.n_clusters``. Returns
-        ``(matrix, cluster_of)``, or ``None`` when there is nothing to
-        scan. Raises ``ValueError`` for a read symbol outside the
-        alphabet, checked once with one ``max`` over all symbols.
+        Rows hold the batch's non-empty reads as ``int8`` symbols with
+        sentinel -1 past each read's end and at least ``lookahead + 2``
+        more sentinel columns, so every gather of a step stays inside its
+        row; the width is a whole number of 8-byte words. The symbols come
+        from :func:`~repro.channel.readbatch.packed_bases`, so a tight
+        batch's buffer is read as it is, with no second gather.
+
+        Reads equal in content and cluster share one row, and ``weights``
+        holds each row's number of copies; it is ``None`` when every row
+        is distinct. The grouping is exact: a hash of each row's words and
+        cluster id (:meth:`_row_keys`) only orders the rows, and adjacent
+        rows merge after their words and cluster ids compare equal, so a
+        hash collision can only leave copies unmerged. Rows keep batch
+        order. With ``both_ways`` the distinct rows follow reversed, their
+        cluster ids shifted by ``batch.n_clusters`` and their weights
+        carried over. Returns ``(matrix, cluster_of, weights)``, or
+        ``None`` when there is nothing to scan. Raises ``ValueError`` for
+        a read symbol outside the alphabet, checked once with one ``max``
+        over all symbols.
         """
         if length < 0:
             raise ValueError(f"length must be non-negative, got {length}")
@@ -100,11 +117,8 @@ class OneWayReconstructor(Reconstructor):
         lengths = batch.lengths[keep]
         if lengths.size == 0:
             return None
-        # Buffer index of every base of every kept read, read after read.
-        index = np.repeat(batch.offsets[keep] - np.cumsum(lengths) + lengths,
-                          lengths)
-        index += np.arange(index.size)
-        symbols = batch.buffer[index]
+        # Empty reads hold no bases, so this is the kept reads' run.
+        symbols = packed_bases(batch.buffer, batch.offsets, batch.lengths)
         top = int(symbols.max())
         if top >= self.n_alphabet:
             raise ValueError(
@@ -114,22 +128,59 @@ class OneWayReconstructor(Reconstructor):
         if length == 0:
             return None
         n_reads = lengths.size
-        width = int(lengths.max()) + self.lookahead + 2
-        # Row-major mask of the read cells: assigning the symbol run
-        # through it lays the reads out one per row.
-        cells = np.arange(width) < lengths[:, None]
+        width = -(-(int(lengths.max()) + self.lookahead + 2) // 8) * 8
+        # Row-major mask of the read cells, each row its read's length in
+        # True and the rest False (one repeat, cheaper than a broadcast
+        # compare): assigning the symbol run through it lays the reads out
+        # one per row.
+        cells = np.repeat(
+            np.tile([True, False], n_reads),
+            np.column_stack([lengths, width - lengths]).ravel(),
+        ).reshape(n_reads, width)
         cluster_of = batch.cluster_ids[keep]
-        matrix = np.full((2 * n_reads if both_ways else n_reads, width), -1,
-                         dtype=np.int8)
-        matrix[:n_reads][cells] = symbols
+        matrix = np.full((n_reads, width), -1, dtype=np.int8)
+        matrix[cells] = symbols
+
+        words = matrix.view(np.uint64)
+        keys = self._row_keys(words, cluster_of)
+        order = np.argsort(keys)
+        keys = keys[order]
+        # Adjacent rows with equal keys are the candidate copies; each is
+        # verified word by word before it merges.
+        pairs = np.flatnonzero(keys[1:] == keys[:-1])
+        before, after = order[pairs], order[pairs + 1]
+        merge = cluster_of[before] == cluster_of[after]
+        for column in words.T:
+            merge &= column[before] == column[after]
+        weights = None
+        if merge.any():
+            # A group starts at every sorted position that did not merge
+            # into its predecessor; its first row stands for it.
+            starts = np.ones(n_reads, dtype=bool)
+            starts[pairs[merge] + 1] = False
+            firsts = np.flatnonzero(starts)
+            copies = np.zeros(n_reads, dtype=np.int64)
+            copies[order[firsts]] = np.diff(firsts, append=n_reads)
+            rows = np.flatnonzero(copies)
+            weights = copies[rows]
+            matrix = matrix[rows]
+            cluster_of = cluster_of[rows]
+            cells = cells[rows]
+            symbols = matrix[cells]
         if both_ways:
-            # The reversed run reverses every read and the read order, so
+            n_rows = matrix.shape[0]
+            stacked = np.full((2 * n_rows, width), -1, dtype=np.int8)
+            stacked[:n_rows] = matrix
+            # The reversed run reverses every read and the row order, so
             # the reversed rows hold the reads last to first.
-            matrix[n_reads:][cells[::-1]] = symbols[::-1]
+            stacked[n_rows:][cells[::-1]] = symbols[::-1]
+            matrix = stacked
             cluster_of = np.concatenate(
                 [cluster_of, cluster_of[::-1] + batch.n_clusters]
             )
-        return matrix, cluster_of
+            if weights is not None:
+                weights = np.concatenate([weights, weights[::-1]])
+        return matrix, cluster_of, weights
 
     def scan_padded(
         self,
@@ -137,15 +188,25 @@ class OneWayReconstructor(Reconstructor):
         cluster_of: np.ndarray,
         n_clusters: int,
         length: int,
+        weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The batched scan over a read matrix (see :meth:`_read_matrix`).
 
         ``matrix`` is ``int8`` with sentinel -1 past each row's read and
         at least ``lookahead + 2`` sentinel columns past the longest; rows
         are reads, tagged by ``cluster_of`` in ``[0, n_clusters)``.
-        Returns ``(n_clusters, length)``.
+        ``weights``, when given, is each row's number of identical copies
+        in its cluster: the row casts that many votes and ballot entries,
+        which is exactly what its copies would cast, as they make the same
+        move at every step. ``None`` scans every row once. Returns
+        ``(n_clusters, length)``.
         """
         window = self.lookahead
+        ballot_weights = None
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            # A row's weight at each of its lookahead offsets.
+            ballot_weights = np.tile(weights, (window, 1))
         # Ballot slot 0 of every cluster (and of every lookahead offset)
         # collects the sentinel, so exhausted reads never vote. A ballot
         # winner w decodes to symbol w - 1; w = 0 means no votes and
@@ -155,7 +216,7 @@ class OneWayReconstructor(Reconstructor):
         decode = np.arange(-1, self.n_alphabet, dtype=np.int8)
         decode[0] = -2
         flat = matrix.ravel()
-        # cursor[i] = flat index of read i's pointer.
+        # cursor[i] = flat index of row i's pointer.
         cursor = np.arange(matrix.shape[0], dtype=np.int64) * matrix.shape[1]
         vote_keys = cluster_of * stride + 1
         # Lookahead arrays are offset-major, (window, reads), so every
@@ -168,7 +229,7 @@ class OneWayReconstructor(Reconstructor):
 
         for position in range(length):
             current = flat[cursor]
-            votes = np.bincount(vote_keys + current,
+            votes = np.bincount(vote_keys + current, weights,
                                 minlength=n_clusters * stride)
             votes = votes.reshape(n_clusters, stride)
             votes[:, 0] = 0
@@ -195,7 +256,10 @@ class OneWayReconstructor(Reconstructor):
                 keys = ahead_keys + vote_keys[voters] \
                     + flat[ahead + cursor[voters]]
                 ballots = np.bincount(
-                    keys.ravel(), minlength=window * n_clusters * stride
+                    keys.ravel(),
+                    None if ballot_weights is None
+                    else ballot_weights[:, voters].ravel(),
+                    minlength=window * n_clusters * stride,
                 ).reshape(window, n_clusters, stride)[:, clusters]
                 ballots[:, :, 0] = 0
                 cursor[rows] += self._classify_errors(
@@ -207,6 +271,16 @@ class OneWayReconstructor(Reconstructor):
         # output is fill_symbol from there on (the single-cluster scan
         # breaks out of its loop at that point).
         return np.where(output > 0, output - 1, self.fill_symbol)
+
+    @staticmethod
+    def _row_keys(words: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
+        """One ``uint64`` sort key per row: its words and cluster id mixed
+        by odd multipliers, wrapping mod 2**64. Equal rows of one cluster
+        get equal keys; unequal rows seldom do, and then only stay
+        unmerged."""
+        mix = (np.arange(1, words.shape[1] + 2, dtype=np.uint64)
+               * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
+        return words @ mix[1:] + cluster_of.astype(np.uint64) * mix[0]
 
     @staticmethod
     def _classify_errors(

@@ -213,9 +213,9 @@ class _BranchAndBound:
             self.candidates = [candidate]
             self.truncated = False
         elif cost == self.best_cost:
+            # DFS leaves are distinct paths, so a tie is never a repeat.
             if len(self.candidates) < self.max_candidates:
-                if not any(np.array_equal(candidate, c) for c in self.candidates):
-                    self.candidates.append(candidate)
+                self.candidates.append(candidate)
             else:
                 self.truncated = True
 

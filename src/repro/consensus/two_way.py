@@ -8,10 +8,11 @@ second half of the backward scan — "the best of both worlds" — which moves
 the error peak from the far end (Fig 3) to the middle (Fig 4).
 
 Both directions ride *one* batched one-way scan. The ``int8`` read matrix
-(sentinel -1 past each read's end) is built once from the batch's flat
-buffer with every read twice: forward, and reversed under cluster id
-``+ n_clusters``. A step of the scan then votes, and pays for disagreeing
-reads, in both directions at once. A scan's output at a position never
+(sentinel -1 past each read's end) is built once from the batch's bases
+back to back, with one weighted row per distinct (cluster, read), and holds
+every such row twice: forward, and reversed under cluster id
+``+ n_clusters`` with the same weight. A step of the scan then votes, and
+pays for disagreeing rows, in both directions at once. A scan's output at a position never
 depends on later positions, so the stacked scan stops once each direction
 has produced the half it keeps: ``L - L // 2`` steps instead of two scans
 of ``L``.
@@ -43,8 +44,10 @@ class TwoWayReconstructor(OneWayReconstructor):
         if reads is None:
             return np.full((n_clusters, length), self.fill_symbol,
                            dtype=np.int64)
+        matrix, cluster_of, weights = reads
         midpoint = length // 2
-        scanned = self.scan_padded(*reads, 2 * n_clusters, length - midpoint)
+        scanned = self.scan_padded(matrix, cluster_of, 2 * n_clusters,
+                                   length - midpoint, weights)
         return np.concatenate(
             [scanned[:n_clusters, :midpoint], scanned[n_clusters:, ::-1]],
             axis=1,

@@ -111,7 +111,12 @@ class ReadRequest:
     default) or an unlabeled per-unit pool (``pool=True``, reads
     clustered first). Options travel with the request, so
     :meth:`DnaStore.read_many` can coalesce requests with heterogeneous
-    options into shared batch passes.
+    options into shared batch passes. Every request of a call is checked
+    before any layer runs: ``reads`` must not be ``None``,
+    ``n_data_bits`` must be a non-negative integer (Python or numpy, not
+    ``bool`` or ``float``) and a ``ranking`` a permutation of
+    ``range(n_data_bits)``; a ``TypeError``/``ValueError`` names the
+    field.
 
     Attributes:
         reads: the read material — anything :data:`StoreReads` accepts
@@ -287,6 +292,43 @@ class DnaStore:
         ranking-independent (ranking is applied at assembly, see
         :meth:`_assemble_bits`).
         """
+        # Every request is checked before any layer runs, so a malformed
+        # one fails early with a typed error naming its field. Cost:
+        # O(requests), plus O(n_data_bits) for a ranked request.
+        for request in requests:
+            if request.reads is None:
+                raise TypeError("ReadRequest.reads is None")
+            n_bits = request.n_data_bits
+            if isinstance(n_bits, bool) or not isinstance(
+                n_bits, (int, np.integer)
+            ):
+                raise TypeError(
+                    "ReadRequest.n_data_bits must be an integer, got "
+                    f"{type(n_bits).__name__}"
+                )
+            if n_bits < 0:
+                raise ValueError(
+                    f"ReadRequest.n_data_bits must be non-negative, got "
+                    f"{n_bits}"
+                )
+            if request.ranking is not None:
+                # n_data_bits integers in [0, n_data_bits), none twice.
+                ranking = np.asarray(request.ranking)
+                if not (ranking.shape == (n_bits,)
+                        and np.issubdtype(ranking.dtype, np.integer)
+                        and (n_bits == 0
+                             or (ranking.min() >= 0
+                                 and ranking.max() < n_bits
+                                 and np.bincount(ranking.astype(np.int64))
+                                 .max() == 1))):
+                    raise ValueError(
+                        "ReadRequest.ranking must be a permutation of "
+                        f"range(n_data_bits) = range({n_bits})"
+                    )
+            if request.pool:
+                self._validate_pool(request.reads,
+                                    self.units_needed(n_bits))
+
         results: List = [None] * len(requests)
         # One receive_many per distinct confidence threshold (the
         # threshold is a per-call knob of the consensus/receive pass);
@@ -311,7 +353,6 @@ class DnaStore:
                 request = requests[i]
                 n_units = self.units_needed(request.n_data_bits)
                 if request.pool:
-                    self._validate_pool(request.reads, n_units)
                     key = (id(request.clusterer)
                            if request.clusterer is not None else None)
                     if key not in pooled:

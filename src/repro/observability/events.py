@@ -9,7 +9,7 @@ lines — one self-describing object per line, the shape every log
 shipper understands — in a bounded in-memory ring, optionally teeing to
 a file as events happen.
 
-The serving plane emits five event kinds (see
+The serving plane emits six event kinds (see
 :class:`~repro.service.plane.StoreService`):
 
 * ``submit`` — a ticket entered the queue (``request_id``,
@@ -22,7 +22,10 @@ The serving plane emits five event kinds (see
   ``object_id``);
 * ``complete`` — a ticket was answered (``tick``, ``request_id``,
   ``object_id``, ``queue_wait_seconds``, ``decode_seconds``,
-  ``seconds``, ``cache_hit``, ``clean``).
+  ``seconds``, ``cache_hit``, ``clean``);
+* ``error`` — a ticket's tick raised before answering it (``tick``,
+  ``request_id``, ``object_id``, ``error`` (the exception type),
+  ``message``).
 
 Every record carries ``"t"``: seconds since the log was created
 (monotonic clock), so intra-run ordering and spacing survive

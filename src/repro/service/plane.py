@@ -18,11 +18,12 @@ counters, a run manifest per tick when a recording tracer is active),
 so serving runs leave the same machine-checkable evidence as decode
 runs. Independently of any tracer, the plane keeps *always-on* live
 telemetry: its own :class:`~repro.observability.metrics.MetricRegistry`
-(request/answer counters, queue-depth gauge, request/queue-wait/decode
-timing histograms, clean-vs-failed outcomes), a structured
-:class:`~repro.observability.events.EventLog` (submit / coalesce /
-decode / cache_hit / complete records keyed by monotonically assigned
-request ids), and a :class:`~repro.observability.metrics.SlidingWindow`
+(request/answer/error counters, queue-depth gauge,
+request/queue-wait/decode timing histograms, clean-vs-failed-vs-error
+outcomes), a structured :class:`~repro.observability.events.EventLog`
+(submit / coalesce / decode / cache_hit / complete / error records
+keyed by monotonically assigned request ids), and a
+:class:`~repro.observability.metrics.SlidingWindow`
 so :meth:`StoreService.health` reports rates and latency quantiles over
 the recent window rather than process lifetime. The ``NullTracer``
 decode path is untouched — the always-on instruments live beside it,
@@ -188,6 +189,11 @@ class StoreService:
         at most one spanning consensus pass and one batched RS errata
         pass, however many tickets drain; a tick whose objects are all
         cache-resident performs no pipeline work at all.
+
+        When the window's decode raises, every drained ticket gets an
+        ``error`` event and an ``error`` read outcome (so :meth:`health`
+        counts it as a failure) and adds to the ``service.errors``
+        counter; then the exception propagates.
         """
         if not self._queue:
             return []
@@ -204,9 +210,22 @@ class StoreService:
             queue_depth=len(self._queue),
             batch_window=self.batch_window or 0,
         ) as span:
-            answers, n_objects, unit_hits, unit_misses = self._serve_window(
-                drained, tick_index
-            )
+            try:
+                answers, n_objects, unit_hits, unit_misses = \
+                    self._serve_window(drained, tick_index)
+            except Exception as error:
+                # The drained tickets are off the queue: account for
+                # every one of them as an error before re-raising.
+                self.metrics.counter("service.errors").add(len(drained))
+                outcomes = self.metrics.histogram("service.read_outcomes")
+                for ticket, object_id, _ in drained:
+                    outcomes.observe("error")
+                    self.events.emit(
+                        "error", tick=tick_index, request_id=ticket,
+                        object_id=object_id, error=type(error).__name__,
+                        message=str(error),
+                    )
+                raise
             span.set(
                 n_objects=n_objects,
                 cache_unit_hits=unit_hits,

@@ -10,6 +10,7 @@ from repro.channel import (
     ReadCluster,
     SequencingSimulator,
 )
+from repro.channel.readbatch import packed_bases
 from repro.codec.basemap import bases_to_indices, random_bases
 
 
@@ -236,6 +237,89 @@ class TestPooled:
         for bad in ([1, 3], [0, 2], [0, 2, 1, 3]):
             with pytest.raises(ValueError):
                 batch.pooled(np.array(bad))
+
+
+def gathered_concat(batches):
+    """``ReadBatch.concat`` as it was before tight pieces skipped their
+    gather: every piece's bases copied through an index of every base."""
+    buffers, lengths, clusters, sources = [], [], [], []
+    offset = 0
+    for batch in batches:
+        total = int(batch.lengths.sum())
+        starts = np.cumsum(batch.lengths) - batch.lengths
+        within = (np.arange(total, dtype=np.int64)
+                  - np.repeat(starts, batch.lengths))
+        buffers.append(batch.buffer[np.repeat(batch.offsets, batch.lengths)
+                                    + within])
+        lengths.append(batch.lengths)
+        clusters.append(batch.cluster_ids + offset)
+        sources.append(batch.source_indices)
+        offset += batch.n_clusters
+    lengths = np.concatenate(lengths)
+    return ReadBatch(np.concatenate(buffers), np.cumsum(lengths) - lengths,
+                     lengths, np.concatenate(clusters), n_clusters=offset,
+                     source_indices=np.concatenate(sources))
+
+
+def noisy_tight_batch(seed, n_strands=6, coverage=4):
+    strands = [random_bases(30, np.random.default_rng(seed + i))
+               for i in range(n_strands)]
+    simulator = SequencingSimulator(ErrorModel.uniform(0.05),
+                                    FixedCoverage(coverage))
+    return simulator.sequence_batch(strands, rng=seed)
+
+
+class TestPackedBases:
+    def test_tight_batch_returns_its_buffer(self):
+        batch = make_batch()
+        assert packed_bases(batch.buffer, batch.offsets,
+                            batch.lengths) is batch.buffer
+
+    @pytest.mark.parametrize("view", [
+        lambda b: b.select_prefix(np.array([1, 0, 2])),
+        lambda b: b.select_clusters(1, 3),
+        lambda b: b.pooled(rng=3),
+        lambda b: ReadBatch(np.concatenate([[9, 9], b.buffer]),
+                            b.offsets + 2, b.lengths, b.cluster_ids,
+                            b.n_clusters),
+    ], ids=["select_prefix", "select_clusters", "pooled", "offset_buffer"])
+    def test_views_gather_their_reads_back_to_back(self, view):
+        batch = view(make_batch())
+        want = np.concatenate(
+            [batch.read(i) for i in range(batch.n_reads)] + [[]]
+        ).astype(np.uint8)
+        got = packed_bases(batch.buffer, batch.offsets, batch.lengths)
+        np.testing.assert_array_equal(got, want)
+
+    def test_raw_triple_and_no_reads(self):
+        buffer = np.array([0, 1, 2, 3, 0, 1], dtype=np.uint8)
+        got = packed_bases(buffer, np.array([4, 0]), np.array([2, 3]))
+        np.testing.assert_array_equal(got, [0, 1, 0, 1, 2])
+        empty = np.zeros(0, dtype=np.int64)
+        assert packed_bases(buffer, empty, empty).size == 0
+
+    def test_concat_matches_the_gathering_concat(self):
+        """Tight pieces are taken as they are, views are gathered: the
+        spanning batch is the same either way."""
+        tight = noisy_tight_batch(1)
+        other = noisy_tight_batch(2)
+        assert packed_bases(tight.buffer, tight.offsets,
+                            tight.lengths) is tight.buffer
+        pieces = [
+            tight,
+            tight.select_prefix(np.full(tight.n_clusters, 2)),
+            other.select_clusters(2, 5),
+            other.pooled(np.array([0, 3, 6]), rng=4),
+            ReadBatch.from_strings([[], [""], ["ACGT", ""]]),
+            other,
+        ]
+        got, want = ReadBatch.concat(pieces), gathered_concat(pieces)
+        for name in ("buffer", "offsets", "lengths", "cluster_ids",
+                     "source_indices"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        assert got.n_clusters == want.n_clusters
+        assert got.buffer is not tight.buffer
 
 
 class TestSimulatorIntegration:

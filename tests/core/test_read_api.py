@@ -224,3 +224,73 @@ class TestPooledCoalescingDetail:
         )
         default = store.read(ReadRequest(pool, bits.size, pool=True))
         np.testing.assert_array_equal(explicit.bits, default.bits)
+
+
+class TestRequestValidation:
+    """Malformed requests fail with a typed error naming the field, and
+    before any layer runs: a recording tracer sees no consensus span,
+    even when the bad request is coalesced behind a good one."""
+
+    @pytest.mark.parametrize("make,error,field", [
+        (lambda reads, n: ReadRequest(reads, float(n)), TypeError,
+         "n_data_bits"),
+        (lambda reads, n: ReadRequest(reads, True), TypeError,
+         "n_data_bits"),
+        (lambda reads, n: ReadRequest(reads, -1), ValueError,
+         "n_data_bits"),
+        (lambda reads, n: ReadRequest(None, n), TypeError, "reads"),
+        (lambda reads, n: ReadRequest(reads, n, ranking=np.arange(n - 1)),
+         ValueError, "ranking"),
+        (lambda reads, n: ReadRequest(reads, n,
+                                      ranking=np.zeros(n, dtype=np.int64)),
+         ValueError, "ranking"),
+        (lambda reads, n: ReadRequest(reads, n, ranking=np.arange(n) + 1),
+         ValueError, "ranking"),
+        (lambda reads, n: ReadRequest(reads, n,
+                                      ranking=np.arange(n, dtype=float)),
+         ValueError, "ranking"),
+    ], ids=["float_bits", "bool_bits", "negative_bits", "reads_none",
+            "short_ranking", "all_zero_ranking", "ranking_out_of_range",
+            "float_ranking"])
+    def test_rejected_before_any_layer_runs(self, fixture_store, make,
+                                            error, field):
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=30)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(error, match=field):
+                store.read(make(reads, bits.size))
+            with pytest.raises(error, match=field):
+                store.read_many([ReadRequest(reads, bits.size),
+                                 make(reads, bits.size)])
+        assert "consensus.reconstruct" not in tracer.stage_totals()
+
+    def test_numpy_integer_bits_and_valid_ranking_accepted(
+        self, fixture_store
+    ):
+        store = fixture_store
+        reads, bits, perm = sequence(store, seed=31, ranking=True)
+        result = store.read(ReadRequest(reads, np.int32(bits.size),
+                                        ranking=list(perm)))
+        assert result.clean
+        np.testing.assert_array_equal(result.bits, bits)
+
+    def test_service_requests_pass_the_same_checks(self):
+        """The serving plane decodes through the same checks: a bad
+        ranking in its catalog raises the typed error before consensus,
+        and the tick accounts for the drained ticket."""
+        from repro.service import StoreService
+
+        store = DnaStore(PipelineConfig(matrix=MATRIX))
+        reads, bits, _ = sequence(store, seed=32)
+        service = StoreService(store)
+        service.put("bad", reads, bits.size,
+                    ranking=np.zeros(bits.size, dtype=np.int64))
+        ticket = service.submit("bad")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(ValueError, match="ranking"):
+                service.tick()
+        assert "consensus.reconstruct" not in tracer.stage_totals()
+        [event] = service.events.records("error")
+        assert event["request_id"] == ticket

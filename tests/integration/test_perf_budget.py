@@ -30,6 +30,7 @@ import time
 import numpy as np
 import pytest
 
+from consensus.test_vectorized_vs_reference import workload_unit
 from oracles.core import correct_matrix_loop_reference, decode_units_reference
 from repro.channel import (
     ErrorModel,
@@ -51,6 +52,12 @@ DECODE_BUDGET_SECONDS = 2.0
 #: Minimum lead of the batched two-way scan over the per-cluster
 #: reference on a serve-shaped call (median CPU time of 3 runs each).
 CONSENSUS_SPEEDUP_FACTOR = 40
+
+#: Most share of rows per non-empty read the two-way scan may get on a
+#: serve-shaped unit: at 1% error most reads are exact copies of their
+#: strand, and the scan runs one weighted row per distinct (cluster,
+#: read) (30% on the unit below).
+DISTINCT_ROW_SHARE = 0.4
 
 #: Seconds allowed for one batched store-plane decode of the many-unit
 #: perf configuration below.
@@ -195,6 +202,31 @@ class TestPerfBudget:
             f"batched scan ({batched * 1e3:.1f}ms) is not "
             f"{CONSENSUS_SPEEDUP_FACTOR}x faster than the per-cluster "
             f"reference ({scalar * 1e3:.0f}ms)"
+        )
+
+    def test_two_way_scan_gets_one_row_per_distinct_read(self, monkeypatch):
+        """Deterministic floor for the distinct-row scan: on the
+        serve-shaped unit (256 clusters at coverage 16, L=28, 1% error)
+        the stacked two-way scan gets at most 40% as many rows as the
+        batch has non-empty reads in its two directions. Scanning every
+        copy of a read on its own row gets 100%."""
+        from repro.consensus import OneWayReconstructor, TwoWayReconstructor
+
+        scanned = []
+        scan = OneWayReconstructor.scan_padded
+
+        def spy(self, matrix, *args):
+            scanned.append(matrix.shape[0])
+            return scan(self, matrix, *args)
+
+        monkeypatch.setattr(OneWayReconstructor, "scan_padded", spy)
+        batch = ReadBatch.from_arrays(workload_unit(28, 256, 16, 28, 0.01))
+        TwoWayReconstructor().reconstruct_batch(batch, 28)
+        reads = 2 * int(np.count_nonzero(batch.lengths))
+        assert len(scanned) == 1
+        assert scanned[0] <= DISTINCT_ROW_SHARE * reads, (
+            f"the two-way scan got {scanned[0]} rows for {reads} reads; "
+            "duplicate reads are no longer sharing weighted rows"
         )
 
     @pytest.mark.slow

@@ -493,3 +493,51 @@ class TestLiveTelemetry:
         assert NULL_REGISTRY.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}, "timings": {},
         }
+
+
+class TestFailedTick:
+    def test_raising_tick_accounts_for_every_drained_ticket(self):
+        """Regression: one object registered with ``pool=True`` but
+        labeled reads makes the coalesced decode of its window raise.
+        The four drained tickets used to vanish (no ``complete`` event,
+        no outcome, ``health()`` still ok); each now leaves an ``error``
+        event and an ``error`` outcome."""
+        store = make_store()
+        objects = make_objects(store, 4)
+        service = StoreService(store, cache_capacity=64)
+        oids = list(objects)
+        for oid, (reads, bits) in objects.items():
+            service.put(oid, reads, bits.size, pool=oid == oids[1])
+        tickets = [service.submit(oid) for oid in oids]
+        with pytest.raises(ValueError, match="unit pools"):
+            service.tick()
+
+        assert service.queue_depth == 0
+        assert service.events.records("complete") == []
+        errors = service.events.records("error")
+        assert [e["request_id"] for e in errors] == tickets
+        assert [e["object_id"] for e in errors] == oids
+        for event in errors:
+            assert event["tick"] == 0
+            assert event["error"] == "ValueError"
+            assert "unit pools" in event["message"]
+        snapshot = service.metrics.snapshot()
+        assert snapshot["counters"]["service.errors"] == 4
+        assert snapshot["histograms"]["service.read_outcomes"] == {
+            "error": 4}
+        health = service.health()
+        assert health.failure_rate == 1.0
+        assert health.verdict != "ok"
+
+        # The plane keeps serving: a later tick of good objects answers.
+        reads, bits = objects[oids[1]]
+        service.put(oids[1], reads, bits.size)
+        for oid in oids:
+            service.submit(oid)
+        answers = service.tick()
+        assert [answer.object_id for answer in answers] == oids
+        for answer in answers:
+            assert answer.clean
+            np.testing.assert_array_equal(answer.bits,
+                                          objects[answer.object_id][1])
+        assert len(service.events.records("complete")) == 4
