@@ -42,6 +42,11 @@ suite)::
     python benchmarks/check_trend.py --baseline /tmp/baseline \
         --fresh benchmarks/out
 
+``--skip-timings`` is the mirror of ``--skip-series``: series are checked
+(and stages with ``--stage``), wall clock is not. The per-PR
+``figure-series`` CI job uses it, since a shared runner's speed varies
+from run to run but a seeded figure's series must not.
+
 Exit code 0 = no regression, 1 = regression, 2 = bad invocation.
 """
 
@@ -258,6 +263,9 @@ def main(argv=None) -> int:
                              "substrings (default: all)")
     parser.add_argument("--skip-series", action="store_true",
                         help="compare timings only")
+    parser.add_argument("--skip-timings", action="store_true",
+                        help="compare series (and stages with --stage) "
+                             "only")
     parser.add_argument("--stage", action="store_true",
                         help="also compare per-stage wall-time shares "
                              "from the MANIFEST_*.json run manifests")
@@ -271,15 +279,16 @@ def main(argv=None) -> int:
         if not directory.is_dir():
             print(f"error: {directory} is not a directory", file=sys.stderr)
             return 2
-    baseline = load_timings(args.baseline)
-    fresh = load_timings(args.fresh)
-    if not baseline or not fresh:
-        print("error: missing BENCH_timings.json on one side",
-              file=sys.stderr)
-        return 2
-
-    rows = compare_timings(baseline, fresh, args.tolerance,
-                           args.min_seconds, args.only)
+    rows = []
+    if not args.skip_timings:
+        baseline = load_timings(args.baseline)
+        fresh = load_timings(args.fresh)
+        if not baseline or not fresh:
+            print("error: missing BENCH_timings.json on one side",
+                  file=sys.stderr)
+            return 2
+        rows = compare_timings(baseline, fresh, args.tolerance,
+                               args.min_seconds, args.only)
     width = max((len(r[1]) for r in rows), default=10)
     for kind, test_id, base_s, fresh_s in rows:
         base_txt = "-" if base_s is None else f"{base_s:8.3f}s"
@@ -315,8 +324,10 @@ def main(argv=None) -> int:
               f"{len(series_problems)} series drift(s), "
               f"{len(stage_problems)} stage drift(s) past tolerance")
         return 1
-    print(f"\nOK: {sum(1 for r in rows if r[0] in ('ok', 'improvement'))} "
-          f"tracked timings within +{args.tolerance:.0%}, series stable")
+    timings = ("timings not compared" if args.skip_timings else
+               f"{sum(1 for r in rows if r[0] in ('ok', 'improvement'))} "
+               f"tracked timings within +{args.tolerance:.0%}")
+    print(f"\nOK: {timings}, series stable")
     return 0
 
 

@@ -12,10 +12,14 @@ Both directions ride *one* batched one-way scan. The ``int8`` read matrix
 back to back, with one weighted row per distinct (cluster, read), and holds
 every such row twice: forward, and reversed under cluster id
 ``+ n_clusters`` with the same weight. A step of the scan then votes, and
-pays for disagreeing rows, in both directions at once. A scan's output at a position never
-depends on later positions, so the stacked scan stops once each direction
-has produced the half it keeps: ``L - L // 2`` steps instead of two scans
-of ``L``.
+pays for disagreeing rows, in both directions at once. Each direction of
+a cluster settles on its own before the first step (see
+:meth:`~repro.consensus.bma.OneWayReconstructor.scan_padded`): when one
+row holds a strict majority of the direction's weight and reaches its
+last step, that direction's half comes straight from the row. A scan's
+output at a position never depends on later positions, so the stacked
+scan stops once each direction has produced the half it keeps:
+``L - L // 2`` steps instead of two scans of ``L``.
 """
 
 from __future__ import annotations

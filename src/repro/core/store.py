@@ -35,6 +35,7 @@ plane builds its tick loop on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -112,11 +113,8 @@ class ReadRequest:
     clustered first). Options travel with the request, so
     :meth:`DnaStore.read_many` can coalesce requests with heterogeneous
     options into shared batch passes. Every request of a call is checked
-    before any layer runs: ``reads`` must not be ``None``,
-    ``n_data_bits`` must be a non-negative integer (Python or numpy, not
-    ``bool`` or ``float``) and a ``ranking`` a permutation of
-    ``range(n_data_bits)``; a ``TypeError``/``ValueError`` names the
-    field.
+    by :func:`check_request` before any layer runs; a
+    ``TypeError``/``ValueError`` names the field.
 
     Attributes:
         reads: the read material — anything :data:`StoreReads` accepts
@@ -127,7 +125,8 @@ class ReadRequest:
             and is clustered before decoding.
         ranking: the global priority permutation used at encode time.
         confidence_threshold: advisory-erasure threshold, as in
-            :meth:`~repro.core.pipeline.DnaStoragePipeline.receive`.
+            :meth:`~repro.core.pipeline.DnaStoragePipeline.receive`;
+            ``None`` or a real number in [0, 1].
         clusterer: pooled requests only — which clusterer recovers the
             pool's clusters: :class:`~repro.cluster.BatchedGreedyClusterer`
             (exact greedy scan, the default at a strand-length-derived
@@ -149,6 +148,60 @@ class ReadRequest:
     clusterer: Optional[PoolClusterer] = None
     object_id: Optional[object] = None
     request_id: Optional[int] = None
+
+
+def check_request(request: ReadRequest) -> None:
+    """Reject a malformed request with a typed error naming its field.
+
+    ``reads`` must not be ``None`` (``TypeError``). ``n_data_bits`` must
+    be an integer, Python or numpy, not ``bool`` or ``float``
+    (``TypeError``), and non-negative (``ValueError``). A ``ranking``
+    must be a permutation of ``range(n_data_bits)`` (``ValueError``). A
+    ``confidence_threshold`` must be ``None`` or a real number, not
+    ``bool`` (``TypeError``), in [0, 1], so not ``nan`` (``ValueError``).
+    Cost: O(1), plus O(n_data_bits) for a ranked request. A pooled
+    request's pool count is checked against its unit count by the store
+    that decodes it.
+    """
+    if request.reads is None:
+        raise TypeError("ReadRequest.reads is None")
+    n_bits = request.n_data_bits
+    if isinstance(n_bits, bool) or not isinstance(n_bits, (int, np.integer)):
+        raise TypeError(
+            "ReadRequest.n_data_bits must be an integer, got "
+            f"{type(n_bits).__name__}"
+        )
+    if n_bits < 0:
+        raise ValueError(
+            f"ReadRequest.n_data_bits must be non-negative, got {n_bits}"
+        )
+    if request.ranking is not None:
+        # n_data_bits integers in [0, n_data_bits), none twice.
+        ranking = np.asarray(request.ranking)
+        if not (ranking.shape == (n_bits,)
+                and np.issubdtype(ranking.dtype, np.integer)
+                and (n_bits == 0
+                     or (ranking.min() >= 0
+                         and ranking.max() < n_bits
+                         and np.bincount(ranking.astype(np.int64))
+                         .max() == 1))):
+            raise ValueError(
+                "ReadRequest.ranking must be a permutation of "
+                f"range(n_data_bits) = range({n_bits})"
+            )
+    threshold = request.confidence_threshold
+    if threshold is not None:
+        if isinstance(threshold, bool) or not isinstance(threshold,
+                                                         numbers.Real):
+            raise TypeError(
+                "ReadRequest.confidence_threshold must be a real number "
+                f"or None, got {type(threshold).__name__}"
+            )
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(
+                "ReadRequest.confidence_threshold must be in [0, 1], got "
+                f"{threshold}"
+            )
 
 
 @dataclass
@@ -293,41 +346,12 @@ class DnaStore:
         :meth:`_assemble_bits`).
         """
         # Every request is checked before any layer runs, so a malformed
-        # one fails early with a typed error naming its field. Cost:
-        # O(requests), plus O(n_data_bits) for a ranked request.
+        # one fails early with a typed error naming its field.
         for request in requests:
-            if request.reads is None:
-                raise TypeError("ReadRequest.reads is None")
-            n_bits = request.n_data_bits
-            if isinstance(n_bits, bool) or not isinstance(
-                n_bits, (int, np.integer)
-            ):
-                raise TypeError(
-                    "ReadRequest.n_data_bits must be an integer, got "
-                    f"{type(n_bits).__name__}"
-                )
-            if n_bits < 0:
-                raise ValueError(
-                    f"ReadRequest.n_data_bits must be non-negative, got "
-                    f"{n_bits}"
-                )
-            if request.ranking is not None:
-                # n_data_bits integers in [0, n_data_bits), none twice.
-                ranking = np.asarray(request.ranking)
-                if not (ranking.shape == (n_bits,)
-                        and np.issubdtype(ranking.dtype, np.integer)
-                        and (n_bits == 0
-                             or (ranking.min() >= 0
-                                 and ranking.max() < n_bits
-                                 and np.bincount(ranking.astype(np.int64))
-                                 .max() == 1))):
-                    raise ValueError(
-                        "ReadRequest.ranking must be a permutation of "
-                        f"range(n_data_bits) = range({n_bits})"
-                    )
+            check_request(request)
             if request.pool:
                 self._validate_pool(request.reads,
-                                    self.units_needed(n_bits))
+                                    self.units_needed(request.n_data_bits))
 
         results: List = [None] * len(requests)
         # One receive_many per distinct confidence threshold (the

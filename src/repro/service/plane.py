@@ -36,7 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.store import DnaStore, ReadRequest, ReadResult
+from repro.core.store import (
+    DnaStore,
+    ReadRequest,
+    ReadResult,
+    check_request,
+)
 from repro.observability.events import EventLog
 from repro.observability.export import (
     ServiceHealth,
@@ -133,7 +138,15 @@ class StoreService:
         Re-putting an existing ``object_id`` is the re-encode path: the
         epoch bumps and every cached unit of the object is invalidated,
         so the next read decodes the new material.
+
+        ``reads``, ``n_data_bits`` and ``confidence_threshold`` pass
+        :func:`~repro.core.store.check_request` first, so a malformed
+        object raises here, naming the field, and leaves the catalog and
+        the cache as they were. The ``ranking`` (an O(n_data_bits) check)
+        and a pool's shape are checked when the object is decoded.
         """
+        check_request(ReadRequest(reads, n_data_bits,
+                                  confidence_threshold=confidence_threshold))
         previous = self._catalog.get(object_id)
         epoch = 0 if previous is None else previous.epoch + 1
         if previous is not None:

@@ -320,6 +320,35 @@ class TestMain:
             "--skip-series",
         ]) == 0
 
+    def test_skip_timings_gates_series_and_stages_only(self, evidence,
+                                                      capsys):
+        """The per-PR figure-series gate: a wall-clock regression with
+        stable series passes only with ``--skip-timings``, and a series
+        or stage drift still fails with it."""
+        baseline, fresh = evidence
+        stable = {"BENCH_t.json": {"title": "t", "x": [1],
+                                   "series": {"s": [1.0]}}}
+        write_evidence(baseline, {"a": 5.0}, stable)
+        write_evidence(fresh, {"a": 12.0}, stable)
+        argv = ["--baseline", str(baseline), "--fresh", str(fresh)]
+        assert check_trend.main(argv) == 1
+        capsys.readouterr()
+        assert check_trend.main(argv + ["--skip-timings"]) == 0
+        out = capsys.readouterr().out
+        assert "regression" not in out
+        assert "OK: timings not compared" in out
+
+        write_manifest(baseline, "fig", {"cluster": 1.0, "consensus": 4.0})
+        write_manifest(fresh, "fig", {"cluster": 4.0, "consensus": 1.0})
+        assert check_trend.main(argv + ["--skip-timings"]) == 0
+        assert check_trend.main(argv + ["--skip-timings", "--stage"]) == 1
+
+        write_evidence(fresh, {"a": 12.0}, {"BENCH_t.json": {
+            "title": "t", "x": [1], "series": {"s": [2.0]}}})
+        capsys.readouterr()
+        assert check_trend.main(argv + ["--skip-timings"]) == 1
+        assert "series-drift" in capsys.readouterr().out
+
     def test_missing_directory_exits_two(self, tmp_path):
         assert check_trend.main([
             "--baseline", str(tmp_path / "nope"),

@@ -294,3 +294,41 @@ class TestRequestValidation:
         assert "consensus.reconstruct" not in tracer.stage_totals()
         [event] = service.events.records("error")
         assert event["request_id"] == ticket
+
+
+class TestThresholdRange:
+    """A request's ``confidence_threshold`` is ``None`` or a real number
+    in [0, 1]. Past 1 every payload cell is flagged and the soft
+    erasures fill the RS budget; ``nan`` silently flags nothing. Both are
+    rejected before any layer runs, alone and behind a good request."""
+
+    @pytest.mark.parametrize("threshold", [-1.0, 2.0, float("inf"),
+                                           float("nan")])
+    def test_out_of_range_rejected(self, fixture_store, threshold):
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=33)
+        bad = ReadRequest(reads, bits.size, confidence_threshold=threshold)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(ValueError, match="confidence_threshold"):
+                store.read(bad)
+            with pytest.raises(ValueError, match="confidence_threshold"):
+                store.read_many([ReadRequest(reads, bits.size), bad])
+        assert "consensus.reconstruct" not in tracer.stage_totals()
+
+    @pytest.mark.parametrize("threshold", [True, "0.5"])
+    def test_non_real_rejected(self, fixture_store, threshold):
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=34)
+        with pytest.raises(TypeError, match="confidence_threshold"):
+            store.read(ReadRequest(reads, bits.size,
+                                   confidence_threshold=threshold))
+
+    @pytest.mark.parametrize("threshold", [None, 0.0, 0.5, 1.0])
+    def test_in_range_accepted(self, fixture_store, threshold):
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=35)
+        result = store.read(ReadRequest(reads, bits.size,
+                                        confidence_threshold=threshold))
+        assert result.clean
+        np.testing.assert_array_equal(result.bits, bits)

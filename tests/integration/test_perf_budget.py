@@ -59,6 +59,12 @@ CONSENSUS_SPEEDUP_FACTOR = 40
 #: read) (30% on the unit below).
 DISTINCT_ROW_SHARE = 0.4
 
+#: Most share of rows per non-empty read that may enter the two-way
+#: scan's step loop on the same unit: a cluster whose heaviest row holds
+#: a strict majority is settled before the first step (0.6% on the unit
+#: below; 30% without the settle).
+SETTLED_SCAN_SHARE = 0.05
+
 #: Seconds allowed for one batched store-plane decode of the many-unit
 #: perf configuration below.
 STORE_DECODE_BUDGET_SECONDS = 0.5
@@ -227,6 +233,28 @@ class TestPerfBudget:
         assert scanned[0] <= DISTINCT_ROW_SHARE * reads, (
             f"the two-way scan got {scanned[0]} rows for {reads} reads; "
             "duplicate reads are no longer sharing weighted rows"
+        )
+
+    def test_two_way_step_loop_skips_settled_clusters(self):
+        """Deterministic floor for the settle: on the serve-shaped unit
+        the rows that enter the two-way scan's step loop
+        (``consensus.scanned_rows``) are at most 5% of the batch's
+        non-empty reads in its two directions. At 1% error nearly every
+        cluster has one distinct read holding a strict majority, and
+        its estimate is that read."""
+        from repro.consensus import TwoWayReconstructor
+        from repro.observability import Tracer, use_tracer
+
+        batch = ReadBatch.from_arrays(workload_unit(28, 256, 16, 28, 0.01))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            TwoWayReconstructor().reconstruct_batch(batch, 28)
+        scanned = tracer.metrics.snapshot()["counters"][
+            "consensus.scanned_rows"]
+        reads = 2 * int(np.count_nonzero(batch.lengths))
+        assert scanned <= SETTLED_SCAN_SHARE * reads, (
+            f"the two-way step loop got {scanned} rows for {reads} reads; "
+            "strict-majority clusters are no longer settled before it"
         )
 
     @pytest.mark.slow

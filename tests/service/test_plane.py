@@ -541,3 +541,87 @@ class TestFailedTick:
             np.testing.assert_array_equal(answer.bits,
                                           objects[answer.object_id][1])
         assert len(service.events.records("complete")) == 4
+
+
+class TestPutValidation:
+    """``put`` checks an object's reads, size and threshold before it
+    touches the catalog or the cache. A malformed object used to register
+    and then raise inside a later tick (``range(n_units)`` over a float
+    unit count), taking the good tickets of its window down with it."""
+
+    @pytest.mark.parametrize("n_data_bits,error", [
+        (lambda n: float(n), TypeError),
+        (lambda n: -5, ValueError),
+        (lambda n: None, TypeError),
+    ], ids=["float_bits", "negative_bits", "none_bits"])
+    def test_malformed_size_raises_at_put(self, n_data_bits, error):
+        store = make_store()
+        objects = make_objects(store, 1, units=2)
+        reads, bits = objects["obj0"]
+        service = StoreService(store, cache_capacity=64)
+        assert service.put("x", reads, bits.size) == 0
+        service.submit("x")
+        service.tick()
+        cached = len(service.cache)
+        assert cached == 2
+
+        with pytest.raises(error, match="n_data_bits"):
+            service.put("x", reads, n_data_bits(bits.size))
+        with pytest.raises(error, match="n_data_bits"):
+            service.put("bad", reads, n_data_bits(bits.size))
+
+        # The previous epoch survives, cached units and all, and the
+        # rejected object was never registered.
+        assert len(service.cache) == cached
+        with pytest.raises(KeyError):
+            service.submit("bad")
+        service.submit("x")
+        [answer] = service.tick()
+        assert answer.cache_hit
+        np.testing.assert_array_equal(answer.bits, bits)
+
+    def test_good_ticket_answered_after_a_rejected_put(self):
+        store = make_store()
+        objects = make_objects(store, 1, units=2)
+        reads, bits = objects["obj0"]
+        service = StoreService(store, cache_capacity=64)
+        service.put("good", reads, bits.size)
+        with pytest.raises(TypeError, match="n_data_bits"):
+            service.put("bad", reads, float(bits.size))
+        ticket = service.submit("good")
+        [answer] = service.tick()
+        assert answer.request_id == ticket
+        assert answer.clean
+        np.testing.assert_array_equal(answer.bits, bits)
+        assert service.events.records("error") == []
+        assert service.health().verdict == "ok"
+
+    def test_reads_none_raises_at_put(self):
+        service = StoreService(make_store())
+        with pytest.raises(TypeError, match="reads"):
+            service.put("x", None, 8)
+        with pytest.raises(KeyError):
+            service.submit("x")
+
+    @pytest.mark.parametrize("threshold", [-1.0, 2.0, float("inf"),
+                                           float("nan")])
+    def test_threshold_out_of_range_raises_at_put(self, threshold):
+        store = make_store()
+        reads, bits = make_objects(store, 1)["obj0"]
+        service = StoreService(store)
+        with pytest.raises(ValueError, match="confidence_threshold"):
+            service.put("x", reads, bits.size,
+                        confidence_threshold=threshold)
+        with pytest.raises(KeyError):
+            service.submit("x")
+
+    @pytest.mark.parametrize("threshold", [None, 0.0, 0.5, 1.0])
+    def test_threshold_in_range_accepted_at_put(self, threshold):
+        store = make_store()
+        reads, bits = make_objects(store, 1)["obj0"]
+        service = StoreService(store)
+        assert service.put("x", reads, bits.size,
+                           confidence_threshold=threshold) == 0
+        service.submit("x")
+        [answer] = service.tick()
+        assert answer.bits.size == bits.size
