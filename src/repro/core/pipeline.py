@@ -30,13 +30,20 @@ import numpy as np
 
 from repro.channel.readbatch import ReadBatch
 from repro.channel.sequencer import ReadCluster
-from repro.codec.basemap import indices_to_bases
+from repro.codec.basemap import BASES
 from repro.consensus.base import Reconstructor, consensus_span
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.core.layout import LayoutPolicy, MatrixConfig, build_layout
 from repro.ecc.batched import reason_counts
 from repro.ecc.reed_solomon import ReedSolomon
 from repro.observability.trace import get_tracer
+
+#: Row ``b`` spells byte ``b`` as four ASCII bases, high bit pair first
+#: (00=A, 01=C, 10=G, 11=T). Each row is read as one 4-byte word, so a
+#: strand render gathers whole rows, not single bases.
+_BYTE_BASES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)[
+    (np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3
+].view(np.uint32)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ class DnaStoragePipeline:
         handled globally by :class:`~repro.core.store.DnaStore` before
         striping). All units' placement scatters, parity codewords (one
         :meth:`~repro.ecc.reed_solomon.ReedSolomon.parity_many` matrix
-        product) and strand renderings (one bits->bases pass) run as
+        product) and strand renderings (one byte-table pass) run as
         single array operations over a ``(n_units, ...)`` stack; output
         is byte-identical to the frozen per-cell loop encoder
         (``tests/oracles/core.py``).
@@ -271,13 +278,16 @@ class DnaStoragePipeline:
         return matrices
 
     def _render_strands(self, matrices: np.ndarray) -> List[List[str]]:
-        """All columns of all units -> strands, one bits->bases pass.
+        """All columns of all units -> strands, one byte-table pass.
 
         Each strand is its column index symbol followed by the column's
-        payload symbols, expanded MSB-first to bits and packed two bits
-        per base (00=A, 01=C, 10=G, 11=T); the only per-strand Python
-        work left is slicing the final ACGT string out of one big decoded
-        buffer.
+        payload symbols, MSB-first at two bits per base (00=A, 01=C,
+        10=G, 11=T). Every symbol's big-endian bytes (one for ``m <= 8``,
+        two for ``m <= 16``) look up their four ASCII bases each in
+        ``_BYTE_BASES``; the leading ``4 * bytes - m / 2`` bases of a
+        symbol spell its zero high bits and are dropped, and the buffer
+        is decoded once. The only per-strand Python work left is slicing
+        each ACGT string out of that buffer.
         """
         config = self.matrix_config
         n_units = matrices.shape[0]
@@ -287,12 +297,14 @@ class DnaStoragePipeline:
         )
         values = np.concatenate([index_row, matrices], axis=1)
         values = values.transpose(0, 2, 1)  # (n_units, n_columns, symbols)
-        shifts = np.arange(config.m - 1, -1, -1, dtype=np.int64)
-        bits = ((values[..., None] >> shifts) & 1).reshape(
-            n_units, n_columns, -1
-        )
-        bases = (2 * bits[:, :, 0::2] + bits[:, :, 1::2]).astype(np.uint8)
-        big = indices_to_bases(bases.reshape(-1))
+        n_bytes = 1 if config.m <= 8 else 2
+        octets = np.ascontiguousarray(
+            values, dtype=np.uint8 if n_bytes == 1 else ">u2"
+        ).view(np.uint8)
+        bases = _BYTE_BASES[octets].view(np.uint8).reshape(
+            n_units, n_columns, values.shape[2], 4 * n_bytes
+        )[..., 4 * n_bytes - config.m // 2:]
+        big = bases.tobytes().decode("ascii")
         length = config.strand_length
         return [
             [big[(u * n_columns + c) * length:

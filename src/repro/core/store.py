@@ -159,9 +159,10 @@ def check_request(request: ReadRequest) -> None:
     must be a permutation of ``range(n_data_bits)`` (``ValueError``). A
     ``confidence_threshold`` must be ``None`` or a real number, not
     ``bool`` (``TypeError``), in [0, 1], so not ``nan`` (``ValueError``).
-    Cost: O(1), plus O(n_data_bits) for a ranked request. A pooled
-    request's pool count is checked against its unit count by the store
-    that decodes it.
+    Cost: O(1), plus O(n_data_bits) for a ranked request. The reads'
+    form and unit count (a pooled request's pool count, a labeled
+    request's clusters or units) are checked against the unit count by
+    the store that decodes it, also before any layer runs.
     """
     if request.reads is None:
         raise TypeError("ReadRequest.reads is None")
@@ -349,9 +350,11 @@ class DnaStore:
         # one fails early with a typed error naming its field.
         for request in requests:
             check_request(request)
+            n_units = self.units_needed(request.n_data_bits)
             if request.pool:
-                self._validate_pool(request.reads,
-                                    self.units_needed(request.n_data_bits))
+                self._validate_pool(request.reads, n_units)
+            else:
+                self._validate_reads(request.reads, n_units)
 
         results: List = [None] * len(requests)
         # One receive_many per distinct confidence threshold (the
@@ -466,6 +469,23 @@ class DnaStore:
             owners.extend(segment_owners)
         return ReadBatch.concat(batches), np.concatenate(pieces), owners
 
+    def _validate_reads(self, reads: StoreReads, n_units: int) -> None:
+        """Check a labeled request's reads against its unit count: a
+        spanning :class:`ReadBatch` holds ``n_units x n_columns``
+        clusters, and a list holds one batch or cluster list per unit."""
+        if isinstance(reads, ReadBatch):
+            n_columns = self.pipeline.matrix_config.n_columns
+            if reads.n_clusters != n_units * n_columns:
+                raise ValueError(
+                    f"ReadRequest.reads holds {reads.n_clusters} clusters; "
+                    f"expected {n_units} units x {n_columns} columns"
+                )
+        elif len(reads) != n_units:
+            raise ValueError(
+                f"ReadRequest.reads holds {len(reads)} units; expected "
+                f"{n_units}"
+            )
+
     def _validate_pool(self, pool, n_units: int) -> None:
         if not isinstance(pool, ReadBatch):
             raise TypeError(
@@ -536,21 +556,13 @@ class DnaStore:
 
         ``boundaries`` is the per-unit cluster boundary table
         (``boundaries[u] .. boundaries[u+1]`` are unit ``u``'s cluster
-        slots in the spanning batch).
+        slots in the spanning batch). The form and unit count were
+        checked up front by :meth:`_validate_reads`.
         """
         if isinstance(reads, ReadBatch):
             n_columns = self.pipeline.matrix_config.n_columns
-            if reads.n_clusters != n_units * n_columns:
-                raise ValueError(
-                    f"spanning batch holds {reads.n_clusters} clusters; "
-                    f"expected {n_units} units x {n_columns} columns"
-                )
             boundaries = np.arange(n_units + 1, dtype=np.int64) * n_columns
             return reads, boundaries
-        if len(reads) != n_units:
-            raise ValueError(
-                f"expected clusters for {n_units} units, got {len(reads)}"
-            )
         per_unit = [
             unit if isinstance(unit, ReadBatch)
             else ReadBatch.from_clusters(unit)

@@ -150,13 +150,15 @@ class ReedSolomon:
         ``message`` bits hitting generator entries whose ``x^t``-scaled
         value has bit ``s`` set. The returned matrix W has shape
         ``(k * m, nsym * m)`` with ``W[i*m + t, j*m + s] = bit_s(x^t *
-        G[i, j])``, stored as float64 so the product runs through BLAS.
+        G[i, j])``, stored as float32 so the product runs through BLAS.
+        float32 is exact here: a product cell counts fewer than ``2^20``
+        ones, and float32 holds every integer below ``2^24``.
         """
         if self._parity_bits is None:
             rows = self._parity_generator_rows()
             shifts = np.arange(self.m, dtype=np.int64)
             bits = np.empty((self.k, self.m, self.nsym, self.m),
-                            dtype=np.float64)
+                            dtype=np.float32)
             for t in range(self.m):
                 scaled = self.field.scale_vec(rows, 1 << t)
                 bits[:, t, :, :] = (scaled[:, :, None] >> shifts) & 1
@@ -173,6 +175,11 @@ class ReedSolomon:
         evaluated as a single bit-plane 0/1 matrix product (see
         :meth:`_parity_bit_matrix`) followed by a mod-2 reduction and bit
         re-packing — no per-codeword polynomial division.
+
+        The product runs in float32 and is exact: each output cell sums
+        at most ``k * m < 2^20`` products of 0 and 1, and float32 holds
+        every integer below ``2^24``, so every partial sum is exact in
+        whatever order BLAS adds.
         """
         messages = np.asarray(messages, dtype=np.int64)
         if messages.ndim != 2 or messages.shape[1] != self.k:
@@ -184,16 +191,35 @@ class ReedSolomon:
             raise ValueError("message symbols out of field range")
         if messages.shape[0] == 0:
             return np.zeros((0, self.nsym), dtype=np.int64)
-        shifts = np.arange(self.m, dtype=np.int64)
-        message_bits = ((messages[:, :, None] >> shifts) & 1).reshape(
-            messages.shape[0], self.k * self.m
-        ).astype(np.float64)
-        # Bit counts stay far below 2^53, so the float64 product is exact.
-        counts = message_bits @ self._parity_bit_matrix()
-        parity_bits = (counts.astype(np.int64) & 1).reshape(
-            messages.shape[0], self.nsym, self.m
+        counts = self._bit_planes(messages) @ self._parity_bit_matrix()
+        return self._pack_counts(counts)
+
+    def _bit_planes(self, symbols: np.ndarray) -> np.ndarray:
+        """``(B, c)`` symbols -> ``(B, c * m)`` float32 0/1 bit planes.
+
+        One ``np.unpackbits`` over the symbols' little-endian bytes (one
+        per symbol for ``m <= 8``, two for ``m <= 16``) keeps the first
+        ``m`` bits of each, so bit ``t`` of ``symbols[b, i]`` lands at
+        column ``i*m + t`` — the row layout of the bit matrices.
+        """
+        dtype = np.dtype(np.uint8 if self.m <= 8 else "<u2")
+        octets = symbols.astype(dtype).view(np.uint8).reshape(
+            symbols.shape[0], symbols.shape[1], dtype.itemsize
         )
-        return (parity_bits << shifts).sum(axis=2)
+        bits = np.unpackbits(octets, axis=2, count=self.m,
+                             bitorder="little")
+        return bits.reshape(
+            symbols.shape[0], symbols.shape[1] * self.m
+        ).astype(np.float32)
+
+    def _pack_counts(self, counts: np.ndarray) -> np.ndarray:
+        """``(B, nsym * m)`` bit counts -> ``(B, nsym)`` symbols: the
+        mod-2 reduction and shift-sum re-pack of a bit-plane product."""
+        shifts = np.arange(self.m, dtype=np.int64)
+        bits = (counts.astype(np.int64) & 1).reshape(
+            counts.shape[0], self.nsym, self.m
+        )
+        return (bits << shifts).sum(axis=2)
 
     # -- decoding ------------------------------------------------------------
 
@@ -282,7 +308,9 @@ class ReedSolomon:
         sum_i word[i] * alpha^(j * (n-1-i))`` is GF-linear in the word,
         so all syndromes of all words reduce to one 0/1 matrix product.
         Shape ``(n * m, nsym * m)`` with ``V[i*m + t, j*m + s] =
-        bit_s(x^t * alpha^(j*(n-1-i)))``, stored float64 for BLAS.
+        bit_s(x^t * alpha^(j*(n-1-i)))``, stored float32 for BLAS: a
+        product cell counts fewer than ``2^20`` ones, below float32's
+        ``2^24`` integer limit, so the product is exact.
         """
         if self._syndrome_points is None:
             powers = np.array(
@@ -292,7 +320,7 @@ class ReedSolomon:
             )  # (n, nsym)
             shifts = np.arange(self.m, dtype=np.int64)
             bits = np.empty((self.n, self.m, self.nsym, self.m),
-                            dtype=np.float64)
+                            dtype=np.float32)
             for t in range(self.m):
                 scaled = self.field.scale_vec(powers, 1 << t)
                 bits[:, t, :, :] = (scaled[:, :, None] >> shifts) & 1
@@ -310,6 +338,10 @@ class ReedSolomon:
         re-packed), so checking a whole store's codewords costs one BLAS
         call instead of ``B * n`` scalar field operations. A word is a
         valid codeword exactly when its syndrome row is all zero.
+
+        The float32 product is exact: a cell sums at most ``n * m <=
+        (2^16 - 1) * 16 < 2^20`` products of 0 and 1, below float32's
+        ``2^24`` integer limit, whatever order BLAS adds in.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
@@ -317,15 +349,8 @@ class ReedSolomon:
         if words.size and (words.min() < 0
                            or words.max() > self.field.max_value):
             raise ValueError("word symbols out of field range")
-        shifts = np.arange(self.m, dtype=np.int64)
-        word_bits = ((words[:, :, None] >> shifts) & 1).reshape(
-            words.shape[0], self.n * self.m
-        ).astype(np.float64)
-        counts = word_bits @ self._syndrome_bit_matrix()
-        syndrome_bits = (counts.astype(np.int64) & 1).reshape(
-            words.shape[0], self.nsym, self.m
-        )
-        return (syndrome_bits << shifts).sum(axis=2)
+        counts = self._bit_planes(words) @ self._syndrome_bit_matrix()
+        return self._pack_counts(counts)
 
     def check(self, word: Sequence[int]) -> bool:
         """Return True if ``word`` is a valid codeword (all syndromes zero)."""

@@ -265,6 +265,28 @@ class TestRequestValidation:
                                  make(reads, bits.size)])
         assert "consensus.reconstruct" not in tracer.stage_totals()
 
+    @pytest.mark.parametrize("make_bad", [
+        lambda reads: reads.select_clusters(0, MATRIX.n_columns),
+        lambda reads: [reads.select_clusters(0, MATRIX.n_columns)],
+    ], ids=["short_spanning_batch", "list_missing_a_unit"])
+    def test_reads_form_rejected_before_any_group_runs(
+        self, fixture_store, make_bad
+    ):
+        """Reads that do not cover the request's units are rejected up
+        front, also when they sit in a later threshold group than a good
+        request: no group's consensus runs first."""
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=36)
+        bad = ReadRequest(make_bad(reads), bits.size,
+                          confidence_threshold=0.5)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(ValueError, match="reads"):
+                store.read(bad)
+            with pytest.raises(ValueError, match="reads"):
+                store.read_many([ReadRequest(reads, bits.size), bad])
+        assert "consensus.reconstruct" not in tracer.stage_totals()
+
     def test_numpy_integer_bits_and_valid_ranking_accepted(
         self, fixture_store
     ):

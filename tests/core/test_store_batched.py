@@ -118,6 +118,30 @@ class TestBatchedEncode:
             assert unit.strands == reference.strands
             np.testing.assert_array_equal(unit.matrix, reference.matrix)
 
+    @pytest.mark.parametrize("matrix", [
+        MatrixConfig(m=4, n_columns=15, nsym=4, payload_rows=5),
+        MatrixConfig(m=6, n_columns=40, nsym=8, payload_rows=6),
+        MatrixConfig(m=10, n_columns=40, nsym=8, payload_rows=6),
+        MatrixConfig(m=12, n_columns=40, nsym=8, payload_rows=6),
+        MatrixConfig(m=16, n_columns=40, nsym=8, payload_rows=6),
+    ], ids=lambda matrix: f"m{matrix.m}")
+    def test_encode_matches_loop_reference_at_other_symbol_sizes(
+        self, rng, matrix
+    ):
+        """The strand render spells each symbol's bytes from a byte
+        table and drops the bases of the unused high bits; every symbol
+        width must render like the per-cell loop, for random and
+        all-ones payloads."""
+        pipeline = DnaStore(PipelineConfig(matrix=matrix,
+                                           layout="gini")).pipeline
+        random_bits = rng.integers(0, 2, pipeline.capacity_bits)
+        for bits in (random_bits.astype(np.uint8),
+                     np.ones(pipeline.capacity_bits, dtype=np.uint8)):
+            batched = pipeline.encode(bits)
+            reference = encode_loop_reference(pipeline, bits)
+            assert batched.strands == reference.strands
+            np.testing.assert_array_equal(batched.matrix, reference.matrix)
+
 
 class TestBatchedDecodeDifferential:
     def test_multi_unit_spanning_batch(self, rng):

@@ -6,14 +6,16 @@ counts, and which rows fail — across error/erasure mixes at, below, and
 beyond capability, duplicate and boundary erasure indices, shortened
 codes, and all-erasure rows. The pipeline's two-wave soft-erasure routing
 (``correct_matrix_many``) is pinned the same way against the frozen
-per-codeword loop (``correct_matrix_loop_reference``).
+per-codeword loop (``correct_matrix_loop_reference``), and the float32
+bit-plane products (``parity_many``/``syndromes_many``) against the
+frozen float64 ones (``Float64BitPlaneProducts``).
 """
 
 import numpy as np
 import pytest
 
 from oracles.core import correct_matrix_loop_reference
-from oracles.ecc import ReferenceReedSolomon
+from oracles.ecc import Float64BitPlaneProducts, ReferenceReedSolomon
 from repro.core.layout import MatrixConfig
 from repro.core.pipeline import (
     DnaStoragePipeline,
@@ -197,6 +199,39 @@ class TestBatchedVsReference:
         result = rs.decode_many(word[None, :])
         assert not result.ok[0]
         assert int(result.reasons[0]) in REASON_LABELS
+
+
+class TestBitPlaneProductsVsFloat64Reference:
+    """The float32 products equal the frozen float64 ones byte for byte
+    at the benchmark's paper-scale and pool geometries."""
+
+    @pytest.mark.parametrize("m,nsym,n,n_rows", [
+        (16, 22, 120, 164),  # archive: 2 units x 82 codewords
+        (8, 47, 255, 30),    # pool: 1 unit x 30 codewords
+    ], ids=["archive", "pool"])
+    def test_products_match_float64_reference(self, m, nsym, n, n_rows):
+        rs = ReedSolomon(m, nsym=nsym, n=n)
+        reference = Float64BitPlaneProducts(rs)
+        rng = np.random.default_rng(m * 1000 + n)
+        top = rs.field.max_value
+        messages = np.vstack([
+            rng.integers(0, top + 1, size=(n_rows, rs.k)),
+            np.zeros((1, rs.k), dtype=np.int64),
+            np.full((1, rs.k), top),
+        ])
+        parity = rs.parity_many(messages)
+        np.testing.assert_array_equal(parity,
+                                      reference.parity_many(messages))
+        words = np.vstack([
+            np.hstack([messages, parity]),  # codewords: zero syndromes
+            rng.integers(0, top + 1, size=(n_rows, n)),
+            np.full((1, n), top),
+        ])
+        syndromes = rs.syndromes_many(words)
+        np.testing.assert_array_equal(syndromes,
+                                      reference.syndromes_many(words))
+        assert not syndromes[:messages.shape[0]].any()
+        assert syndromes[messages.shape[0]:].any(axis=1).all()
 
 
 class TestSoftErasureWaves:

@@ -263,3 +263,32 @@ class TestBatchedEntryPoints:
             codec.syndromes_many(np.zeros((2, 41)))
         with pytest.raises(ValueError):
             codec.syndromes_many(np.full((2, 40), 256))
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_products_match_scalar_in_every_field(self, m, rng):
+        """Both products in every supported field, one or two bytes per
+        symbol: random rows plus all-zero and all-(2^m - 1) rows, whose
+        every operand bit is set (the largest counts the float32
+        product sees). n is shortened where 2^m - 1 is large."""
+        n = min((1 << m) - 1, 48)
+        codec = ReedSolomon(m, nsym=min(n - 1, 8), n=n)
+        top = codec.field.max_value
+        messages = np.vstack([rng.integers(0, top + 1, size=(4, codec.k)),
+                              np.zeros((1, codec.k), dtype=np.int64),
+                              np.full((1, codec.k), top)])
+        for row, message in zip(codec.parity_many(messages), messages):
+            np.testing.assert_array_equal(row, codec.parity(message))
+        words = np.vstack([rng.integers(0, top + 1, size=(4, n)),
+                           np.zeros((1, n), dtype=np.int64),
+                           np.full((1, n), top)])
+        for row, word in zip(codec.syndromes_many(words), words):
+            np.testing.assert_array_equal(row, codec._syndromes(word))
+
+    def test_float32_products_exact_in_every_field(self):
+        """The products run in float32, exact while a cell's count -- at
+        most n * m <= (2^m - 1) * m -- stays below 2^24. A wider field
+        needs the products revisited before it is added."""
+        from repro.ecc.gf import _PRIMITIVE_POLYS
+
+        for m in _PRIMITIVE_POLYS:
+            assert ((1 << m) - 1) * m < 2 ** 24, m

@@ -13,6 +13,12 @@ construction: ``tests/ecc/test_batched_vs_reference.py`` asserts that
 :meth:`ReedSolomon.decode_many` matches this chain row for row —
 corrected symbols, corrected counts, and which rows fail. Do not optimize
 this module; its value is that it never changes.
+
+:class:`Float64BitPlaneProducts` freezes the batched parity and syndrome
+products as they ran in float64, per-bit shifts and all, before the
+float32 products with byte-wise bit planes replaced them; the same suite
+pins the two byte for byte, and ``tests/integration/test_perf_budget.py``
+times the float32 products against it.
 """
 
 from __future__ import annotations
@@ -185,3 +191,78 @@ class ReferenceReedSolomon(ReedSolomon):
     def __repr__(self) -> str:
         return (f"ReferenceReedSolomon(m={self.m}, n={self.n}, "
                 f"k={self.k}, nsym={self.nsym})")
+
+
+class Float64BitPlaneProducts:
+    """The float64 bit-plane products of one code, frozen verbatim.
+
+    :meth:`parity_many` and :meth:`syndromes_many` are the bodies of
+    :meth:`ReedSolomon.parity_many`/:meth:`~ReedSolomon.syndromes_many`
+    before they moved to float32: operand bits by one shift per bit, a
+    float64 BLAS product, the mod-2 shift-sum re-pack. The bit matrices
+    are built here in float64, once per code, as the codec cached them.
+    """
+
+    def __init__(self, rs: ReedSolomon) -> None:
+        self.rs = rs
+        m, k, n, nsym = rs.m, rs.k, rs.n, rs.nsym
+        shifts = np.arange(m, dtype=np.int64)
+        rows = rs._parity_generator_rows()
+        bits = np.empty((k, m, nsym, m), dtype=np.float64)
+        for t in range(m):
+            scaled = rs.field.scale_vec(rows, 1 << t)
+            bits[:, t, :, :] = (scaled[:, :, None] >> shifts) & 1
+        self._parity_bits = bits.reshape(k * m, nsym * m)
+        powers = np.array(
+            [[rs.field.alpha_pow(j * (n - 1 - i)) for j in range(nsym)]
+             for i in range(n)],
+            dtype=np.int64,
+        )  # (n, nsym)
+        bits = np.empty((n, m, nsym, m), dtype=np.float64)
+        for t in range(m):
+            scaled = rs.field.scale_vec(powers, 1 << t)
+            bits[:, t, :, :] = (scaled[:, :, None] >> shifts) & 1
+        self._syndrome_bits = bits.reshape(n * m, nsym * m)
+
+    def parity_many(self, messages: np.ndarray) -> np.ndarray:
+        """``(B, k)`` messages -> ``(B, nsym)`` parity symbols."""
+        rs = self.rs
+        messages = np.asarray(messages, dtype=np.int64)
+        if messages.ndim != 2 or messages.shape[1] != rs.k:
+            raise ValueError(
+                f"messages must be (B, {rs.k}), got {messages.shape}"
+            )
+        if messages.size and (messages.min() < 0
+                              or messages.max() > rs.field.max_value):
+            raise ValueError("message symbols out of field range")
+        if messages.shape[0] == 0:
+            return np.zeros((0, rs.nsym), dtype=np.int64)
+        shifts = np.arange(rs.m, dtype=np.int64)
+        message_bits = ((messages[:, :, None] >> shifts) & 1).reshape(
+            messages.shape[0], rs.k * rs.m
+        ).astype(np.float64)
+        # Bit counts stay far below 2^53, so the float64 product is exact.
+        counts = message_bits @ self._parity_bits
+        parity_bits = (counts.astype(np.int64) & 1).reshape(
+            messages.shape[0], rs.nsym, rs.m
+        )
+        return (parity_bits << shifts).sum(axis=2)
+
+    def syndromes_many(self, words: np.ndarray) -> np.ndarray:
+        """``(B, n)`` received words -> ``(B, nsym)`` syndromes."""
+        rs = self.rs
+        words = np.asarray(words, dtype=np.int64)
+        if words.ndim != 2 or words.shape[1] != rs.n:
+            raise ValueError(f"words must be (B, {rs.n}), got {words.shape}")
+        if words.size and (words.min() < 0
+                           or words.max() > rs.field.max_value):
+            raise ValueError("word symbols out of field range")
+        shifts = np.arange(rs.m, dtype=np.int64)
+        word_bits = ((words[:, :, None] >> shifts) & 1).reshape(
+            words.shape[0], rs.n * rs.m
+        ).astype(np.float64)
+        counts = word_bits @ self._syndrome_bits
+        syndrome_bits = (counts.astype(np.int64) & 1).reshape(
+            words.shape[0], rs.nsym, rs.m
+        )
+        return (syndrome_bits << shifts).sum(axis=2)
