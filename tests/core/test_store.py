@@ -1,7 +1,17 @@
 """Tests for the multi-unit store."""
 
+import ctypes
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.core import MatrixConfig, PipelineConfig, ReadRequest
@@ -125,3 +135,67 @@ class TestValidation:
         assert report.total_erased_columns == 1
         assert report.total_failed_codewords == 0
         np.testing.assert_array_equal(decoded, bits)
+
+
+def _glibc_mallinfo2() -> bool:
+    try:
+        libc = ctypes.CDLL(None)
+        return bool(libc.gnu_get_libc_version and libc.mallinfo2)
+    except (AttributeError, OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc_mallinfo2(), reason="needs glibc >= 2.33")
+class TestPinnedHeap:
+    """A store pins glibc's malloc thresholds (``pin_heap``): an array
+    below 32 MiB comes from the heap, not a fresh mmap, and freeing it
+    does not trim the heap, so the next read does not fault its pages
+    back in. Each probe runs in a fresh interpreter, where glibc's
+    adaptive thresholds start at their 128 KiB defaults."""
+
+    PROBE = textwrap.dedent("""
+        import ctypes, json
+        import numpy as np
+        from repro.core.store import DnaStore, pin_heap
+
+        class MallInfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        libc = ctypes.CDLL(None)
+        libc.mallinfo2.restype = MallInfo2
+        DnaStore()
+        before = libc.mallinfo2()
+        block = np.ones(2 << 20)  # 16 MiB
+        during = libc.mallinfo2()
+        del block
+        after = libc.mallinfo2()
+        print(json.dumps({
+            "pinned": pin_heap(),
+            "mmapped": during.hblkhd - before.hblkhd,
+            "heap_grew": during.arena > before.arena,
+            "trimmed": after.arena < during.arena,
+        }))
+    """)
+
+    def _probe(self, **extra_env):
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("MALLOC_")
+               and name != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.update(extra_env)
+        done = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_store_keeps_freed_heap(self):
+        probe = self._probe()
+        assert probe["pinned"]
+        assert probe["mmapped"] == 0
+        assert probe["heap_grew"]
+        assert not probe["trimmed"]
+
+    def test_process_malloc_settings_win(self):
+        probe = self._probe(MALLOC_TRIM_THRESHOLD_=str(1 << 20))
+        assert not probe["pinned"]
