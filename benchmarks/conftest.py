@@ -132,14 +132,13 @@ def bench_tracer(request):
     The manifest (``MANIFEST_<slug>.json``) records the per-stage wall
     times and pipeline counters of everything the test decoded, which is
     what ``check_trend.py --stage`` gates on. Tests that never touch an
-    instrumented path leave no spans and no manifest. Per-decode store
-    manifests are switched off (``auto_manifest``): a sweep decodes
-    hundreds of times and only the end-of-test aggregate matters here.
+    instrumented path leave no spans and no manifest. The manifest is
+    the end-of-test aggregate: a sweep decodes hundreds of times under
+    one tracer, and nothing else builds manifests.
     """
     from repro.observability import Tracer, build_manifest, use_tracer
 
     tracer = Tracer()
-    tracer.auto_manifest = False
     tracer.context["nodeid"] = request.node.nodeid
     tracer.context["bench_seed"] = 2022
     with use_tracer(tracer):

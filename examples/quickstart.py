@@ -188,17 +188,17 @@ def main() -> None:
 
     # Every run above was silently instrumented: the decode path carries
     # stage spans and pipeline counters that the default NullTracer
-    # no-ops away. Activate a real tracer and the same decode leaves a
-    # machine-checkable run manifest — per-stage wall times, RS
-    # failure-reason histogram, cluster/consensus counters, config
-    # fingerprint. `python -m repro.cli report <file>` renders a saved
-    # one, and with two files diffs them stage by stage. Here the finale
-    # also shows `read_many`, the serving plane's coalescing entry: the
-    # labeled spanning batch AND the unlabeled pool answer from ONE
-    # consensus pass and ONE RS errata pass, under one traced manifest
-    # (`StoreService` builds its queue/cache tick loop on this call —
-    # see `python -m repro.cli serve`).
-    from repro.observability import Tracer, use_tracer
+    # no-ops away. Activate a real tracer, and `build_manifest` turns
+    # what it recorded into a machine-checkable run manifest — per-stage
+    # wall times, RS failure-reason histogram, cluster/consensus
+    # counters, config fingerprint. `python -m repro.cli report <file>`
+    # renders a saved one, and with two files diffs them stage by
+    # stage. Here the finale also shows `read_many`, the serving plane's
+    # coalescing entry: the labeled spanning batch AND the unlabeled pool
+    # answer from ONE consensus pass and ONE RS errata pass, under one
+    # traced manifest (`StoreService` serves every tick through this
+    # call — see `python -m repro.cli serve`).
+    from repro.observability import Tracer, build_manifest, use_tracer
 
     tracer = Tracer()
     tracer.context["seed"] = 7
@@ -209,7 +209,8 @@ def main() -> None:
             ReadRequest(pool, payload.size, pool=True, object_id="pooled"),
         ])
     exact = all(np.array_equal(r.bits, payload) for r in results)
-    manifest = tracer.manifests[-1]
+    manifest = build_manifest(tracer, "store.read_many",
+                              config=store.pipeline.config)
     heaviest = max(manifest.stages, key=manifest.stage_seconds)
     reasons = manifest.histogram("rs.failure_reasons")
     print(f"traced read_many: {len(results)} requests coalesced "

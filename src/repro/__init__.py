@@ -151,17 +151,22 @@ per-position error rates for reliability-skew scenarios
 The decode path is observable end to end (``repro.observability``):
 activate a tracer and every stage — channel, clustering, consensus,
 receive, RS errata — records its wall time and pipeline counters, and
-each store decode leaves a schema-versioned :class:`~repro.observability.
-RunManifest` (config fingerprint, per-stage timings, metric snapshot)::
+:func:`~repro.observability.build_manifest` turns the tracer into a
+schema-versioned :class:`~repro.observability.RunManifest` (config
+fingerprint, per-stage timings, metric snapshot) whenever the caller
+asks for one::
 
-    from repro.observability import Tracer, use_tracer, render_manifest
+    from repro.observability import (
+        Tracer, build_manifest, render_manifest, use_tracer,
+    )
 
     tracer = Tracer()
     tracer.context["seed"] = 0
     with use_tracer(tracer):
         pool = simulator.sequence_store(image, rng=0, labeled=False)
         decoded, report = store.read(ReadRequest(pool, bits.size, pool=True))
-    manifest = tracer.manifests[-1]
+    manifest = build_manifest(tracer, "store.read",
+                              config=store.pipeline.config)
     print(render_manifest(manifest))     # stage table, counters, reasons
     manifest.save("run.json")            # machine-checkable evidence
 
@@ -178,7 +183,7 @@ many users each pulling one object out of a shared pool) runs through
 the serving plane (``repro.service``): register objects once, enqueue
 read tickets, and each tick coalesces every drained ticket into one
 spanning consensus pass plus one batched RS errata pass — with a
-decoded-unit LRU cache in front, so repeat reads skip the pipeline
+decoded-object LRU cache in front, so repeat reads skip the pipeline
 entirely::
 
     from repro.service import StoreService
@@ -192,12 +197,16 @@ entirely::
     service.submit("fileA")
     assert service.tick()[0].cache_hit   # warm repeat: zero pipeline work
 
+``put`` checks an object with ``DnaStore.check`` (the check every
+decode runs), so a malformed object fails there, naming the field.
 Re-``put``-ting an object (a store re-encode) bumps its cache epoch and
-invalidates its cached units. Under heavy traffic ``read_many`` on the
-store gives the same amortization without the queue; the ``service.tick``
-spans/counters land in run manifests like every other stage, and
-``benchmarks/test_service_throughput.py`` drift-gates requests/sec and
-p50/p99 latency vs the batch window in CI.
+invalidates its cached result. A tick decodes its misses with the
+store's public ``read_many``, which gives the same amortization without
+the queue; the ``service.tick`` spans land in run manifests like every
+other stage (trace with ``Tracer(metrics=service.metrics)`` to carry the
+service's own counters too), and
+``benchmarks/test_service_throughput.py`` records requests/sec and
+p50/p99 latency vs the batch window.
 
 A *live* service also answers "how is it doing right now", without any
 recording tracer: the plane keeps an always-on metric registry

@@ -21,7 +21,7 @@ runs a synthetic random-access serving demo: it encodes and sequences a
 corpus of objects, drives them through the coalescing
 :class:`~repro.service.StoreService`, and prints requests/sec, p50/p99
 latency and the cache hit rate per pass (pass 2+ answers from the
-decoded-unit cache), closing with a
+decoded-object cache), closing with a
 :class:`~repro.observability.export.ServiceHealth` line. ``metrics``
 runs the same demo and dumps the service's always-on metric registry in
 Prometheus text exposition format — validated by a render/parse
@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="full passes over the corpus "
                                   "(pass 2+ answers from the cache)")
         command.add_argument("--cache", type=int, default=1024,
-                             help="decoded-unit cache capacity "
-                                  "(0 disables)")
+                             help="decoded-object cache capacity "
+                                  "in units (0 disables)")
         command.add_argument("--symbol-bits", type=int, default=8)
         command.add_argument("--molecules", type=int, default=24)
         command.add_argument("--redundancy", type=int, default=4)

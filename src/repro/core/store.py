@@ -24,13 +24,14 @@ of Section 2.1). :class:`DnaStore` handles the split:
   (``tests/oracles/core.py``), pinned byte-identical by
   ``tests/core/test_store_batched.py``.
 
-The read surface is request-shaped: :meth:`DnaStore.read` takes one
-:class:`ReadRequest` (labeled reads or an unlabeled pool, with
-per-request ranking/confidence options) and returns a
-:class:`ReadResult`; :meth:`DnaStore.read_many` coalesces many requests
-into **one** spanning consensus pass and **one** batched RS errata pass
-shared across all of them — the amortization the :mod:`repro.service`
-plane builds its tick loop on.
+The read surface is request-shaped: :meth:`DnaStore.read_many` takes
+:class:`ReadRequest` objects (labeled reads or an unlabeled pool, with
+per-request ranking/confidence options), checks each with
+:meth:`DnaStore.check` before any layer runs, and coalesces them into
+**one** spanning consensus pass and **one** batched RS errata pass,
+returning one :class:`ReadResult` each — the amortization the
+:mod:`repro.service` plane builds its tick loop on.
+:meth:`DnaStore.read` is its one-request case.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import numbers
 import os
+from collections import abc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +51,6 @@ from repro.cluster.batched import BatchedGreedyClusterer
 from repro.cluster.lsh import LSHClusterer
 from repro.consensus.base import Reconstructor
 from repro.core.pipeline import DecodeReport, DnaStoragePipeline, EncodedUnit, PipelineConfig
-from repro.observability.manifest import build_manifest
 from repro.observability.trace import get_tracer
 
 #: glibc ``mallopt`` parameters (``<malloc.h>``) and the values
@@ -165,7 +166,7 @@ class ReadRequest:
     clustered first). Options travel with the request, so
     :meth:`DnaStore.read_many` can coalesce requests with heterogeneous
     options into shared batch passes. Every request of a call is checked
-    by :func:`check_request` before any layer runs; a
+    by :meth:`DnaStore.check` before any layer runs; a
     ``TypeError``/``ValueError`` names the field.
 
     Attributes:
@@ -202,61 +203,6 @@ class ReadRequest:
     request_id: Optional[int] = None
 
 
-def check_request(request: ReadRequest) -> None:
-    """Reject a malformed request with a typed error naming its field.
-
-    ``reads`` must not be ``None`` (``TypeError``). ``n_data_bits`` must
-    be an integer, Python or numpy, not ``bool`` or ``float``
-    (``TypeError``), and non-negative (``ValueError``). A ``ranking``
-    must be a permutation of ``range(n_data_bits)`` (``ValueError``). A
-    ``confidence_threshold`` must be ``None`` or a real number, not
-    ``bool`` (``TypeError``), in [0, 1], so not ``nan`` (``ValueError``).
-    Cost: O(1), plus O(n_data_bits) for a ranked request. The reads'
-    form and unit count (a pooled request's pool count, a labeled
-    request's clusters or units) are checked against the unit count by
-    the store that decodes it, also before any layer runs.
-    """
-    if request.reads is None:
-        raise TypeError("ReadRequest.reads is None")
-    n_bits = request.n_data_bits
-    if isinstance(n_bits, bool) or not isinstance(n_bits, (int, np.integer)):
-        raise TypeError(
-            "ReadRequest.n_data_bits must be an integer, got "
-            f"{type(n_bits).__name__}"
-        )
-    if n_bits < 0:
-        raise ValueError(
-            f"ReadRequest.n_data_bits must be non-negative, got {n_bits}"
-        )
-    if request.ranking is not None:
-        # n_data_bits integers in [0, n_data_bits), none twice.
-        ranking = np.asarray(request.ranking)
-        if not (ranking.shape == (n_bits,)
-                and np.issubdtype(ranking.dtype, np.integer)
-                and (n_bits == 0
-                     or (ranking.min() >= 0
-                         and ranking.max() < n_bits
-                         and np.bincount(ranking.astype(np.int64))
-                         .max() == 1))):
-            raise ValueError(
-                "ReadRequest.ranking must be a permutation of "
-                f"range(n_data_bits) = range({n_bits})"
-            )
-    threshold = request.confidence_threshold
-    if threshold is not None:
-        if isinstance(threshold, bool) or not isinstance(threshold,
-                                                         numbers.Real):
-            raise TypeError(
-                "ReadRequest.confidence_threshold must be a real number "
-                f"or None, got {type(threshold).__name__}"
-            )
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(
-                "ReadRequest.confidence_threshold must be in [0, 1], got "
-                f"{threshold}"
-            )
-
-
 @dataclass
 class ReadResult:
     """The outcome of one :class:`ReadRequest`.
@@ -271,8 +217,8 @@ class ReadResult:
         object_id: echoed from the request.
         request_id: echoed from the request (the service plane's ticket
             number — the join key into its event log).
-        cache_hit: True when the service plane answered entirely from
-            its decoded-unit cache (no pipeline work).
+        cache_hit: True when the service plane answered from its
+            decoded-object cache (no pipeline work).
         seconds: wall-clock serve time (queue wait included when the
             service plane answers; 0.0 when not measured).
     """
@@ -348,21 +294,124 @@ class DnaStore:
 
     # -- the read surface ----------------------------------------------------
 
+    def check(self, request: ReadRequest) -> None:
+        """Reject a malformed request with a typed error naming its field.
+
+        ``reads`` must not be ``None`` (``TypeError``). ``n_data_bits`` must
+        be an integer, Python or numpy, not ``bool`` or ``float``
+        (``TypeError``), and non-negative (``ValueError``). A ``ranking``
+        must be a permutation of ``range(n_data_bits)`` (``ValueError``). A
+        ``confidence_threshold`` must be ``None`` or a real number, not
+        ``bool`` (``TypeError``), in [0, 1], so not ``nan`` (``ValueError``).
+        The reads must cover the request's units: a pooled request takes
+        one :class:`ReadBatch` with one pool per unit, and labeled reads
+        are a spanning batch of ``n_units x n_columns`` clusters or a list
+        of one :class:`ReadBatch` or :class:`ReadCluster` list per unit. A
+        wrong form is a ``TypeError``, a wrong count a ``ValueError``.
+
+        :meth:`read_many` checks every request before any layer runs, and
+        the service plane checks an object when it is registered. Cost:
+        O(1) for batches, plus O(n_data_bits) for a ranked request and
+        O(clusters) for cluster lists.
+        """
+        reads = request.reads
+        if reads is None:
+            raise TypeError("ReadRequest.reads is None")
+        n_bits = request.n_data_bits
+        if isinstance(n_bits, bool) or not isinstance(n_bits,
+                                                      (int, np.integer)):
+            raise TypeError(
+                "ReadRequest.n_data_bits must be an integer, got "
+                f"{type(n_bits).__name__}"
+            )
+        if n_bits < 0:
+            raise ValueError(
+                f"ReadRequest.n_data_bits must be non-negative, got {n_bits}"
+            )
+        if request.ranking is not None:
+            # n_data_bits integers in [0, n_data_bits), none twice.
+            ranking = np.asarray(request.ranking)
+            if not (ranking.shape == (n_bits,)
+                    and np.issubdtype(ranking.dtype, np.integer)
+                    and (n_bits == 0
+                         or (ranking.min() >= 0
+                             and ranking.max() < n_bits
+                             and np.bincount(ranking.astype(np.int64))
+                             .max() == 1))):
+                raise ValueError(
+                    "ReadRequest.ranking must be a permutation of "
+                    f"range(n_data_bits) = range({n_bits})"
+                )
+        threshold = request.confidence_threshold
+        if threshold is not None:
+            if isinstance(threshold, bool) or not isinstance(threshold,
+                                                             numbers.Real):
+                raise TypeError(
+                    "ReadRequest.confidence_threshold must be a real number "
+                    f"or None, got {type(threshold).__name__}"
+                )
+            if not 0.0 <= threshold <= 1.0:
+                raise ValueError(
+                    "ReadRequest.confidence_threshold must be in [0, 1], got "
+                    f"{threshold}"
+                )
+        n_units = self.units_needed(n_bits)
+        if request.pool:
+            if not isinstance(reads, ReadBatch):
+                raise TypeError(
+                    "ReadRequest.reads of a pooled request must be one "
+                    "ReadBatch with one pool per unit"
+                )
+            if reads.n_clusters != n_units:
+                raise ValueError(
+                    f"ReadRequest.reads holds {reads.n_clusters} unit "
+                    f"pools; the payload spans {n_units} units"
+                )
+        elif isinstance(reads, ReadBatch):
+            n_columns = self.pipeline.matrix_config.n_columns
+            if reads.n_clusters != n_units * n_columns:
+                raise ValueError(
+                    f"ReadRequest.reads holds {reads.n_clusters} clusters; "
+                    f"expected {n_units} units x {n_columns} columns"
+                )
+        else:
+            if not isinstance(reads, abc.Sequence) or not all(
+                    isinstance(unit, ReadBatch)
+                    or (isinstance(unit, abc.Sequence)
+                        and all(isinstance(c, ReadCluster) for c in unit))
+                    for unit in reads):
+                raise TypeError(
+                    "ReadRequest.reads must be a ReadBatch or a list of "
+                    "one ReadBatch or ReadCluster list per unit"
+                )
+            if len(reads) != n_units:
+                raise ValueError(
+                    f"ReadRequest.reads holds {len(reads)} units; expected "
+                    f"{n_units}"
+                )
+
     def read(self, request: ReadRequest) -> ReadResult:
         """Serve one :class:`ReadRequest`; returns a :class:`ReadResult`.
 
-        The single decode entry point: labeled reads and unlabeled pools
-        (``pool=True``) route through the same coalescing engine as
-        :meth:`read_many`, pinned byte-identical to the frozen per-unit
-        oracle decode by ``tests/core/test_store_batched.py``.
+        The one-request case of :meth:`read_many`, traced as
+        ``store.read``. Labeled reads and unlabeled pools (``pool=True``)
+        decode byte-identically to the frozen per-unit oracle decode
+        (``tests/core/test_store_batched.py``).
         """
-        return self._serve([request], "store.read")[0]
+        return self.read_many([request], _span="store.read")[0]
 
-    def read_many(self, requests: Sequence[ReadRequest]) -> List[ReadResult]:
+    def read_many(
+        self,
+        requests: Sequence[ReadRequest],
+        *,
+        _span: str = "store.read_many",
+    ) -> List[ReadResult]:
         """Serve many requests through **shared** batch passes.
 
-        The coalescing boundary the service plane amortizes on: all
-        requests are merged — pooled requests sharing a
+        The coalescing boundary the service plane amortizes on. Every
+        request passes :meth:`check` before any layer runs, so a
+        malformed one fails early, alone, with a typed error naming its
+        field. Then all requests are merged — pooled requests sharing a
         clusterer go through one
         :meth:`~repro.cluster.batched.BatchedGreedyClusterer.
         cluster_pools` call, requests sharing a ``confidence_threshold``
@@ -371,148 +420,106 @@ class DnaStore:
         (one consensus batch call), and *every* request's units through
         one :meth:`~repro.core.pipeline.DnaStoragePipeline.correct_many`
         (one batched RS errata pass). Results come back in request
-        order, each byte-identical to serving its request alone.
+        order, each byte-identical to serving its request alone, under
+        one ``store.read_many`` span (``_span`` is how :meth:`read` names
+        its own).
         """
-        return self._serve(list(requests), "store.read_many")
-
-    def _serve(
-        self, requests: List[ReadRequest], span_name: str
-    ) -> List[ReadResult]:
-        """Run requests through the coalescing engine under one span."""
+        requests = list(requests)
         if not requests:
             return []
-        tracer = get_tracer()
-        with tracer.span(span_name, n_requests=len(requests)):
-            served = self._read_many_impl(requests)
-        self._emit_manifest(tracer, span_name)
-        return [
-            ReadResult(bits=bits, report=report, object_id=request.object_id,
-                       request_id=request.request_id)
-            for request, (bits, report, _) in zip(requests, served)
-        ]
+        with get_tracer().span(_span, n_requests=len(requests)):
+            for request in requests:
+                self.check(request)
+            n_units = [self.units_needed(r.n_data_bits) for r in requests]
 
-    def _read_many_impl(
-        self, requests: List[ReadRequest]
-    ) -> List[Tuple[np.ndarray, StoreReport, list]]:
-        """The coalescing engine behind :meth:`read`/:meth:`read_many`.
-
-        Returns one ``(bits, StoreReport, corrected)`` triple per
-        request, in request order; ``corrected`` is the per-unit
-        ``(stripe, DecodeReport)`` list — the service plane's
-        decoded-unit cache stores those stripes, which are
-        ranking-independent (ranking is applied at assembly, see
-        :meth:`_assemble_bits`).
-        """
-        # Every request is checked before any layer runs, so a malformed
-        # one fails early with a typed error naming its field.
-        for request in requests:
-            check_request(request)
-            n_units = self.units_needed(request.n_data_bits)
-            if request.pool:
-                self._validate_pool(request.reads, n_units)
-            else:
-                self._validate_reads(request.reads, n_units)
-
-        results: List = [None] * len(requests)
-        # One receive_many per distinct confidence threshold (the
-        # threshold is a per-call knob of the consensus/receive pass);
-        # the homogeneous common case is a single group, i.e. a single
-        # consensus batch call for the whole request list.
-        groups: dict = {}
-        group_order = []
-        for i, request in enumerate(requests):
-            threshold = request.confidence_threshold
-            if threshold not in groups:
-                groups[threshold] = []
-                group_order.append(threshold)
-            groups[threshold].append(i)
-
-        default_clusterer = None
-        received_by_request: dict = {}
-        for threshold in group_order:
-            segments = []  # (batch, boundaries, [(request index, n_units)])
-            pooled: dict = {}
-            pooled_order = []
-            for i in groups[threshold]:
-                request = requests[i]
-                n_units = self.units_needed(request.n_data_bits)
-                if request.pool:
-                    key = (id(request.clusterer)
-                           if request.clusterer is not None else None)
-                    if key not in pooled:
-                        pooled[key] = []
-                        pooled_order.append(key)
-                    pooled[key].append(i)
-                else:
-                    segments.append(
-                        self._spanning_batch(request.reads, n_units)
-                        + ([(i, n_units)],)
-                    )
-            # Pooled requests sharing a clusterer cluster through ONE
-            # cluster_pools call: their pool batches concatenate (one
-            # cluster per unit), and pools cluster independently, so
-            # each unit's recovered clusters match the solo decode.
-            for key in pooled_order:
-                indices = pooled[key]
-                clusterer = requests[indices[0]].clusterer
-                if clusterer is None:
-                    if default_clusterer is None:
-                        default_clusterer = (
-                            BatchedGreedyClusterer.for_strand_length(
-                                self.pipeline.matrix_config.strand_length
-                            )
+            # One receive_many per distinct confidence threshold (the
+            # threshold is a per-call knob of the consensus/receive pass);
+            # the homogeneous common case is a single group, i.e. a single
+            # consensus batch call for the whole request list.
+            groups: dict = {}
+            for i, request in enumerate(requests):
+                groups.setdefault(request.confidence_threshold, []).append(i)
+            default_clusterer = None
+            received: List = [None] * len(requests)
+            for threshold, indices in groups.items():
+                segments = []  # (batch, boundaries, [request index])
+                pooled: dict = {}
+                for i in indices:
+                    request = requests[i]
+                    if request.pool:
+                        key = (id(request.clusterer)
+                               if request.clusterer is not None else None)
+                        pooled.setdefault(key, []).append(i)
+                    else:
+                        batch, boundaries = self._spanning_batch(
+                            request.reads, n_units[i]
                         )
-                    clusterer = default_clusterer
-                pools = [requests[i].reads for i in indices]
-                combined = pools[0] if len(pools) == 1 else (
-                    ReadBatch.concat(pools)
+                        segments.append((batch, boundaries, [i]))
+                # Pooled requests sharing a clusterer cluster through ONE
+                # cluster_pools call: their pool batches concatenate (one
+                # cluster per unit), and pools cluster independently, so
+                # each unit's recovered clusters match the solo decode.
+                for members in pooled.values():
+                    clusterer = requests[members[0]].clusterer
+                    if clusterer is None:
+                        if default_clusterer is None:
+                            default_clusterer = (
+                                BatchedGreedyClusterer.for_strand_length(
+                                    self.pipeline.matrix_config.strand_length
+                                )
+                            )
+                        clusterer = default_clusterer
+                    pools = [requests[i].reads for i in members]
+                    combined = pools[0] if len(pools) == 1 else (
+                        ReadBatch.concat(pools)
+                    )
+                    labeled, boundaries = clusterer.cluster_pools(combined)
+                    segments.append((labeled, boundaries, members))
+
+                batch, boundaries, owners = self._merge_segments(segments)
+                units = self.pipeline.receive_many(
+                    batch, boundaries, confidence_threshold=threshold,
                 )
-                labeled, boundaries = clusterer.cluster_pools(combined)
-                owners = [
-                    (i, self.units_needed(requests[i].n_data_bits))
-                    for i in indices
-                ]
-                segments.append((labeled, boundaries, owners))
+                cursor = 0
+                for i in owners:
+                    received[i] = units[cursor:cursor + n_units[i]]
+                    cursor += n_units[i]
 
-            merged_batch, merged_bounds, owners = self._merge_segments(
-                segments
+            # ONE batched RS errata pass across every request's units.
+            corrected = self.pipeline.correct_many(
+                [unit for units in received for unit in units],
+                [size for request, n in zip(requests, n_units)
+                 for size in self._stripe_sizes(request.n_data_bits, n)],
             )
-            received = self.pipeline.receive_many(
-                merged_batch, merged_bounds,
-                confidence_threshold=threshold,
-            )
+            results = []
             cursor = 0
-            for i, n_units in owners:
-                received_by_request[i] = received[cursor:cursor + n_units]
-                cursor += n_units
-
-        # ONE batched RS errata pass across every request's units.
-        all_received = []
-        all_sizes = []
-        unit_spans = []
-        for i in range(len(requests)):
-            units = received_by_request[i]
-            all_received.extend(units)
-            all_sizes.extend(
-                self._stripe_sizes(requests[i].n_data_bits, len(units))
-            )
-            unit_spans.append((i, len(units)))
-        corrected = self.pipeline.correct_many(all_received, all_sizes)
-        cursor = 0
-        for i, n_units in unit_spans:
-            request_corrected = corrected[cursor:cursor + n_units]
-            cursor += n_units
-            bits, report = self._assemble_bits(
-                request_corrected, requests[i].n_data_bits,
-                requests[i].ranking,
-            )
-            results[i] = (bits, report, request_corrected)
+            for request, n in zip(requests, n_units):
+                units = corrected[cursor:cursor + n]
+                cursor += n
+                # The stripes interleave back round-robin; the encode-time
+                # ranking, if any, then puts every bit back in its place.
+                prioritized = np.zeros(request.n_data_bits, dtype=np.uint8)
+                for u, (stripe, _) in enumerate(units):
+                    prioritized[u::n] = stripe
+                bits = prioritized
+                if request.ranking is not None:
+                    bits = np.zeros_like(prioritized)
+                    bits[np.asarray(request.ranking, dtype=np.int64)] = \
+                        prioritized
+                results.append(ReadResult(
+                    bits=bits,
+                    report=StoreReport([report for _, report in units]),
+                    object_id=request.object_id,
+                    request_id=request.request_id,
+                ))
         return results
 
     @staticmethod
     def _merge_segments(segments):
         """Concatenate ``(batch, boundaries, owners)`` segments into one
-        spanning batch + unit boundary table for ``receive_many``."""
+        spanning batch + unit boundary table for ``receive_many``;
+        ``owners`` are the request indices whose units a segment holds,
+        in order."""
         if len(segments) == 1:
             batch, boundaries, owners = segments[0]
             return batch, boundaries, list(owners)
@@ -526,85 +533,12 @@ class DnaStore:
             owners.extend(segment_owners)
         return ReadBatch.concat(batches), np.concatenate(pieces), owners
 
-    def _validate_reads(self, reads: StoreReads, n_units: int) -> None:
-        """Check a labeled request's reads against its unit count: a
-        spanning :class:`ReadBatch` holds ``n_units x n_columns``
-        clusters, and a list holds one batch or cluster list per unit."""
-        if isinstance(reads, ReadBatch):
-            n_columns = self.pipeline.matrix_config.n_columns
-            if reads.n_clusters != n_units * n_columns:
-                raise ValueError(
-                    f"ReadRequest.reads holds {reads.n_clusters} clusters; "
-                    f"expected {n_units} units x {n_columns} columns"
-                )
-        elif len(reads) != n_units:
-            raise ValueError(
-                f"ReadRequest.reads holds {len(reads)} units; expected "
-                f"{n_units}"
-            )
-
-    def _validate_pool(self, pool, n_units: int) -> None:
-        if not isinstance(pool, ReadBatch):
-            raise TypeError(
-                "pooled requests take one ReadBatch with one pool per unit"
-            )
-        if pool.n_clusters != n_units:
-            raise ValueError(
-                f"pool holds {pool.n_clusters} unit pools; the payload "
-                f"spans {n_units} units"
-            )
-
-    def _emit_manifest(self, tracer, name: str) -> None:
-        """Snapshot a recording tracer into a RunManifest.
-
-        Manifests aggregate *the whole tracer so far* — channel spans
-        recorded earlier under the same tracer (e.g. by
-        ``SequencingSimulator``) are part of the run's story, and a
-        tracer reused across several decodes accumulates all of them
-        (use one tracer per run for one-run manifests). Tracers with
-        ``auto_manifest`` off (long decode loops that build one
-        manifest at the end, e.g. the benchmark harness) skip this.
-        """
-        if not tracer.is_recording or not getattr(
-            tracer, "auto_manifest", True
-        ):
-            return
-        tracer.attach_manifest(
-            build_manifest(tracer, name, config=self.pipeline.config)
-        )
-
     @staticmethod
     def _stripe_sizes(n_data_bits: int, n_units: int) -> List[int]:
         """Per-unit stripe lengths of the round-robin deal."""
         return [
             len(range(u, n_data_bits, n_units)) for u in range(n_units)
         ]
-
-    @staticmethod
-    def _assemble_bits(corrected, n_data_bits, ranking):
-        """Reassemble corrected unit stripes into the payload bits.
-
-        ``corrected`` is one ``(stripe, DecodeReport)`` per unit — what
-        ``correct_many`` returns, and what the service plane's
-        decoded-unit cache stores. The stripes interleave back
-        round-robin; ``ranking`` (the encode-time global permutation) is
-        applied here, so cached stripes stay ranking-independent.
-        """
-        n_units = len(corrected)
-        prioritized = np.zeros(n_data_bits, dtype=np.uint8)
-        reports = []
-        for u, (stripe, report) in enumerate(corrected):
-            prioritized[u::n_units] = stripe
-            reports.append(report)
-        if ranking is None:
-            bits = prioritized
-        else:
-            ranking = np.asarray(ranking, dtype=np.int64)
-            if ranking.shape != (n_data_bits,):
-                raise ValueError("ranking length must equal n_data_bits")
-            bits = np.zeros(n_data_bits, dtype=np.uint8)
-            bits[ranking] = prioritized
-        return bits, StoreReport(unit_reports=reports)
 
     def _spanning_batch(
         self, reads: StoreReads, n_units: int
@@ -614,7 +548,7 @@ class DnaStore:
         ``boundaries`` is the per-unit cluster boundary table
         (``boundaries[u] .. boundaries[u+1]`` are unit ``u``'s cluster
         slots in the spanning batch). The form and unit count were
-        checked up front by :meth:`_validate_reads`.
+        checked up front by :meth:`check`.
         """
         if isinstance(reads, ReadBatch):
             n_columns = self.pipeline.matrix_config.n_columns

@@ -10,13 +10,14 @@ without de-batching anything:
   overhead (one attribute lookup and two no-op calls per *stage*, never
   per row) when tracing is off;
 * :mod:`repro.observability.metrics` — counters/gauges/histograms behind
-  a registry the tracer owns: RS failure reasons, erasure-budget
+  a registry the tracer owns (or shares): RS failure reasons, erasure-budget
   utilization, retry waves, consensus iteration/active-set counts,
   clustering founder rounds and prefilter pruning, per-stage row counts;
-* :mod:`repro.observability.manifest` — a :class:`RunManifest` (schema
-  version, config fingerprint, seeds/context, aggregated per-stage wall
-  times, metric snapshot, environment) serialized to JSON with a
-  machine-checkable validator;
+* :mod:`repro.observability.manifest` — :func:`build_manifest` snapshots
+  a tracer into a :class:`RunManifest` (schema version, config
+  fingerprint, seeds/context, aggregated per-stage wall times, metric
+  snapshot, environment) serialized to JSON with a machine-checkable
+  validator;
 * :mod:`repro.observability.report` — a text/markdown renderer and a
   manifest differ, also exposed as ``python -m repro.cli report``;
 * :mod:`repro.observability.events` — :class:`EventLog`, the serving
@@ -26,21 +27,29 @@ without de-batching anything:
   Prometheus text exposition of any registry
   (:func:`render_prometheus` / :func:`parse_prometheus` /
   :func:`verify_roundtrip`, behind ``python -m repro.cli metrics``) and
-  :class:`ServiceHealth` snapshots with SLO verdicts
-  (:func:`capture_health`, behind ``python -m repro.cli top``).
+  :class:`ServiceHealth` snapshots with SLO verdicts over a sliding
+  window (:func:`capture_health`, behind ``python -m repro.cli top``).
 
 Typical use::
 
-    from repro.observability import Tracer, use_tracer, render_manifest
+    from repro.observability import (
+        Tracer, build_manifest, render_manifest, use_tracer,
+    )
 
     tracer = Tracer()
     tracer.context["seed"] = 0
     with use_tracer(tracer):
         pool = simulator.sequence_store(image, rng=0, labeled=False)
         bits, report = store.read(ReadRequest(pool, payload.size, pool=True))
-    manifest = tracer.manifests[-1]        # emitted by store.read
+    manifest = build_manifest(tracer, "store.read",
+                              config=store.pipeline.config)
     manifest.save("run.json")
     print(render_manifest(manifest))
+
+A manifest is built only when the caller asks for one, from whatever
+the tracer recorded so far. The serving plane keeps its ``service.*``
+counters in its own always-on registry; trace with
+``Tracer(metrics=service.metrics)`` to put them in the same manifest.
 
 With no tracer activated, every instrumented call site sees the shared
 :data:`NULL_TRACER` and the decode output is byte-identical to an

@@ -3,7 +3,7 @@
 Batch decodes leave :class:`~repro.observability.manifest.RunManifest`
 snapshots; a *service* answering a stream of tickets needs per-request
 evidence as well: when was a request submitted, which tick coalesced it,
-did it hit the decoded-unit cache, and how its latency split between
+did it hit the decoded-object cache, and how its latency split between
 queue wait and decode work. :class:`EventLog` records those as JSON
 lines — one self-describing object per line, the shape every log
 shipper understands — in a bounded in-memory ring, optionally teeing to

@@ -339,18 +339,15 @@ class ServiceHealth:
         checks: verdict per SLO check (``latency``, ``queue``,
             ``failures``, and ``cache`` when the hit-rate floor is set).
         queue_depth: tickets waiting right now.
-        requests_per_second: answer rate — over the sliding window when
-            one is supplied, else over the service lifetime.
+        requests_per_second: answer rate over the sliding window.
         p50_seconds / p99_seconds: request-latency quantiles (submit to
-            answer), windowed when a window is supplied.
-        cache_hit_rate: unit-cache hits / lookups (0.0 before any
-            lookup).
+            answer) over the sliding window.
+        cache_hit_rate: cache hits / lookups (0.0 before any lookup).
         failure_rate: share of answers whose decode was not clean.
         failure_reasons: per-label shares of the failure-reason
             histogram (RS reason labels when a recording tracer supplied
             them, the service's clean/failed outcomes otherwise).
-        window_seconds: the window length the rates cover (0.0 =
-            lifetime).
+        window_seconds: the window length the rates cover.
     """
 
     verdict: str
@@ -396,55 +393,32 @@ class ServiceHealth:
 
 def capture_health(
     metrics,
+    *,
+    window,
+    cache_stats: Mapping,
     queue_depth: int = 0,
-    cache_stats: Optional[Mapping] = None,
-    window=None,
     slo: Optional[SLOThresholds] = None,
-    elapsed_seconds: Optional[float] = None,
 ) -> ServiceHealth:
     """Build a :class:`ServiceHealth` from a service's always-on registry.
 
     Args:
         metrics: the registry (or snapshot dict) holding the
             ``service.*`` instruments.
+        window: the :class:`~repro.observability.metrics.SlidingWindow`
+            over the same registry; rates and latency quantiles cover
+            its intervals.
+        cache_stats: a :meth:`DecodedUnitCache.stats` dict (its hits and
+            misses give the hit rate).
         queue_depth: current queue depth.
-        cache_stats: :meth:`DecodedUnitCache.stats` dict (hit rate comes
-            from the counters when omitted).
-        window: an optional
-            :class:`~repro.observability.metrics.SlidingWindow` over the
-            same registry — rates and quantiles then cover the window
-            instead of the lifetime.
         slo: thresholds (defaults to :class:`SLOThresholds`).
-        elapsed_seconds: lifetime seconds for the lifetime rate (ignored
-            when a window is supplied).
     """
     slo = slo if slo is not None else SLOThresholds()
     snapshot = metrics.snapshot() if hasattr(metrics, "snapshot") else metrics
-    counters = snapshot.get("counters", {})
-    answers = counters.get("service.answers", 0)
-
-    if window is not None:
-        window_seconds = window.window_seconds
-        rate = window.rate("service.answers")
-        p50 = window.quantile("service.request_seconds", 0.50)
-        p99 = window.quantile("service.request_seconds", 0.99)
-    else:
-        window_seconds = 0.0
-        rate = (answers / elapsed_seconds
-                if elapsed_seconds and elapsed_seconds > 0 else 0.0)
-        timing = snapshot.get("timings", {}).get(
-            "service.request_seconds", {}
-        )
-        p50 = float(timing.get("p50", 0.0))
-        p99 = float(timing.get("p99", 0.0))
-
-    if cache_stats is not None:
-        lookups = cache_stats.get("hits", 0) + cache_stats.get("misses", 0)
-        hit_rate = cache_stats.get("hits", 0) / lookups if lookups else 0.0
-    else:
-        hits = counters.get("service.cache_unit_hits", 0)
-        lookups = hits + counters.get("service.cache_unit_misses", 0)
-        hit_rate = hits / lookups if lookups else 0.0
+    rate = window.rate("service.answers")
+    p50 = window.quantile("service.request_seconds", 0.50)
+    p99 = window.quantile("service.request_seconds", 0.99)
+    lookups = cache_stats.get("hits", 0) + cache_stats.get("misses", 0)
+    hit_rate = cache_stats.get("hits", 0) / lookups if lookups else 0.0
 
     outcomes = snapshot.get("histograms", {}).get(
         "service.read_outcomes", {}
@@ -486,5 +460,5 @@ def capture_health(
         cache_hit_rate=float(hit_rate),
         failure_rate=float(failure_rate),
         failure_reasons=failure_reasons,
-        window_seconds=float(window_seconds),
+        window_seconds=float(window.window_seconds),
     )

@@ -9,9 +9,10 @@ serialized as schema-versioned JSON; :func:`validate_manifest` is the
 machine check — ``benchmarks/check_trend.py --stage`` and the
 ``repro.cli report`` differ both consume validated manifests.
 
-The store plane emits one manifest per ``DnaStore.read`` /
-``read_many`` call when a tracer is active; ``benchmarks/conftest.py``
-writes one per figure run next to the ``BENCH_*.json`` evidence.
+A manifest is built only when a caller asks for one, with
+:func:`build_manifest`, from everything the tracer recorded so far;
+``benchmarks/conftest.py`` builds one per figure run and writes it next
+to the ``BENCH_*.json`` evidence.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ an explicit stack (so sibling stages attach to the right parent), and
 carry a free-form attribute dict (batch rows, cluster counts, dirty
 codewords...). The tracer also owns a
 :class:`~repro.observability.metrics.MetricRegistry` so counters emitted
-mid-span land in the same run record, and a ``manifests`` list the store
-plane appends finished :class:`~repro.observability.manifest.RunManifest`
-objects to.
+mid-span land in the same run record (pass ``metrics=`` to share a
+registry, e.g. a service's always-on one). Nothing builds a manifest
+behind the caller's back: whoever wants a
+:class:`~repro.observability.manifest.RunManifest` builds one from the
+tracer with :func:`~repro.observability.manifest.build_manifest`.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """The default inactive tracer: every operation is a no-op.
 
-    ``is_recording`` is False so manifest emission (the one genuinely
-    non-free step) is skipped entirely on the untraced path.
+    ``is_recording`` is False so callers can skip work that only a
+    recording tracer would keep.
     """
 
     __slots__ = ()
@@ -150,15 +152,12 @@ class NullTracer:
     def span(self, name: str, **attributes) -> _NullSpan:
         return _NULL_SPAN
 
-    def attach_manifest(self, manifest) -> None:
-        pass
-
 
 NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """A recording tracer: span tree + metric registry + manifests.
+    """A recording tracer: span tree + metric registry.
 
     Not thread-safe by design — activate one tracer per thread (the
     active-tracer slot itself is thread-local).
@@ -169,22 +168,16 @@ class Tracer:
     def __init__(self, metrics: Optional[MetricRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.roots: List[SpanRecord] = []
-        self.manifests: List = []
         #: Free-form run context callers stuff seeds/config identifiers
         #: into; :func:`~repro.observability.manifest.build_manifest`
         #: copies it into the manifest.
         self.context: Dict[str, object] = {}
-        #: When False, the store plane skips its per-decode manifest
-        #: emission (spans and counters still record). Long loops of
-        #: decodes — the benchmark harness — set this and build one
-        #: manifest themselves at the end.
-        self.auto_manifest = True
         self._stack: List[SpanRecord] = []
         # Stage totals are accumulated incrementally as spans close so
         # stage_totals() stays O(#stages) however many spans a long run
-        # records (a manifest is built per store decode when
-        # auto_manifest is on — walking the whole forest there again
-        # would be quadratic over a decode loop).
+        # records (a caller may build a manifest after every decode of
+        # a loop — walking the whole forest each time would be
+        # quadratic).
         self._stage_totals: Dict[str, Dict[str, float]] = {}
         self._root_seconds = 0.0
 
@@ -225,9 +218,6 @@ class Tracer:
         )
         entry["seconds"] += record.seconds
         entry["calls"] += 1
-
-    def attach_manifest(self, manifest) -> None:
-        self.manifests.append(manifest)
 
     def find(self, name: str) -> Optional[SpanRecord]:
         """First span named ``name`` across all roots (depth-first)."""

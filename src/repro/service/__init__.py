@@ -1,15 +1,20 @@
 """The random-access serving plane (the paper's Section 2.1 workload).
 
 Many users each pull one object out of a shared pool; the plane turns
-that traffic into amortized pipeline work:
+that traffic into amortized pipeline work, as a plain client of the
+store's public read path:
 
 * :class:`~repro.service.plane.StoreService` — a request queue whose
-  :meth:`~repro.service.plane.StoreService.tick` coalesces every drained
-  ticket into one spanning consensus pass and one batched RS errata
-  pass (the :meth:`~repro.core.store.DnaStore.read_many` engine);
-* :class:`~repro.service.cache.DecodedUnitCache` — the decoded-unit
-  LRU in front of the pipeline, invalidated by epoch on re-encode, so
-  repeat reads never touch consensus or RS at all.
+  :meth:`~repro.service.plane.StoreService.tick` serves every drained
+  ticket through one :meth:`~repro.core.store.DnaStore.read_many` call:
+  one spanning consensus pass and one batched RS errata pass.
+  :meth:`~repro.service.plane.StoreService.put` checks each object with
+  :meth:`~repro.core.store.DnaStore.check`, so a malformed object fails
+  there and never reaches a tick;
+* :class:`~repro.service.cache.DecodedUnitCache` — the LRU of decoded
+  objects (whole ``ReadResult`` entries, sized in units) in front of
+  the pipeline, invalidated by epoch on re-encode, so repeat reads never
+  touch consensus or RS at all.
 
 Quick start::
 

@@ -1,11 +1,11 @@
-"""The decoded-unit LRU cache fronting the serving plane.
+"""The decoded-object LRU cache fronting the serving plane.
 
-Entries are corrected unit stripes — the ``(stripe, DecodeReport)``
-pairs ``correct_many`` emits, *before* ranking reassembly — keyed by
-``(object_id, unit_index, epoch)``. Caching below the ranking step
-keeps entries valid for any per-request ranking; caching per unit keeps
-the cache granular under LRU pressure (a huge object evicts many small
-entries, not one giant one).
+Entries are whole :class:`~repro.core.store.ReadResult` objects — what
+:meth:`~repro.core.store.DnaStore.read_many` answered for one object —
+keyed by ``(object_id, epoch)``. An object is decoded whole whenever any
+of it is missing, so it is cached and evicted whole too. Capacity, size
+and evictions count *units* (a result's ``len(report.unit_reports)``),
+so a large object costs what its units cost.
 
 The epoch is the invalidation handle: :meth:`~repro.service.plane.
 StoreService.put` bumps an object's epoch when its reads are replaced
@@ -19,65 +19,82 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from repro.core.store import ReadResult
+
+
+def _units(result: ReadResult) -> int:
+    return len(result.report.unit_reports)
+
 
 class DecodedUnitCache:
-    """A capacity-bounded LRU of corrected unit stripes.
+    """A capacity-bounded LRU of decoded objects, sized in units.
 
-    ``capacity`` counts *unit* entries, not objects; ``capacity=0``
-    disables caching entirely (every :meth:`get` misses, :meth:`put`
-    stores nothing) — the throughput benchmark runs the plane this way
-    so it measures coalescing, not cache hits.
+    ``capacity`` counts *units*, not objects; an object with more units
+    than the whole capacity is not stored, so ``capacity=0`` disables
+    caching entirely (every :meth:`get` misses, :meth:`put` stores
+    nothing) — the throughput benchmark runs the plane this way so it
+    measures coalescing, not cache hits.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.capacity = int(capacity)
-        self._entries: "OrderedDict[Tuple, tuple]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, ReadResult]" = OrderedDict()
+        self._size = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Units held."""
+        return self._size
 
-    def get(self, object_id, unit_index: int, epoch: int) -> Optional[tuple]:
-        """The cached ``(stripe, DecodeReport)``, or ``None`` on miss."""
-        key = (object_id, unit_index, epoch)
-        entry = self._entries.get(key)
-        if entry is None:
+    def get(self, object_id, epoch: int) -> Optional[ReadResult]:
+        """The cached :class:`~repro.core.store.ReadResult`, or ``None``
+        on miss. Callers must not mutate it: the service answers with a
+        copy of its ``bits``."""
+        key = (object_id, epoch)
+        result = self._entries.get(key)
+        if result is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry
+        return result
 
-    def put(self, object_id, unit_index: int, epoch: int,
-            entry: tuple) -> None:
-        """Store one corrected unit, evicting the LRU entry if full."""
-        if self.capacity == 0:
+    def put(self, object_id, epoch: int, result: ReadResult) -> None:
+        """Store one decoded object, evicting LRU objects until its
+        units fit."""
+        units = _units(result)
+        if units > self.capacity:
             return
-        key = (object_id, unit_index, epoch)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        key = (object_id, epoch)
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self._size -= _units(previous)
+        self._entries[key] = result
+        self._size += units
+        while self._size > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
+            self._size -= _units(evicted)
+            self.evictions += _units(evicted)
 
     def stats(self) -> dict:
         """Always-on cache statistics as a plain dict.
 
-        Lifetime ``hits``/``misses``/``evictions`` totals, the current
-        ``size``/``capacity``, and the derived ``hit_rate`` (0.0 before
-        any lookup). No tracer required — these counters are maintained
-        on every :meth:`get`/:meth:`put` regardless of observability
-        state, and :meth:`~repro.service.plane.StoreService.health`
-        folds them into its snapshot.
+        Lifetime ``hits``/``misses`` (one per :meth:`get`, i.e. per
+        object looked up) and ``evictions`` (units) totals, the current
+        ``size``/``capacity`` in units, and the derived ``hit_rate``
+        (0.0 before any lookup). No tracer required — these counters
+        are maintained on every :meth:`get`/:meth:`put` regardless of
+        observability state, and
+        :meth:`~repro.service.plane.StoreService.health` folds them into
+        its snapshot.
         """
         lookups = self.hits + self.misses
         return {
-            "size": len(self._entries),
+            "size": self._size,
             "capacity": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
@@ -90,12 +107,13 @@ class DecodedUnitCache:
 
         The epoch bump already makes stale entries unreachable; eager
         removal frees their capacity immediately. Returns the number of
-        entries dropped.
+        units dropped.
         """
         stale = [key for key in self._entries if key[0] == object_id]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
+        dropped = sum(_units(self._entries.pop(key)) for key in stale)
+        self._size -= dropped
+        return dropped
 
     def clear(self) -> None:
         self._entries.clear()
+        self._size = 0

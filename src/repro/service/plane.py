@@ -2,46 +2,47 @@
 
 :class:`StoreService` models the paper's random-access workload (many
 users each pulling one object out of a shared pool) as a queue in front
-of one :class:`~repro.core.store.DnaStore`. Readable objects are
-registered once with :meth:`StoreService.put`; users enqueue tickets
-with :meth:`StoreService.submit`; each :meth:`StoreService.tick` drains
-up to ``batch_window`` tickets and serves them all through **one**
-coalesced decode — duplicate requests for the same object collapse to
-one decode, all distinct objects' units merge into one spanning
-consensus pass and one batched RS errata pass (the
-:meth:`~repro.core.store.DnaStore.read_many` engine), and objects whose
-units are resident in the :class:`~repro.service.cache.DecodedUnitCache`
-skip the pipeline entirely.
+of one :class:`~repro.core.store.DnaStore`, and uses only the store's
+public surface. Readable objects are registered once with
+:meth:`StoreService.put`, which keeps each object's
+:class:`~repro.core.store.ReadRequest` after
+:meth:`~repro.core.store.DnaStore.check` accepts it; users enqueue
+tickets with :meth:`StoreService.submit`; each :meth:`StoreService.tick`
+drains up to ``batch_window`` tickets and serves them all through
+**one** :meth:`~repro.core.store.DnaStore.read_many` call — duplicate
+requests for the same object collapse to one decode, all distinct
+objects' units merge into one spanning consensus pass and one batched
+RS errata pass, and objects whose decoded result is resident in the
+:class:`~repro.service.cache.DecodedUnitCache` skip the pipeline
+entirely.
 
-The tick loop is traced (``service.tick`` spans, ``service.*``
-counters, a run manifest per tick when a recording tracer is active),
-so serving runs leave the same machine-checkable evidence as decode
-runs. Independently of any tracer, the plane keeps *always-on* live
-telemetry: its own :class:`~repro.observability.metrics.MetricRegistry`
-(request/answer/error counters, queue-depth gauge,
-request/queue-wait/decode timing histograms, clean-vs-failed-vs-error
-outcomes), a structured :class:`~repro.observability.events.EventLog`
-(submit / coalesce / decode / cache_hit / complete / error records
-keyed by monotonically assigned request ids), and a
-:class:`~repro.observability.metrics.SlidingWindow`
-so :meth:`StoreService.health` reports rates and latency quantiles over
-the recent window rather than process lifetime. The ``NullTracer``
-decode path is untouched — the always-on instruments live beside it,
-not inside it.
+The tick loop is traced (``service.tick`` spans with the window's
+object and cache counts). Independently of any tracer, the plane keeps
+*always-on* live telemetry, and it is the one home of the ``service.*``
+metrics: its own :class:`~repro.observability.metrics.MetricRegistry`
+(request/answer/error/tick counters, unit cache hits and misses,
+queue-depth and cache-size gauges, request/queue-wait/decode timing
+histograms, clean-vs-failed-vs-error outcomes), a structured
+:class:`~repro.observability.events.EventLog` (submit / coalesce /
+decode / cache_hit / complete / error records keyed by monotonically
+assigned request ids), and a
+:class:`~repro.observability.metrics.SlidingWindow` so
+:meth:`StoreService.health` reports rates and latency quantiles over
+the recent window rather than process lifetime. A caller who wants the
+``service.*`` counters in a run manifest traces with
+``Tracer(metrics=service.metrics)`` and builds the manifest with
+:func:`~repro.observability.manifest.build_manifest`. The
+``NullTracer`` decode path is untouched — the always-on instruments
+live beside it, not inside it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.store import (
-    DnaStore,
-    ReadRequest,
-    ReadResult,
-    check_request,
-)
+from repro.core.store import DnaStore, ReadRequest, ReadResult
 from repro.observability.events import EventLog
 from repro.observability.export import (
     ServiceHealth,
@@ -53,26 +54,13 @@ from repro.observability.trace import get_tracer
 from repro.service.cache import DecodedUnitCache
 
 
-@dataclass
-class _CatalogEntry:
-    """One readable object: its read material and decode options."""
-
-    reads: object
-    n_data_bits: int
-    pool: bool
-    ranking: object
-    confidence_threshold: Optional[float]
-    clusterer: object
-    epoch: int
-
-
 class StoreService:
-    """A coalescing read queue + decoded-unit cache over one store.
+    """A coalescing read queue + decoded-object cache over one store.
 
     Args:
         store: the :class:`~repro.core.store.DnaStore` to serve from.
-        cache_capacity: decoded-unit LRU capacity (unit entries;
-            ``0`` disables caching).
+        cache_capacity: decoded-object LRU capacity, counted in units
+            (``0`` disables caching).
         batch_window: max tickets drained per :meth:`tick`
             (``None`` = drain everything). The throughput benchmark
             sweeps this knob: window 1 degenerates to one decode per
@@ -114,12 +102,12 @@ class StoreService:
         self.events = event_log if event_log is not None else EventLog()
         self.window = SlidingWindow(self.metrics, n_intervals=window_intervals)
         self.slo = slo
-        self._catalog: Dict[object, _CatalogEntry] = {}
+        # object_id -> (its ReadRequest, its epoch)
+        self._catalog: Dict[object, Tuple[ReadRequest, int]] = {}
         self._queue: List[tuple] = []  # (ticket, object_id, t_submit)
         self._next_ticket = 0
         self._next_tick = 0
         self._seen_evictions = 0
-        self._t_started = time.perf_counter()
 
     # -- catalog -------------------------------------------------------------
 
@@ -136,30 +124,30 @@ class StoreService:
         """Register (or replace) a readable object; returns its epoch.
 
         Re-putting an existing ``object_id`` is the re-encode path: the
-        epoch bumps and every cached unit of the object is invalidated,
-        so the next read decodes the new material.
+        epoch bumps and the object's cached result is invalidated, so
+        the next read decodes the new material.
 
-        ``reads``, ``n_data_bits`` and ``confidence_threshold`` pass
-        :func:`~repro.core.store.check_request` first, so a malformed
-        object raises here, naming the field, and leaves the catalog and
-        the cache as they were. The ``ranking`` (an O(n_data_bits) check)
-        and a pool's shape are checked when the object is decoded.
+        The object's :class:`~repro.core.store.ReadRequest` passes
+        :meth:`~repro.core.store.DnaStore.check` first — the same check a
+        decode runs — so a malformed object raises here, naming the
+        field, and leaves the catalog and the cache as they were.
         """
-        check_request(ReadRequest(reads, n_data_bits,
-                                  confidence_threshold=confidence_threshold))
+        request = ReadRequest(
+            reads, n_data_bits, pool=pool, ranking=ranking,
+            confidence_threshold=confidence_threshold, clusterer=clusterer,
+            object_id=object_id,
+        )
+        self.store.check(request)
         previous = self._catalog.get(object_id)
-        epoch = 0 if previous is None else previous.epoch + 1
+        epoch = 0 if previous is None else previous[1] + 1
         if previous is not None:
             self.cache.invalidate(object_id)
-        self._catalog[object_id] = _CatalogEntry(
-            reads=reads, n_data_bits=n_data_bits, pool=pool,
-            ranking=ranking, confidence_threshold=confidence_threshold,
-            clusterer=clusterer, epoch=epoch,
-        )
+        self._catalog[object_id] = (request, epoch)
         return epoch
 
     def invalidate(self, object_id) -> int:
-        """Drop an object's cached units without replacing its reads."""
+        """Drop an object's cached result without replacing its reads;
+        returns the number of units freed."""
         return self.cache.invalidate(object_id)
 
     # -- the queue -----------------------------------------------------------
@@ -216,8 +204,7 @@ class StoreService:
         tick_index = self._next_tick
         self._next_tick += 1
 
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "service.tick",
             n_requests=len(drained),
             queue_depth=len(self._queue),
@@ -244,16 +231,7 @@ class StoreService:
                 cache_unit_hits=unit_hits,
                 cache_unit_misses=unit_misses,
             )
-            if tracer.is_recording:
-                metrics = tracer.metrics
-                metrics.counter("service.requests").add(len(drained))
-                metrics.counter("service.ticks").add(1)
-                metrics.counter("service.cache_unit_hits").add(unit_hits)
-                metrics.counter("service.cache_unit_misses").add(unit_misses)
-                metrics.gauge("service.queue_depth").set(len(self._queue))
 
-        # Always-on tick accounting on the service's own registry — the
-        # tracer above may be the NullTracer; these run regardless.
         m = self.metrics
         m.counter("service.requests").add(len(drained))
         m.counter("service.ticks").add(1)
@@ -266,81 +244,55 @@ class StoreService:
             self._seen_evictions = self.cache.evictions
         m.gauge("service.queue_depth").set(len(self._queue))
         m.gauge("service.cache_size").set(len(self.cache))
-
-        self.store._emit_manifest(tracer, "service.tick")
         return answers
 
     def _serve_window(self, drained, tick_index: int):
         """Decode a drained window; returns (answers, n_objects,
         unit cache hits, unit cache misses)."""
         t_drain = time.perf_counter()
-        distinct: List = []
-        for _, object_id, _ in drained:
-            if object_id not in distinct:
-                distinct.append(object_id)
+        distinct = list(dict.fromkeys(oid for _, oid, _ in drained))
         self.events.emit(
             "coalesce", tick=tick_index, n_requests=len(drained),
             n_objects=len(distinct),
         )
 
-        cached: Dict[object, list] = {}
+        results: Dict[object, ReadResult] = {}
         missing: List = []
         unit_hits = 0
         unit_misses = 0
         for object_id in distinct:
-            entry = self._catalog[object_id]
-            n_units = self.store.units_needed(entry.n_data_bits)
-            units = [
-                self.cache.get(object_id, u, entry.epoch)
-                for u in range(n_units)
-            ]
-            found = sum(unit is not None for unit in units)
-            unit_hits += found
-            unit_misses += n_units - found
-            if found == n_units:
-                cached[object_id] = units
-            else:
-                # Partial residency (LRU evicted some units) re-decodes
-                # the whole object — the spanning batch is per object,
-                # and whole-object refill restores full residency.
+            request, epoch = self._catalog[object_id]
+            n_units = self.store.units_needed(request.n_data_bits)
+            result = self.cache.get(object_id, epoch)
+            if result is None:
                 missing.append(object_id)
+                unit_misses += n_units
+            else:
+                results[object_id] = result
+                unit_hits += n_units
+        hits = list(results)
 
-        decoded: Dict[object, tuple] = {}
         decode_seconds = 0.0
         if missing:
-            requests = [
-                ReadRequest(
-                    reads=self._catalog[oid].reads,
-                    n_data_bits=self._catalog[oid].n_data_bits,
-                    pool=self._catalog[oid].pool,
-                    ranking=self._catalog[oid].ranking,
-                    confidence_threshold=(
-                        self._catalog[oid].confidence_threshold
-                    ),
-                    clusterer=self._catalog[oid].clusterer,
-                    object_id=oid,
-                )
-                for oid in missing
-            ]
             t_decode = time.perf_counter()
-            served = self.store._read_many_impl(requests)
+            decoded = self.store.read_many(
+                [self._catalog[object_id][0] for object_id in missing]
+            )
             decode_seconds = time.perf_counter() - t_decode
             self.metrics.timing("service.decode_seconds").observe(
                 decode_seconds
             )
-            for oid, (bits, report, corrected) in zip(missing, served):
-                decoded[oid] = (bits, report)
-                epoch = self._catalog[oid].epoch
-                for u, unit_entry in enumerate(corrected):
-                    self.cache.put(oid, u, epoch, unit_entry)
+            for object_id, result in zip(missing, decoded):
+                results[object_id] = result
+                self.cache.put(object_id, self._catalog[object_id][1], result)
                 # The decode is coalesced (one spanning pass for every
                 # missing object), so each object reports the shared
                 # batch wall time.
                 self.events.emit(
-                    "decode", tick=tick_index, object_id=oid,
+                    "decode", tick=tick_index, object_id=object_id,
                     seconds=round(decode_seconds, 9),
                 )
-        for object_id in cached:
+        for object_id in hits:
             self.events.emit(
                 "cache_hit", tick=tick_index, object_id=object_id,
             )
@@ -350,32 +302,28 @@ class StoreService:
         request_timing = self.metrics.timing("service.request_seconds")
         wait_timing = self.metrics.timing("service.queue_wait_seconds")
         now = time.perf_counter()
+        cached = set(hits)
         for ticket, object_id, t_submit in drained:
-            entry = self._catalog[object_id]
-            if object_id in decoded:
-                bits, report = decoded[object_id]
-                hit = False
-            else:
-                bits, report = self.store._assemble_bits(
-                    cached[object_id], entry.n_data_bits, entry.ranking
-                )
-                hit = True
+            result = results[object_id]
+            hit = object_id in cached
             seconds = now - t_submit
             queue_wait = max(t_drain - t_submit, 0.0)
-            answers.append(ReadResult(
-                bits=bits, report=report, object_id=object_id,
-                request_id=ticket, cache_hit=hit, seconds=seconds,
+            # Each answer owns its bits: mutating one changes neither the
+            # cached result nor another ticket's answer.
+            answers.append(dataclasses.replace(
+                result, bits=result.bits.copy(), request_id=ticket,
+                cache_hit=hit, seconds=seconds,
             ))
             request_timing.observe(seconds)
             wait_timing.observe(queue_wait)
-            outcomes.observe("clean" if report.clean else "failed")
+            outcomes.observe("clean" if result.clean else "failed")
             self.events.emit(
                 "complete", tick=tick_index, request_id=ticket,
                 object_id=object_id,
                 queue_wait_seconds=round(queue_wait, 9),
                 decode_seconds=round(0.0 if hit else decode_seconds, 9),
                 seconds=round(seconds, 9),
-                cache_hit=hit, clean=report.clean,
+                cache_hit=hit, clean=result.clean,
             )
         return answers, len(distinct), unit_hits, unit_misses
 
@@ -407,9 +355,8 @@ class StoreService:
                 snapshot["histograms"]["rs.failure_reasons"] = reasons
         return capture_health(
             snapshot,
-            queue_depth=len(self._queue),
-            cache_stats=self.cache.stats(),
             window=self.window,
+            cache_stats=self.cache.stats(),
+            queue_depth=len(self._queue),
             slo=slo if slo is not None else self.slo,
-            elapsed_seconds=time.perf_counter() - self._t_started,
         )

@@ -190,14 +190,14 @@ class TestTopCommand:
 
 class TestReportServiceManifests:
     def _service_manifest(self, path, repeats):
-        """Run the serving demo under a recording tracer; save the last
-        service.tick manifest it emits."""
+        """Run the serving demo under a recording tracer that shares the
+        service's registry; build and save one service.tick manifest."""
         from repro.channel import (
             ErrorModel, FixedCoverage, SequencingSimulator,
         )
         from repro.core import MatrixConfig, PipelineConfig
         from repro.core.store import DnaStore
-        from repro.observability import Tracer, use_tracer
+        from repro.observability import Tracer, build_manifest, use_tracer
         from repro.service import StoreService
 
         matrix = MatrixConfig(m=8, n_columns=24, nsym=4, payload_rows=6)
@@ -211,14 +211,14 @@ class TestReportServiceManifests:
                                 dtype=np.uint8)
             reads = simulator.sequence_store(store.encode(bits), rng=4 + k)
             service.put(f"obj{k}", reads, bits.size)
-        tracer = Tracer()
+        tracer = Tracer(metrics=service.metrics)
         with use_tracer(tracer):
             for _ in range(repeats):
                 for k in range(2):
                     service.submit(f"obj{k}")
                 service.tick()
-        manifest = tracer.manifests[-1]
-        assert manifest.name == "service.tick"
+        manifest = build_manifest(tracer, "service.tick",
+                                  config=store.pipeline.config)
         manifest.save(path)
         return manifest
 

@@ -7,14 +7,19 @@ Pins the read API's contract:
 * ``read_many`` coalesces heterogeneous requests (labeled, pooled,
   ranked, thresholded) and each answer is byte-identical to serving the
   request alone;
-* each call leaves one ``store.read``/``store.read_many`` manifest.
+* each call records one ``store.read``/``store.read_many`` span.
 """
 
 import numpy as np
 import pytest
 
 from oracles.core import decode_units_reference
-from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
+from repro.channel import (
+    ErrorModel,
+    FixedCoverage,
+    ReadCluster,
+    SequencingSimulator,
+)
 from repro.cluster import BatchedGreedyClusterer
 from repro.core import (
     MatrixConfig,
@@ -23,7 +28,7 @@ from repro.core import (
     ReadResult,
 )
 from repro.core.store import DnaStore
-from repro.observability import Tracer, use_tracer
+from repro.observability import Tracer, build_manifest, use_tracer
 
 MATRIX = MatrixConfig(m=8, n_columns=24, nsym=4, payload_rows=6)
 
@@ -178,22 +183,34 @@ class TestCoalescing:
 
 
 class TestSpanAndManifestCompatibility:
-    def test_read_emits_store_read_manifest(self, fixture_store):
+    """``read`` and ``read_many`` keep their span names, and a manifest
+    exists only when the caller builds one."""
+
+    def test_read_records_store_read_span(self, fixture_store):
         store = fixture_store
         reads, bits, _ = sequence(store, seed=40)
         tracer = Tracer()
         with use_tracer(tracer):
             store.read(ReadRequest(reads, bits.size))
-        assert [m.name for m in tracer.manifests] == ["store.read"]
-        assert "store.read" in tracer.manifests[0].stages
+        stages = tracer.stage_totals()
+        assert stages["store.read"]["calls"] == 1
+        assert "store.read_many" not in stages
+        assert not hasattr(tracer, "manifests")
+        manifest = build_manifest(tracer, "store.read",
+                                  config=store.pipeline.config)
+        assert manifest.name == "store.read"
+        assert "store.read" in manifest.stages
 
-    def test_read_many_emits_one_manifest(self, fixture_store):
+    def test_read_many_records_one_span(self, fixture_store):
         store = fixture_store
         reads, bits, _ = sequence(store, seed=41)
         tracer = Tracer()
         with use_tracer(tracer):
             store.read_many([ReadRequest(reads, bits.size)] * 2)
-        assert [m.name for m in tracer.manifests] == ["store.read_many"]
+        stages = tracer.stage_totals()
+        assert stages["store.read_many"]["calls"] == 1
+        assert "store.read" not in stages
+        assert tracer.find("store.read_many").attributes["n_requests"] == 2
 
 
 class TestPooledCoalescingDetail:
@@ -298,24 +315,70 @@ class TestRequestValidation:
         np.testing.assert_array_equal(result.bits, bits)
 
     def test_service_requests_pass_the_same_checks(self):
-        """The serving plane decodes through the same checks: a bad
-        ranking in its catalog raises the typed error before consensus,
-        and the tick accounts for the drained ticket."""
+        """The serving plane registers objects through the same check: a
+        bad ranking raises the typed error at ``put``, before any layer
+        runs, and never reaches a tick."""
         from repro.service import StoreService
 
         store = DnaStore(PipelineConfig(matrix=MATRIX))
         reads, bits, _ = sequence(store, seed=32)
         service = StoreService(store)
-        service.put("bad", reads, bits.size,
-                    ranking=np.zeros(bits.size, dtype=np.int64))
-        ticket = service.submit("bad")
         tracer = Tracer()
         with use_tracer(tracer):
             with pytest.raises(ValueError, match="ranking"):
-                service.tick()
+                service.put("bad", reads, bits.size,
+                            ranking=np.zeros(bits.size, dtype=np.int64))
         assert "consensus.reconstruct" not in tracer.stage_totals()
-        [event] = service.events.records("error")
-        assert event["request_id"] == ticket
+        with pytest.raises(KeyError):
+            service.submit("bad")
+        assert service.events.records("error") == []
+
+    def test_bad_unit_entry_rejected_before_any_group_runs(
+        self, fixture_store
+    ):
+        """A per-unit entry that is neither a ReadBatch nor a cluster
+        list raises a TypeError naming ``ReadRequest.reads`` up front:
+        alone, and behind a good request in another threshold group,
+        with no consensus span recorded."""
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=37)
+        bad = ReadRequest([reads.select_clusters(0, MATRIX.n_columns), 5],
+                          bits.size, confidence_threshold=0.5)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(TypeError, match=r"ReadRequest\.reads"):
+                store.read(bad)
+            with pytest.raises(TypeError, match=r"ReadRequest\.reads"):
+                store.read_many([ReadRequest(reads, bits.size), bad])
+        assert "consensus.reconstruct" not in tracer.stage_totals()
+
+    @pytest.mark.parametrize("make_reads", [
+        lambda reads: 5,
+        lambda reads: [reads.select_clusters(0, MATRIX.n_columns), "ACGT"],
+        lambda reads: [reads.select_clusters(0, MATRIX.n_columns),
+                       [reads.select_clusters(0, 1)]],
+    ], ids=["not_a_list", "string_entry", "batch_inside_cluster_list"])
+    def test_reads_of_the_wrong_form_are_type_errors(self, fixture_store,
+                                                     make_reads):
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=38)
+        with pytest.raises(TypeError, match=r"ReadRequest\.reads"):
+            store.check(ReadRequest(make_reads(reads), bits.size))
+
+    def test_cluster_lists_and_batches_accepted_per_unit(self,
+                                                         fixture_store):
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=39)
+        first = reads.select_clusters(0, MATRIX.n_columns)
+        second = reads.select_clusters(MATRIX.n_columns,
+                                       2 * MATRIX.n_columns)
+        clusters = [
+            ReadCluster(int(source), [])
+            for source in range(MATRIX.n_columns)
+        ]
+        store.check(ReadRequest([first, clusters], bits.size))
+        result = store.read(ReadRequest((first, second), bits.size))
+        np.testing.assert_array_equal(result.bits, bits)
 
 
 class TestThresholdRange:

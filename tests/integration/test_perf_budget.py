@@ -794,7 +794,7 @@ class TestTracingBudget:
             off_report.total_failed_codewords
         assert on_report.total_erased_columns == \
             off_report.total_erased_columns
-        assert tracer.manifests  # the traced run left its evidence
+        assert tracer.find("store.read") is not None  # traced evidence
 
     def test_null_tracer_overhead_within_budget(self):
         """Estimate the off-path cost directly: (number of span call

@@ -14,8 +14,8 @@ from repro.observability import (
 )
 
 
-def populated_registry() -> MetricRegistry:
-    registry = MetricRegistry()
+def populated_registry(registry=None) -> MetricRegistry:
+    registry = registry if registry is not None else MetricRegistry()
     registry.counter("service.requests").add(128)
     registry.counter("service.ticks").add(16)
     registry.gauge("service.queue_depth").set(3)
@@ -111,6 +111,19 @@ class TestRoundTrip:
             verify_roundtrip(registry)
 
 
+def windowed():
+    """An empty registry and a sliding window opened over it."""
+    registry = MetricRegistry()
+    return registry, SlidingWindow(registry, n_intervals=4)
+
+
+def health_of(registry, window, cache_stats=None, **kwargs):
+    """Close a 10 s interval, then ``capture_health`` over the window."""
+    window.roll(seconds=10.0)
+    return capture_health(registry, window=window,
+                          cache_stats=cache_stats or {}, **kwargs)
+
+
 class TestServiceHealth:
     # populated_registry's timing tops out at 1.5 s and its outcomes run
     # 6.25% failed, so the health tests that expect "ok" loosen those
@@ -121,65 +134,71 @@ class TestServiceHealth:
                           unhealthy_failure_rate=0.50)
 
     def test_healthy_snapshot(self):
-        registry = populated_registry()
-        health = capture_health(registry, queue_depth=3,
-                                slo=self.LOOSE, elapsed_seconds=10.0)
+        registry, window = windowed()
+        populated_registry(registry)
+        health = health_of(registry, window, queue_depth=3, slo=self.LOOSE)
         assert health.verdict == "ok"
         assert health.checks == {
             "latency": "ok", "queue": "ok", "failures": "ok",
         }
-        # Lifetime fallback rate: answers counter absent -> 0 req/s.
+        # No answers counter in the window: 0 req/s.
+        assert health.requests_per_second == 0.0
         registry.counter("service.answers").add(128)
-        health = capture_health(registry, queue_depth=3,
-                                slo=self.LOOSE, elapsed_seconds=10.0)
-        assert health.requests_per_second == pytest.approx(12.8)
+        health = health_of(registry, window, queue_depth=3, slo=self.LOOSE)
+        assert health.requests_per_second == pytest.approx(6.4)
+        assert health.window_seconds == pytest.approx(20.0)
         assert health.p99_seconds > 0
 
     def test_verdict_flips_degraded_then_unhealthy(self):
-        registry = MetricRegistry()
+        registry, window = windowed()
         registry.timing("service.request_seconds").observe(1.0)  # slow
         slo = SLOThresholds(degraded_p99_seconds=0.5,
                             unhealthy_p99_seconds=2.0)
-        health = capture_health(registry, slo=slo)
+        health = health_of(registry, window, slo=slo)
         assert health.checks["latency"] == "degraded"
         assert health.verdict == "degraded"
 
         registry.timing("service.request_seconds").observe(30.0)
-        health = capture_health(registry, slo=slo)
+        health = health_of(registry, window, slo=slo)
         assert health.checks["latency"] == "unhealthy"
         assert health.verdict == "unhealthy"
 
     def test_queue_and_failure_checks(self):
-        registry = MetricRegistry()
+        registry, window = windowed()
         outcomes = registry.histogram("service.read_outcomes")
         outcomes.observe("clean", 80)
         outcomes.observe("failed", 20)  # 20% failures
-        health = capture_health(registry, queue_depth=1000)
+        health = health_of(registry, window, queue_depth=1000)
         assert health.checks["queue"] == "unhealthy"
         assert health.checks["failures"] == "unhealthy"
         assert health.failure_rate == pytest.approx(0.20)
         assert health.failure_reasons == {"failed": pytest.approx(0.20)}
 
     def test_rs_failure_reasons_preferred_when_present(self):
-        registry = MetricRegistry()
+        registry, window = windowed()
         registry.histogram("service.read_outcomes").observe("clean", 9)
         registry.histogram("service.read_outcomes").observe("failed", 1)
         reasons = registry.histogram("rs.failure_reasons")
         reasons.observe("ok", 9)
         reasons.observe("erasures exceed correction capability", 1)
-        health = capture_health(registry)
+        health = health_of(registry, window)
         assert health.failure_reasons == {
             "erasures exceed correction capability": pytest.approx(0.1),
         }
 
     def test_cache_hit_rate_from_stats_and_floor_check(self):
-        registry = MetricRegistry()
+        registry, window = windowed()
         stats = {"hits": 30, "misses": 70}
         slo = SLOThresholds(min_cache_hit_rate=0.5)
-        health = capture_health(registry, cache_stats=stats, slo=slo)
+        health = health_of(registry, window, cache_stats=stats, slo=slo)
         assert health.cache_hit_rate == pytest.approx(0.30)
         assert health.checks["cache"] == "degraded"
         assert health.verdict == "degraded"
+
+    def test_cache_hit_rate_before_any_lookup(self):
+        health = health_of(*windowed(),
+                           cache_stats={"hits": 0, "misses": 0})
+        assert health.cache_hit_rate == 0.0
 
     def test_windowed_rates_and_quantiles(self):
         registry = MetricRegistry()
@@ -189,14 +208,22 @@ class TestServiceHealth:
             [0.001] * 50
         )
         window.roll(seconds=2.0)
-        health = capture_health(registry, window=window)
+        health = capture_health(registry, window=window, cache_stats={})
         assert health.requests_per_second == pytest.approx(25.0)
         assert health.window_seconds == pytest.approx(2.0)
         assert 0.0 < health.p50_seconds < 0.01
 
+    def test_window_and_cache_stats_are_required(self):
+        registry = MetricRegistry()
+        with pytest.raises(TypeError):
+            capture_health(registry, cache_stats={})
+        with pytest.raises(TypeError):
+            capture_health(registry, window=SlidingWindow(registry))
+
     def test_to_dict_and_summary(self):
-        health = capture_health(populated_registry(), queue_depth=2,
-                                slo=self.LOOSE)
+        registry, window = windowed()
+        populated_registry(registry)
+        health = health_of(registry, window, queue_depth=2, slo=self.LOOSE)
         as_dict = health.to_dict()
         assert as_dict["verdict"] == "ok"
         assert as_dict["queue_depth"] == 2

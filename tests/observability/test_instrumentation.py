@@ -1,10 +1,10 @@
-"""Decode-path instrumentation: spans, counters and emitted manifests.
+"""Decode-path instrumentation: spans, counters and built manifests.
 
 The acceptance bar for the telemetry layer: a pool decode run under an
-active tracer leaves one schema-valid :class:`RunManifest` covering the
-channel, clustering, consensus, receive and RS stages with nonzero
-pipeline counters — and the ``repro.cli report`` subcommand renders and
-diffs that evidence.
+active tracer records what :func:`build_manifest` turns into one
+schema-valid :class:`RunManifest` covering the channel, clustering,
+consensus, receive and RS stages with nonzero pipeline counters — and
+the ``repro.cli report`` subcommand renders and diffs that evidence.
 """
 
 import numpy as np
@@ -19,14 +19,19 @@ from repro.core import (
     ReadRequest,
 )
 from repro.core.store import DnaStore
-from repro.observability import Tracer, use_tracer, validate_manifest
+from repro.observability import (
+    Tracer,
+    build_manifest,
+    use_tracer,
+    validate_manifest,
+)
 
 MATRIX = MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8)
 
 
 def traced_pool_decode(seed=3, rate=0.05):
     """Run sequence_store + a pooled read under one tracer; return
-    (tracer, decoded bits, report, payload bits)."""
+    (manifest, decoded bits, report, payload bits, tracer)."""
     store = DnaStore(PipelineConfig(matrix=MATRIX))
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, 2 * store.unit_capacity_bits - 5)
@@ -42,7 +47,9 @@ def traced_pool_decode(seed=3, rate=0.05):
         decoded, report = store.read(
             ReadRequest(pool, bits.size, pool=True)
         )
-    return tracer, decoded, report, bits
+    manifest = build_manifest(tracer, "store.read",
+                              config=store.pipeline.config)
+    return manifest, decoded, report, bits, tracer
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +59,21 @@ def traced_run():
 
 class TestDecodePoolManifest:
     def test_decode_still_round_trips_under_tracing(self, traced_run):
-        _, decoded, report, bits = traced_run
+        _, decoded, report, bits, _ = traced_run
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
-    def test_manifest_emitted_and_schema_valid(self, traced_run):
-        tracer = traced_run[0]
-        assert len(tracer.manifests) == 1
-        manifest = tracer.manifests[0]
+    def test_manifest_built_on_request_and_schema_valid(self, traced_run):
+        """Decoding leaves spans and counters on the tracer, no manifest;
+        ``build_manifest`` makes one from them."""
+        manifest, tracer = traced_run[0], traced_run[4]
+        assert not hasattr(tracer, "manifests")
         assert manifest.name == "store.read"
+        assert manifest.stages == tracer.stage_totals()
         assert validate_manifest(manifest.to_dict()) is not None
 
     def test_manifest_covers_every_pipeline_stage(self, traced_run):
-        manifest = traced_run[0].manifests[0]
+        manifest = traced_run[0]
         for stage in (
             "channel.sequence",      # sequencing the pool
             "cluster.pools",         # recovering unlabeled clusters
@@ -78,7 +87,7 @@ class TestDecodePoolManifest:
             assert manifest.stages[stage]["calls"] >= 1
 
     def test_manifest_counters_are_nonzero(self, traced_run):
-        manifest = traced_run[0].manifests[0]
+        manifest = traced_run[0]
         for counter in (
             "channel.strands_in",
             "channel.reads_out",
@@ -94,12 +103,12 @@ class TestDecodePoolManifest:
         assert sum(reasons.values()) == manifest.counter("rs.codewords")
 
     def test_manifest_carries_config_and_context(self, traced_run):
-        manifest = traced_run[0].manifests[0]
+        manifest = traced_run[0]
         assert manifest.config["fingerprint"]
         assert manifest.config["values"]["matrix"]["n_columns"] == 40
         assert manifest.context["seed"] == 3
 
-    def test_labeled_decode_emits_manifest_too(self):
+    def test_labeled_decode_builds_manifest_too(self):
         store = DnaStore(PipelineConfig(matrix=MATRIX))
         rng = np.random.default_rng(23)
         bits = rng.integers(0, 2, store.unit_capacity_bits).astype(np.uint8)
@@ -113,17 +122,15 @@ class TestDecodePoolManifest:
             decoded, report = store.read(ReadRequest(batch, bits.size))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
-        manifest = tracer.manifests[0]
+        manifest = build_manifest(tracer, "store.read")
         assert manifest.name == "store.read"
         assert "rs.decode_words" in manifest.stages
         assert manifest.counter("rs.codewords") > 0
 
-    def test_auto_manifest_off_records_spans_but_emits_nothing(self):
-        """Long decode loops (the benchmark harness) switch off the
-        per-decode store manifest and build one aggregate at the end —
-        spans and counters must keep recording."""
-        from repro.observability import build_manifest
-
+    def test_decode_loop_builds_one_aggregate_manifest(self):
+        """A long decode loop (the benchmark harness) records spans and
+        counters for every decode and builds one aggregate manifest at
+        the end."""
         store = DnaStore(PipelineConfig(matrix=MATRIX))
         rng = np.random.default_rng(31)
         bits = rng.integers(0, 2, store.unit_capacity_bits).astype(np.uint8)
@@ -133,11 +140,9 @@ class TestDecodePoolManifest:
         )
         batch = simulator.sequence_store(image, rng=5)
         tracer = Tracer()
-        tracer.auto_manifest = False
         with use_tracer(tracer):
             for _ in range(3):
                 store.read(ReadRequest(batch, bits.size))
-        assert tracer.manifests == []
         aggregate = build_manifest(tracer, "sweep")
         assert aggregate.stages["store.read"]["calls"] == 3
         assert aggregate.counter("rs.codewords") > 0
@@ -171,7 +176,7 @@ class TestSingleUnitAttribution:
 class TestCliReport:
     def test_report_renders_saved_manifest(self, traced_run, tmp_path,
                                            capsys):
-        path = traced_run[0].manifests[0].save(tmp_path / "run.json")
+        path = traced_run[0].save(tmp_path / "run.json")
         assert cli_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "# Run manifest: store.read" in out
@@ -179,9 +184,9 @@ class TestCliReport:
         assert "rs.decode_words" in out
 
     def test_report_diffs_two_manifests(self, traced_run, tmp_path, capsys):
-        base = traced_run[0].manifests[0].save(tmp_path / "base.json")
-        fresh_tracer = traced_pool_decode(seed=4, rate=0.06)[0]
-        fresh = fresh_tracer.manifests[0].save(tmp_path / "fresh.json")
+        base = traced_run[0].save(tmp_path / "base.json")
+        fresh_manifest = traced_pool_decode(seed=4, rate=0.06)[0]
+        fresh = fresh_manifest.save(tmp_path / "fresh.json")
         assert cli_main(["report", str(fresh), str(base)]) == 0
         out = capsys.readouterr().out
         assert "# Manifest diff" in out

@@ -3,7 +3,8 @@
 The serving plane's contract: a tick is at most one consensus pass and
 one RS errata pass however many tickets drain; duplicate requests for
 one object decode once; warm-cache reads perform zero pipeline work;
-re-putting an object (a store re-encode) invalidates its cached units.
+re-putting an object (a store re-encode) invalidates its cached result;
+a malformed object fails at ``put``, never inside a tick.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.consensus import TwoWayReconstructor
 from repro.core import MatrixConfig, PipelineConfig
 from repro.core.store import DnaStore
-from repro.observability import Tracer, use_tracer
+from repro.observability import Tracer, build_manifest, use_tracer
 from repro.service import StoreService
 
 MATRIX = MatrixConfig(m=8, n_columns=24, nsym=4, payload_rows=6)
@@ -205,6 +206,27 @@ class TestCache:
         assert not results[0].cache_hit
         np.testing.assert_array_equal(results[0].bits, new_bits)
 
+    def test_mutating_an_answer_leaves_the_cache_intact(self, served):
+        """Every answer owns its bits: flipping one answer's bits changes
+        neither its duplicate in the same tick nor a later cached
+        answer."""
+        _, service, objects = served
+        want = objects["obj0"][1]
+        service.submit("obj0")
+        service.submit("obj0")
+        cold, twin = service.tick()
+        cold.bits ^= 1
+        np.testing.assert_array_equal(twin.bits, want)
+        service.submit("obj0")
+        [warm] = service.tick()
+        assert warm.cache_hit
+        np.testing.assert_array_equal(warm.bits, want)
+        warm.bits[:] = 0
+        service.submit("obj0")
+        [again] = service.tick()
+        assert again.cache_hit
+        np.testing.assert_array_equal(again.bits, want)
+
     def test_explicit_invalidate_forces_redecode(self, served):
         _, service, _ = served
         service.submit("obj0")
@@ -294,8 +316,11 @@ class TestMultiUnitAndPooled:
 
 class TestTelemetry:
     def test_tick_span_counters_and_manifest(self, served):
-        _, service, objects = served
-        tracer = Tracer()
+        """The service's counters live in ``service.metrics``; a tracer
+        sharing that registry carries them into a manifest built on
+        request."""
+        store, service, objects = served
+        tracer = Tracer(metrics=service.metrics)
         with use_tracer(tracer):
             for oid in objects:
                 service.submit(oid)
@@ -305,20 +330,38 @@ class TestTelemetry:
             service.tick()  # warm
         stages = tracer.stage_totals()
         assert stages["service.tick"]["calls"] == 2
+        # The cold tick decoded through the store's public read_many.
+        assert stages["store.read_many"]["calls"] == 1
+        assert "store.read" not in stages
         counters = tracer.metrics.snapshot()["counters"]
         n = len(objects)
         assert counters["service.requests"] == 2 * n
         assert counters["service.ticks"] == 2
         assert counters["service.cache_unit_misses"] == n
         assert counters["service.cache_unit_hits"] == n
-        assert [m.name for m in tracer.manifests] == [
-            "service.tick", "service.tick",
-        ]
-        manifest = tracer.manifests[0]
+        manifest = build_manifest(tracer, "service.tick",
+                                  config=store.pipeline.config)
         assert "service.tick" in manifest.stages
+        assert manifest.counter("service.requests") == 2 * n
+        assert manifest.counter("rs.codewords") > 0
         span = tracer.roots[0].find("service.tick")
         assert span.attributes["n_requests"] == n
         assert span.attributes["n_objects"] == n
+
+    def test_counters_are_written_once(self, served):
+        """A tracer with its own registry records the tick's spans and
+        the pipeline's counters, but no copy of the service counters."""
+        _, service, objects = served
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for oid in objects:
+                service.submit(oid)
+            service.tick()
+        counters = tracer.metrics.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("service.")]
+        assert counters["consensus.clusters"] > 0
+        assert service.metrics.counter("service.ticks").value == 1
+        assert tracer.stage_totals()["service.tick"]["calls"] == 1
 
 
 class TestLiveTelemetry:
@@ -495,32 +538,49 @@ class TestLiveTelemetry:
         }
 
 
+class FailingTwoWay(CountingTwoWay):
+    """A reconstructor that raises while ``fail`` is set."""
+
+    fail = False
+
+    def reconstruct_batch(self, batch, length):
+        if FailingTwoWay.fail:
+            raise RuntimeError("consensus fault")
+        return super().reconstruct_batch(batch, length)
+
+
 class TestFailedTick:
     def test_raising_tick_accounts_for_every_drained_ticket(self):
-        """Regression: one object registered with ``pool=True`` but
-        labeled reads makes the coalesced decode of its window raise.
-        The four drained tickets used to vanish (no ``complete`` event,
-        no outcome, ``health()`` still ok); each now leaves an ``error``
-        event and an ``error`` outcome."""
-        store = make_store()
+        """A tick whose coalesced decode raises (here a consensus fault
+        under four good objects) leaves an ``error`` event and an
+        ``error`` outcome for each drained ticket, then re-raises; the
+        tickets used to vanish with no record at all."""
+        CountingTwoWay.calls = []
+        store = DnaStore(PipelineConfig(matrix=MATRIX),
+                         reconstructor=FailingTwoWay())
         objects = make_objects(store, 4)
         service = StoreService(store, cache_capacity=64)
         oids = list(objects)
         for oid, (reads, bits) in objects.items():
-            service.put(oid, reads, bits.size, pool=oid == oids[1])
+            service.put(oid, reads, bits.size)
         tickets = [service.submit(oid) for oid in oids]
-        with pytest.raises(ValueError, match="unit pools"):
-            service.tick()
+        FailingTwoWay.fail = True
+        try:
+            with pytest.raises(RuntimeError, match="consensus fault"):
+                service.tick()
+        finally:
+            FailingTwoWay.fail = False
 
         assert service.queue_depth == 0
+        assert len(service.cache) == 0
         assert service.events.records("complete") == []
         errors = service.events.records("error")
         assert [e["request_id"] for e in errors] == tickets
         assert [e["object_id"] for e in errors] == oids
         for event in errors:
             assert event["tick"] == 0
-            assert event["error"] == "ValueError"
-            assert "unit pools" in event["message"]
+            assert event["error"] == "RuntimeError"
+            assert "consensus fault" in event["message"]
         snapshot = service.metrics.snapshot()
         assert snapshot["counters"]["service.errors"] == 4
         assert snapshot["histograms"]["service.read_outcomes"] == {
@@ -529,9 +589,8 @@ class TestFailedTick:
         assert health.failure_rate == 1.0
         assert health.verdict != "ok"
 
-        # The plane keeps serving: a later tick of good objects answers.
-        reads, bits = objects[oids[1]]
-        service.put(oids[1], reads, bits.size)
+        # The plane keeps serving: a later tick of the same objects
+        # answers every ticket.
         for oid in oids:
             service.submit(oid)
         answers = service.tick()
@@ -579,6 +638,61 @@ class TestPutValidation:
         [answer] = service.tick()
         assert answer.cache_hit
         np.testing.assert_array_equal(answer.bits, bits)
+
+    @pytest.mark.parametrize("case", [
+        "pool_with_labeled_reads", "ranking_not_a_permutation",
+        "bad_unit_entry",
+    ])
+    def test_malformed_object_fails_at_put(self, case):
+        """Anything a decode would reject fails at ``put``: the
+        lost-tickets repro (``pool=True`` with labeled reads), a ranking
+        that is not a permutation and a per-unit entry that is not reads
+        each raise a typed error naming the field. The catalog and the
+        cache stay as they were, and the next tick answers every good
+        object."""
+        store = make_store()
+        objects = make_objects(store, 4, units=2)
+        service = StoreService(store, cache_capacity=64)
+        oids = list(objects)
+        for oid, (reads, bits) in objects.items():
+            service.put(oid, reads, bits.size)
+        service.submit(oids[0])
+        service.tick()
+        cached = len(service.cache)
+        assert cached == 2
+
+        reads, bits = objects[oids[0]]
+        bad_reads, options, error, field = {
+            "pool_with_labeled_reads": (
+                reads, {"pool": True}, ValueError, "ReadRequest.reads"),
+            "ranking_not_a_permutation": (
+                reads, {"ranking": np.zeros(bits.size, dtype=np.int64)},
+                ValueError, "ReadRequest.ranking"),
+            "bad_unit_entry": (
+                [reads.select_clusters(0, MATRIX.n_columns), 5], {},
+                TypeError, "ReadRequest.reads"),
+        }[case]
+        CountingTwoWay.calls = []
+        with pytest.raises(error, match=field):
+            service.put(oids[0], bad_reads, bits.size, **options)
+        with pytest.raises(error, match=field):
+            service.put("bad", bad_reads, bits.size, **options)
+        assert CountingTwoWay.calls == []
+        assert len(service.cache) == cached
+        with pytest.raises(KeyError):
+            service.submit("bad")
+
+        tickets = [service.submit(oid) for oid in oids]
+        answers = service.tick()
+        assert [answer.request_id for answer in answers] == tickets
+        assert answers[0].cache_hit  # the previous epoch kept serving
+        for answer in answers:
+            assert answer.clean
+            np.testing.assert_array_equal(answer.bits,
+                                          objects[answer.object_id][1])
+        assert service.events.records("error") == []
+        # The rejected re-put never bumped the epoch.
+        assert service.put(oids[0], reads, bits.size) == 1
 
     def test_good_ticket_answered_after_a_rejected_put(self):
         store = make_store()
