@@ -81,10 +81,17 @@ the units' clusters back to back in one columnar batch;
 ``pipeline.receive_many`` then parses the whole estimate stack with
 array operations — index validation, first-claim-wins column assembly
 and confidence-cell extraction, segmented by unit — feeding one batched
-RS correction pass. The single-unit pipeline calls (``encode``,
-``receive``, ``correct``, ``decode``) are the one-element case of the
-same batched passes, and the frozen per-unit loops they are pinned
-byte-identical against live with the tests (``tests/oracles/``).
+RS correction pass. The outcome stays columnar from consensus to payload
+bits (``repro.core.outcome``): ``receive_many`` returns every unit's
+received matrix, erased columns and flags as stacked arrays,
+``correct_many`` every unit's codeword verdicts and its data bits as one
+``(units, capacity_bits)`` stack, and the store assembles each payload
+with one gather. The per-unit ``ReceivedUnit`` and ``DecodeReport``
+objects are built only when a caller indexes or iterates an outcome.
+The single-unit pipeline calls (``encode``, ``receive``, ``correct``,
+``decode``) are the one-element case of the same batched passes, and
+the frozen per-unit loops they are pinned byte-identical against live
+with the tests (``tests/oracles/``).
 
 RS correction itself is batched end to end: clean codewords clear
 through one bit-plane syndrome product, and the dirty remainder of
@@ -214,8 +221,8 @@ recording tracer: the plane keeps an always-on metric registry
 ``TimingHistogram`` latency distributions with p50/p95/p99 estimates),
 a structured JSON-lines ``EventLog`` (submit / coalesce / decode /
 cache_hit / complete records keyed by monotonically assigned request
-ids), and a ``SlidingWindow`` so rates and quantiles cover the recent
-window rather than process lifetime::
+ids), and a ``SlidingWindow`` so rates, quantiles and the failure rate
+cover the recent window rather than process lifetime::
 
     health = service.health()        # one SLO-checked snapshot
     health.verdict                   # "ok" | "degraded" | "unhealthy"

@@ -48,14 +48,18 @@ def packed_bases(
     columnar arrays, so a :class:`ReadBatch` and a bare ``(buffer,
     offsets, lengths)`` triple share this one check.
     """
-    starts = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
-    if buffer.size == total and np.array_equal(offsets, starts):
+    ends = offsets + lengths
+    # Tight: read 0 starts at 0, every next read where the previous one
+    # ends, and the last one ends at the end of the buffer.
+    if (buffer.size == (ends[-1] if ends.size else 0)
+            and not offsets[:1].any()
+            and (offsets[1:] == ends[:-1]).all()):
         return buffer
     # Base j of read r sits at flat position starts[r] + j and at buffer
     # position offsets[r] + j.
+    starts = np.cumsum(lengths) - lengths
     index = np.repeat(offsets - starts, lengths)
-    index += np.arange(total, dtype=np.int64)
+    index += np.arange(int(lengths.sum()), dtype=np.int64)
     return buffer[index]
 
 

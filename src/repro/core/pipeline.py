@@ -19,6 +19,16 @@ Each stage has one implementation, batched over units:
 (``encode``, ``receive``, ``correct``, ``decode``) are their one-element
 case. The frozen per-unit loops they replaced are test oracles
 (``tests/oracles/core.py``) that pin them byte-identical.
+
+The decode stages hand each other one columnar outcome
+(:mod:`repro.core.outcome`): ``receive_many`` returns stacked received
+matrices and erasure masks, ``correct_matrix_many`` takes them as they
+are (a list of :class:`ReceivedUnit` is packed into the same arrays
+first) and returns ``(U, K)`` codeword verdicts, and ``correct_many``
+extracts every unit's bits in one pass over the ``(U, capacity_bits)``
+stack. No per-unit Python object is built on the way; the per-unit
+:class:`ReceivedUnit` and :class:`DecodeReport` views are built when an
+outcome is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -34,6 +44,15 @@ from repro.codec.basemap import BASES
 from repro.consensus.base import Reconstructor, consensus_span
 from repro.consensus.two_way import TwoWayReconstructor
 from repro.core.layout import LayoutPolicy, MatrixConfig, build_layout
+from repro.core.outcome import (
+    CorrectedUnits,
+    DecodedUnits,
+    DecodeReport,
+    ReceivedUnit,
+    ReceivedUnits,
+    UnitReports,
+    unrank,
+)
 from repro.ecc.batched import reason_counts
 from repro.ecc.reed_solomon import ReedSolomon
 from repro.observability.trace import get_tracer
@@ -76,47 +95,6 @@ class EncodedUnit:
     strands: List[str]
     matrix: np.ndarray
     n_data_bits: int
-
-
-@dataclass
-class ReceivedUnit:
-    """Raw matrix reassembled from consensus strands, pre-correction.
-
-    Attributes:
-        matrix: received symbols (zeros where nothing was received).
-        erased_columns: columns with no (validly indexed) strand.
-        duplicate_columns: columns claimed by more than one cluster.
-        invalid_strands: consensus strands dropped for a bad index or a
-            length other than the designed strand length.
-        cell_erasures: (row, column) cells the consensus flagged as
-            low-confidence (only populated by confidence-aware receive).
-    """
-
-    matrix: np.ndarray
-    erased_columns: List[int]
-    duplicate_columns: List[int]
-    invalid_strands: int
-    cell_erasures: List[Tuple[int, int]] = field(default_factory=list)
-
-
-@dataclass
-class DecodeReport:
-    """Outcome statistics of a unit decode.
-
-    Attributes:
-        erased_columns: molecules lost before correction.
-        failed_codewords: codeword ids the RS decoder gave up on.
-        corrected_symbols: symbols fixed across all codewords.
-        clean: True when every codeword decoded successfully.
-    """
-
-    erased_columns: List[int]
-    failed_codewords: List[int]
-    corrected_symbols: int
-
-    @property
-    def clean(self) -> bool:
-        return not self.failed_codewords
 
 
 def _stack_rows(rows, length: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
@@ -180,6 +158,9 @@ class DnaStoragePipeline:
         )  # (n_codewords, n_columns, 2)
         self._codeword_rows = cells[:, :, 0]
         self._codeword_cols = cells[:, :, 1]
+        # The same cells as row-major positions in a flattened matrix.
+        self._codeword_cells = (self._codeword_rows * config.matrix.n_columns
+                                + self._codeword_cols)
 
     # -- encoding -------------------------------------------------------------
 
@@ -352,7 +333,7 @@ class DnaStoragePipeline:
         batch: ReadBatch,
         unit_boundaries: Optional[np.ndarray] = None,
         confidence_threshold: Optional[float] = None,
-    ) -> List[ReceivedUnit]:
+    ) -> ReceivedUnits:
         """Consensus + column assembly for *several units* in one pass.
 
         ``batch`` spans every cluster of every unit (units back to back,
@@ -361,9 +342,10 @@ class DnaStoragePipeline:
         surviving clusters, and the index parsing happens as array
         operations over the whole estimate stack — base-4 symbol
         grouping, index validation, first-claim-wins column assembly and
-        confidence-cell extraction, all segmented by unit. Per-unit
-        output is byte-identical to the frozen per-estimate parse loop
-        (``tests/oracles/core.py``).
+        confidence-cell extraction, all segmented by unit. The result is
+        the columnar :class:`~repro.core.outcome.ReceivedUnits`; indexing
+        it builds one unit's :class:`ReceivedUnit`, byte-identical to the
+        frozen per-estimate parse loop (``tests/oracles/core.py``).
 
         Args:
             batch: one spanning :class:`ReadBatch`; cluster slots
@@ -393,16 +375,16 @@ class DnaStoragePipeline:
                 )
                 metrics.counter("receive.units_out").add(len(received))
                 metrics.counter("receive.invalid_strands").add(
-                    sum(unit.invalid_strands for unit in received)
+                    int(received.invalid.sum())
                 )
                 metrics.counter("receive.duplicate_strands").add(
-                    sum(len(unit.duplicate_columns) for unit in received)
+                    len(received.duplicates)
                 )
                 metrics.counter("receive.erased_columns").add(
-                    sum(len(unit.erased_columns) for unit in received)
+                    int(received.erased.sum())
                 )
                 metrics.counter("receive.cell_erasures").add(
-                    sum(len(unit.cell_erasures) for unit in received)
+                    len(received.cells)
                 )
         return received
 
@@ -411,7 +393,7 @@ class DnaStoragePipeline:
         batch: ReadBatch,
         unit_boundaries: Optional[np.ndarray],
         confidence_threshold: Optional[float],
-    ) -> List[ReceivedUnit]:
+    ) -> ReceivedUnits:
         config = self.matrix_config
         if unit_boundaries is None:
             n_units, remainder = divmod(batch.n_clusters, config.n_columns)
@@ -512,28 +494,15 @@ class DnaStoragePipeline:
             )
         else:
             low_winner = low_row = np.zeros(0, dtype=np.int64)
-        cell_units = unit_of_estimate[winners[low_winner]]
-        cell_columns = columns[winners[low_winner]]
-        duplicate_units = unit_of_estimate[duplicate_rows]
-
-        received = []
-        for u in range(n_units):
-            dup_lo, dup_hi = np.searchsorted(duplicate_units, [u, u + 1])
-            cell_lo, cell_hi = np.searchsorted(cell_units, [u, u + 1])
-            received.append(ReceivedUnit(
-                matrix=matrices[u],
-                erased_columns=[int(c) for c in np.flatnonzero(~filled[u])],
-                duplicate_columns=[
-                    int(c) for c in columns[duplicate_rows[dup_lo:dup_hi]]
-                ],
-                invalid_strands=int(invalid_counts[u]),
-                cell_erasures=[
-                    (int(r), int(c))
-                    for r, c in zip(low_row[cell_lo:cell_hi],
-                                    cell_columns[cell_lo:cell_hi])
-                ],
-            ))
-        return received
+        return ReceivedUnits(
+            matrices=matrices,
+            erased=~filled,
+            invalid=invalid_counts,
+            duplicates=np.stack([unit_of_estimate[duplicate_rows],
+                                 columns[duplicate_rows]], axis=1),
+            cells=np.stack([unit_of_estimate[winners[low_winner]], low_row,
+                            columns[winners[low_winner]]], axis=1),
+        )
 
     def decode_many(
         self,
@@ -543,7 +512,7 @@ class DnaStoragePipeline:
         ranking: Optional[np.ndarray] = None,
         extra_erasure_columns: Sequence[int] = (),
         confidence_threshold: Optional[float] = None,
-    ) -> List[Tuple[np.ndarray, DecodeReport]]:
+    ) -> DecodedUnits:
         """Decode several units from one spanning batch.
 
         One :meth:`receive_many` pass (a single consensus batch call over
@@ -552,18 +521,16 @@ class DnaStoragePipeline:
         ``n_data_bits`` is a scalar applied to every unit or one value per
         unit; ``ranking``/``extra_erasure_columns`` apply per unit,
         ``confidence_threshold`` to the whole receive pass (as in
-        :meth:`receive`). Returns one ``(bits, DecodeReport)`` pair per
-        unit.
+        :meth:`receive`). Returns :meth:`correct_many`'s outcome, one
+        ``(bits, DecodeReport)`` pair per unit.
         """
         with get_tracer().span("pipeline.decode_many"):
             received = self.receive_many(
                 batch, unit_boundaries,
                 confidence_threshold=confidence_threshold,
             )
-            if np.ndim(n_data_bits) == 0:
-                sizes = [int(n_data_bits)] * len(received)
-            else:
-                sizes = [int(size) for size in n_data_bits]
+            sizes = (n_data_bits if np.ndim(n_data_bits)
+                     else [n_data_bits] * len(received))
             return self.correct_many(
                 received, sizes, ranking, extra_erasure_columns
             )
@@ -591,9 +558,9 @@ class DnaStoragePipeline:
 
     def correct_matrix_many(
         self,
-        received_units: Sequence[ReceivedUnit],
+        received_units: Union[ReceivedUnits, Sequence[ReceivedUnit]],
         extra_erasure_columns: Sequence[int] = (),
-    ) -> List[Tuple[np.ndarray, DecodeReport]]:
+    ) -> CorrectedUnits:
         """RS-correct every unit's matrix through one batched errata pass.
 
         The store-plane correction boundary: every codeword of every unit
@@ -611,87 +578,75 @@ class DnaStoragePipeline:
         (``tests/oracles/core.py``).
 
         Args:
-            received_units: outputs of :meth:`receive` /
-                :meth:`receive_many`.
+            received_units: :meth:`receive_many`'s outcome, or a list of
+                :class:`ReceivedUnit` (packed into the same arrays by
+                :meth:`ReceivedUnits.pack <repro.core.outcome.
+                ReceivedUnits.pack>`).
             extra_erasure_columns: applied to every unit (see
                 :meth:`correct_matrix`).
 
         Returns:
-            One ``(corrected_matrix, DecodeReport)`` pair per unit.
+            The columnar :class:`~repro.core.outcome.CorrectedUnits`, one
+            ``(corrected_matrix, DecodeReport)`` pair per unit.
         """
-        with get_tracer().span(
-            "pipeline.correct", n_units=len(received_units)
-        ):
+        config = self.matrix_config
+        received = ReceivedUnits.pack(
+            received_units, (config.payload_rows, config.n_columns)
+        )
+        with get_tracer().span("pipeline.correct", n_units=len(received)):
             return self._correct_matrix_many_impl(
-                received_units, extra_erasure_columns
+                received, extra_erasure_columns
             )
 
     def _correct_matrix_many_impl(
         self,
-        received_units: Sequence[ReceivedUnit],
+        received: ReceivedUnits,
         extra_erasure_columns: Sequence[int] = (),
-    ) -> List[Tuple[np.ndarray, DecodeReport]]:
+    ) -> CorrectedUnits:
         config = self.matrix_config
-        n_units = len(received_units)
+        n_units = len(received)
+        n_codewords = self.layout.n_codewords
         extra = [int(c) for c in extra_erasure_columns]
-        erased_lists: List[List[int]] = []
-        erased_col_mask = np.zeros((n_units, config.n_columns), dtype=bool)
-        for u, unit in enumerate(received_units):
-            erased = sorted(set(unit.erased_columns) | set(extra))
-            for column in erased:
-                if not (0 <= column < config.n_columns):
-                    raise ValueError(f"erasure column {column} out of range")
-            erased_lists.append(erased)
-            erased_col_mask[u, erased] = True
-        matrices = (
-            np.stack([unit.matrix for unit in received_units])
-            if n_units
-            else np.zeros(
-                (0, config.payload_rows, config.n_columns), dtype=np.int64
-            )
-        ).copy()
+        for column in extra:
+            if not 0 <= column < config.n_columns:
+                raise ValueError(f"erasure column {column} out of range")
+        erased = received.erased.copy()
+        if extra:
+            erased[:, extra] = True
+        matrices = received.matrices.copy()
         if self._rs is None or n_units == 0:
-            return [
-                (matrices[u], DecodeReport(
-                    erased_columns=erased_lists[u],
-                    failed_codewords=[],
-                    corrected_symbols=0,
-                ))
-                for u in range(n_units)
-            ]
+            return CorrectedUnits(matrices, UnitReports(
+                erased, np.ones((n_units, n_codewords), dtype=bool),
+                np.zeros((n_units, n_codewords), dtype=np.int64),
+            ))
 
         rs = self._rs
-        n_codewords = self.layout.n_codewords
-        data_columns = config.data_columns
-        # Per-unit boolean cell-erasure matrices (one scatter per unit
-        # instead of per-codeword tuple-set membership); soft flags on
-        # hard-erased columns are redundant and drop out here.
-        soft_cells = np.zeros(
-            (n_units, config.payload_rows, config.n_columns), dtype=bool
-        )
-        for u, unit in enumerate(received_units):
-            for row, column in unit.cell_erasures:
-                soft_cells[u, int(row), int(column)] = True
-        soft_cells &= ~erased_col_mask[:, None, :]
-
+        flat = matrices.reshape(n_units, -1)  # a view, cells row-major
         # Gather every unit's every codeword: (U, K, n) -> (U*K, n).
-        words = matrices[
-            :, self._codeword_rows, self._codeword_cols
-        ].reshape(-1, rs.n)
-        hard_mask = erased_col_mask[:, self._codeword_cols].reshape(-1, rs.n)
-        soft_mask = soft_cells[
-            np.arange(n_units)[:, None, None],
-            self._codeword_rows, self._codeword_cols,
-        ].reshape(-1, rs.n)
-
-        # Wave 1: hard erasures plus the soft flags that fit the budget,
-        # lowest position first (the oracle loop truncates
-        # ``soft_positions[:nsym - n_hard]`` in ascending order).
+        words = flat[:, self._codeword_cells].reshape(-1, rs.n)
+        hard_mask = erased[:, self._codeword_cols].reshape(-1, rs.n)
         budget = np.maximum(rs.nsym - hard_mask.sum(axis=1), 0)
-        kept_soft = soft_mask & (
-            np.cumsum(soft_mask, axis=1) <= budget[:, None]
-        )
-        result = rs.decode_many(words, hard_mask | kept_soft)
+        erasures = hard_mask
+        n_soft = n_kept = 0
+        if len(received.cells):
+            # Soft flags on hard-erased columns are redundant and drop
+            # out.
+            soft_cells = np.zeros(matrices.shape, dtype=bool)
+            cell_units, cell_rows, cell_columns = received.cells.T
+            soft_cells[cell_units, cell_rows, cell_columns] = True
+            soft_cells &= ~erased[:, None, :]
+            soft_mask = soft_cells.reshape(n_units, -1)[
+                :, self._codeword_cells
+            ].reshape(-1, rs.n)
+            # Wave 1: hard erasures plus the soft flags that fit the
+            # budget, lowest position first (the oracle loop truncates
+            # ``soft_positions[:nsym - n_hard]`` in ascending order).
+            kept_soft = soft_mask & (
+                np.cumsum(soft_mask, axis=1) <= budget[:, None]
+            )
+            n_soft, n_kept = int(soft_mask.sum()), int(kept_soft.sum())
+            erasures = hard_mask | kept_soft
+        result = rs.decode_many(words, erasures)
         ok = result.ok.copy()
         messages = result.messages
         n_fixed = result.n_corrected.copy()
@@ -699,7 +654,8 @@ class DnaStoragePipeline:
         # Wave 2: hard-only retry for the rows whose soft hints lost the
         # decode. Rows whose wave-1 mask already was hard-only would just
         # repeat the identical call, so they keep their verdict.
-        retry = np.flatnonzero(~ok & kept_soft.any(axis=1))
+        retry = (np.flatnonzero(~ok & kept_soft.any(axis=1)) if n_kept
+                 else np.zeros(0, dtype=np.int64))
         second = None
         if retry.size:
             second = rs.decode_many(words[retry], hard_mask[retry])
@@ -712,8 +668,8 @@ class DnaStoragePipeline:
             metrics = tracer.metrics
             metrics.counter("rs.codewords").add(words.shape[0])
             metrics.counter("rs.hard_erasures").add(int(hard_mask.sum()))
-            metrics.counter("rs.soft_flags").add(int(soft_mask.sum()))
-            metrics.counter("rs.soft_kept").add(int(kept_soft.sum()))
+            metrics.counter("rs.soft_flags").add(n_soft)
+            metrics.counter("rs.soft_kept").add(n_kept)
             metrics.counter("rs.erasure_budget").add(int(budget.sum()))
             metrics.counter("rs.corrected_symbols").add(
                 int(np.where(ok, n_fixed, 0).sum())
@@ -732,27 +688,19 @@ class DnaStoragePipeline:
                 reason_counts(final_reasons)
             )
 
-        # Scatter corrected data symbols back; failed codewords keep
-        # their received symbols.
+        # Write corrected data symbols back; a failed codeword keeps its
+        # received symbols (codewords cover disjoint cells).
         ok_grid = ok.reshape(n_units, n_codewords)
-        message_grid = messages.reshape(n_units, n_codewords, rs.k)
-        unit_ids, codeword_ids = np.nonzero(ok_grid)
-        matrices[
-            unit_ids[:, None],
-            self._codeword_rows[codeword_ids, :data_columns],
-            self._codeword_cols[codeword_ids, :data_columns],
-        ] = message_grid[unit_ids, codeword_ids]
-        fixed_grid = np.where(ok_grid, n_fixed.reshape(ok_grid.shape), 0)
-
-        return [
-            (matrices[u], DecodeReport(
-                erased_columns=erased_lists[u],
-                failed_codewords=[int(k) for k in
-                                  np.flatnonzero(~ok_grid[u])],
-                corrected_symbols=int(fixed_grid[u].sum()),
-            ))
-            for u in range(n_units)
-        ]
+        data_cells = self._codeword_cells[:, :config.data_columns]
+        flat[:, data_cells] = np.where(
+            ok_grid[:, :, None],
+            messages.reshape(n_units, n_codewords, rs.k),
+            flat[:, data_cells],
+        )
+        return CorrectedUnits(matrices, UnitReports(
+            erased, ok_grid,
+            np.where(ok_grid, n_fixed.reshape(ok_grid.shape), 0),
+        ))
 
     def correct(
         self,
@@ -777,36 +725,40 @@ class DnaStoragePipeline:
 
     def correct_many(
         self,
-        received_units: Sequence[ReceivedUnit],
+        received_units: Union[ReceivedUnits, Sequence[ReceivedUnit]],
         n_data_bits: Sequence[int],
         ranking: Optional[np.ndarray] = None,
         extra_erasure_columns: Sequence[int] = (),
-    ) -> List[Tuple[np.ndarray, DecodeReport]]:
+    ) -> DecodedUnits:
         """RS-correct and bit-extract several units in one batched pass.
 
         All units' dirty codewords decode through one
         :meth:`correct_matrix_many` call (one batched errata wave plus at
-        most one soft-erasure retry wave), then each unit's data symbols
-        are read back in placement order and un-ranked.
-        ``n_data_bits[u]`` is unit ``u``'s payload size; ``ranking`` and
-        ``extra_erasure_columns`` apply per unit.
+        most one soft-erasure retry wave), then every unit's data symbols
+        are read back in placement order as one ``(U, capacity_bits)``
+        bit stack. ``n_data_bits[u]`` is unit ``u``'s payload size;
+        ``ranking`` and ``extra_erasure_columns`` apply per unit. The
+        result, :class:`~repro.core.outcome.DecodedUnits`, iterates as
+        one ``(bits, DecodeReport)`` pair per unit, each un-ranked when
+        it is built.
         """
-        if len(n_data_bits) != len(received_units):
+        sizes = np.asarray(n_data_bits, dtype=np.int64)
+        if sizes.shape != (len(received_units),):
             raise ValueError(
                 f"expected {len(received_units)} payload sizes, "
-                f"got {len(n_data_bits)}"
+                f"got {sizes.size}"
             )
-        results = self.correct_matrix_many(
+        for size in set(sizes.tolist()):
+            self._check_unrank(size, ranking)
+        if ranking is not None:
+            ranking = np.asarray(ranking, dtype=np.int64)
+        corrected = self.correct_matrix_many(
             received_units, extra_erasure_columns
         )
-        out = []
-        for (matrix, report), size in zip(results, n_data_bits):
-            prioritized = self._symbols_to_bits(
-                matrix[self._placement_rows, self._placement_cols]
-            )
-            out.append((self._unrank(prioritized, int(size), ranking),
-                        report))
-        return out
+        prioritized = self._symbols_to_bits(
+            corrected.matrices[:, self._placement_rows, self._placement_cols]
+        )
+        return DecodedUnits(prioritized, sizes, ranking, corrected.reports)
 
     def decode(
         self,
@@ -843,26 +795,20 @@ class DnaStoragePipeline:
         ranking: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Invert the priority permutation over already-extracted bits."""
-        return self._unrank(prioritized, n_data_bits, ranking)
+        self._check_unrank(n_data_bits, ranking)
+        if ranking is not None:
+            ranking = np.asarray(ranking, dtype=np.int64)
+        return unrank(prioritized, n_data_bits, ranking)
 
     # -- bit/symbol plumbing ----------------------------------------------------
 
-    def _unrank(
-        self,
-        prioritized: np.ndarray,
-        n_data_bits: int,
-        ranking: Optional[np.ndarray],
-    ) -> np.ndarray:
+    def _check_unrank(
+        self, n_data_bits: int, ranking: Optional[np.ndarray]
+    ) -> None:
         if not (0 <= n_data_bits <= self.capacity_bits):
             raise ValueError(f"n_data_bits {n_data_bits} out of range")
-        if ranking is None:
-            return prioritized[:n_data_bits].copy()
-        ranking = np.asarray(ranking, dtype=np.int64)
-        if ranking.shape != (n_data_bits,):
+        if ranking is not None and np.shape(ranking) != (n_data_bits,):
             raise ValueError("ranking length must equal n_data_bits")
-        bits = np.zeros(n_data_bits, dtype=np.uint8)
-        bits[ranking] = prioritized[:n_data_bits]
-        return bits
 
     def _bits_to_symbols(self, bits: np.ndarray) -> np.ndarray:
         """MSB-first ``m``-bit groups along the last axis -> symbols."""
@@ -872,7 +818,17 @@ class DnaStoragePipeline:
         return grouped @ weights
 
     def _symbols_to_bits(self, symbols: np.ndarray) -> np.ndarray:
+        """Symbols along the last axis -> their MSB-first ``m``-bit
+        groups, back to back along that axis.
+
+        Each symbol's big-endian bytes (one for ``m <= 8``, two for
+        ``m <= 16``) unpack to bits at once; the leading ``8 * bytes - m``
+        bits of a symbol are its zero high bits and are dropped.
+        """
         m = self.matrix_config.m
-        shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-        bits = (symbols[:, None] >> shifts) & 1
-        return bits.reshape(-1).astype(np.uint8)
+        n_bytes = 1 if m <= 8 else 2
+        octets = np.ascontiguousarray(
+            symbols, dtype=np.uint8 if n_bytes == 1 else ">u2"
+        ).view(np.uint8).reshape(symbols.shape + (n_bytes,))
+        bits = np.unpackbits(octets, axis=-1)[..., 8 * n_bytes - m:]
+        return bits.reshape(symbols.shape[:-1] + (-1,))

@@ -19,10 +19,14 @@ of Section 2.1). :class:`DnaStore` handles the split:
   :meth:`ReadBatch.concat` and ``SequencingSimulator.sequence_store``)
   goes through **one** consensus batch call and one vectorized
   :meth:`~repro.core.pipeline.DnaStoragePipeline.receive_many` pass
-  covering every surviving cluster of every unit, feeding per-unit RS
-  correction. The per-unit loop it replaced is a test oracle
-  (``tests/oracles/core.py``), pinned byte-identical by
-  ``tests/core/test_store_batched.py``.
+  covering every surviving cluster of every unit, feeding one batched RS
+  correction. Each payload comes back with one gather over its units'
+  rows of the corrected ``(units, capacity_bits)`` bit stack (stripe
+  ``u`` is the stream's bits ``u, u + n, ...``), and each
+  :class:`StoreReport` is its request's slice of the columnar verdicts,
+  so no per-unit report is built unless a caller reads one. The
+  per-unit loop it replaced is a test oracle (``tests/oracles/core.py``),
+  pinned byte-identical by ``tests/core/test_store_batched.py``.
 
 The read surface is request-shaped: :meth:`DnaStore.read_many` takes
 :class:`ReadRequest` objects (labeled reads or an unlabeled pool, with
@@ -37,6 +41,7 @@ returning one :class:`ReadResult` each — the amortization the
 from __future__ import annotations
 
 import ctypes
+import functools
 import numbers
 import os
 from collections import abc
@@ -45,12 +50,19 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.channel.readbatch import ReadBatch
+from repro.channel.readbatch import ReadBatch, packed_bases
 from repro.channel.sequencer import ReadCluster
 from repro.cluster.batched import BatchedGreedyClusterer
 from repro.cluster.lsh import LSHClusterer
+from repro.codec.basemap import BASES
 from repro.consensus.base import Reconstructor
-from repro.core.pipeline import DecodeReport, DnaStoragePipeline, EncodedUnit, PipelineConfig
+from repro.core.outcome import (
+    DecodeReport,
+    ReceivedUnits,
+    UnitReports,
+    unrank,
+)
+from repro.core.pipeline import DnaStoragePipeline, EncodedUnit, PipelineConfig
 from repro.observability.trace import get_tracer
 
 #: glibc ``mallopt`` parameters (``<malloc.h>``) and the values
@@ -138,23 +150,49 @@ class StoreImage:
         return sum(len(unit.strands) for unit in self.units)
 
 
-@dataclass
 class StoreReport:
-    """Aggregated decode outcome across units."""
+    """Aggregated decode outcome across units.
 
-    unit_reports: List[DecodeReport]
+    Holds one :class:`~repro.core.outcome.DecodeReport` per unit. The
+    store hands in its request's slice of one batched correction (a
+    :class:`~repro.core.outcome.UnitReports`), so ``unit_reports`` builds
+    the reports only when read, while ``clean`` (computed once) and
+    ``n_units`` come from the arrays.
+    """
+
+    def __init__(self, unit_reports: Sequence[DecodeReport]) -> None:
+        self._units = unit_reports
+
+    def __repr__(self) -> str:
+        return f"StoreReport(unit_reports={self.unit_reports!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StoreReport):
+            return NotImplemented
+        return self.unit_reports == other.unit_reports
 
     @property
+    def unit_reports(self) -> List[DecodeReport]:
+        return list(self._units)
+
+    @property
+    def n_units(self) -> int:
+        return len(self._units)
+
+    @functools.cached_property
     def clean(self) -> bool:
-        return all(report.clean for report in self.unit_reports)
+        """True when every codeword of every unit decoded."""
+        if isinstance(self._units, UnitReports):
+            return bool(self._units.ok.all())
+        return all(report.clean for report in self._units)
 
     @property
     def total_erased_columns(self) -> int:
-        return sum(len(report.erased_columns) for report in self.unit_reports)
+        return sum(len(report.erased_columns) for report in self._units)
 
     @property
     def total_failed_codewords(self) -> int:
-        return sum(len(report.failed_codewords) for report in self.unit_reports)
+        return sum(len(report.failed_codewords) for report in self._units)
 
 
 @dataclass
@@ -308,11 +346,14 @@ class DnaStore:
         are a spanning batch of ``n_units x n_columns`` clusters or a list
         of one :class:`ReadBatch` or :class:`ReadCluster` list per unit. A
         wrong form is a ``TypeError``, a wrong count a ``ValueError``.
+        Every base of the request's reads must be one of the four DNA
+        letters (symbol < 4); another symbol, or a character a cluster's
+        string cannot map, is a ``ValueError``.
 
         :meth:`read_many` checks every request before any layer runs, and
         the service plane checks an object when it is registered. Cost:
-        O(1) for batches, plus O(n_data_bits) for a ranked request and
-        O(clusters) for cluster lists.
+        O(reads) plus one pass over the request's bases, O(n_data_bits)
+        more for a ranked request.
         """
         reads = request.reads
         if reads is None:
@@ -389,6 +430,25 @@ class DnaStore:
                     f"ReadRequest.reads holds {len(reads)} units; expected "
                     f"{n_units}"
                 )
+        # Every base of the request's own reads is a DNA letter. Reads
+        # that fill their buffer are settled by one max over it; any other
+        # batch (a view into a larger shared buffer, or one whose buffer
+        # holds a bad symbol) is judged on its reads' own bases.
+        for batch in ([reads] if isinstance(reads, ReadBatch) else reads):
+            if not isinstance(batch, ReadBatch):
+                try:
+                    batch = ReadBatch.from_clusters(batch)
+                except ValueError as error:
+                    raise ValueError(f"ReadRequest.reads: {error}") from error
+            bases = batch.buffer
+            if (bases.size != batch.total_bases
+                    or bases.max(initial=0) >= len(BASES)):
+                bases = packed_bases(bases, batch.offsets, batch.lengths)
+                if bases.max(initial=0) >= len(BASES):
+                    raise ValueError(
+                        f"ReadRequest.reads holds base symbol {bases.max()}, "
+                        f"outside the {len(BASES)}-letter alphabet"
+                    )
 
     def read(self, request: ReadRequest) -> ReadResult:
         """Serve one :class:`ReadRequest`; returns a :class:`ReadResult`.
@@ -440,7 +500,9 @@ class DnaStore:
             for i, request in enumerate(requests):
                 groups.setdefault(request.confidence_threshold, []).append(i)
             default_clusterer = None
-            received: List = [None] * len(requests)
+            parts = []  # one ReceivedUnits per threshold group
+            first_unit = [0] * len(requests)  # each request's first row
+            n_received = 0
             for threshold, indices in groups.items():
                 segments = []  # (batch, boundaries, [request index])
                 pooled: dict = {}
@@ -477,38 +539,35 @@ class DnaStore:
                     segments.append((labeled, boundaries, members))
 
                 batch, boundaries, owners = self._merge_segments(segments)
-                units = self.pipeline.receive_many(
+                parts.append(self.pipeline.receive_many(
                     batch, boundaries, confidence_threshold=threshold,
-                )
-                cursor = 0
+                ))
                 for i in owners:
-                    received[i] = units[cursor:cursor + n_units[i]]
-                    cursor += n_units[i]
+                    first_unit[i] = n_received
+                    n_received += n_units[i]
+            received = (parts[0] if len(parts) == 1
+                        else ReceivedUnits.concat(parts))
 
             # ONE batched RS errata pass across every request's units.
-            corrected = self.pipeline.correct_many(
-                [unit for units in received for unit in units],
-                [size for request, n in zip(requests, n_units)
-                 for size in self._stripe_sizes(request.n_data_bits, n)],
-            )
+            sizes = [0] * n_received
+            for request, first, n in zip(requests, first_unit, n_units):
+                sizes[first:first + n] = self._stripe_sizes(
+                    request.n_data_bits, n
+                )
+            decoded = self.pipeline.correct_many(received, sizes)
             results = []
-            cursor = 0
-            for request, n in zip(requests, n_units):
-                units = corrected[cursor:cursor + n]
-                cursor += n
-                # The stripes interleave back round-robin; the encode-time
-                # ranking, if any, then puts every bit back in its place.
-                prioritized = np.zeros(request.n_data_bits, dtype=np.uint8)
-                for u, (stripe, _) in enumerate(units):
-                    prioritized[u::n] = stripe
-                bits = prioritized
-                if request.ranking is not None:
-                    bits = np.zeros_like(prioritized)
-                    bits[np.asarray(request.ranking, dtype=np.int64)] = \
-                        prioritized
+            for request, first, n in zip(requests, first_unit, n_units):
+                # Stripe u is the stream's bits u, u + n, ...: read the
+                # units' (n, ceil(N / n)) bit block column by column, then
+                # undo the encode-time ranking.
+                n_bits = request.n_data_bits
+                block = decoded.prioritized[first:first + n, :-(-n_bits // n)]
+                ranking = request.ranking
+                if ranking is not None:
+                    ranking = np.asarray(ranking, dtype=np.int64)
                 results.append(ReadResult(
-                    bits=bits,
-                    report=StoreReport([report for _, report in units]),
+                    bits=unrank(block.T.ravel(), n_bits, ranking),
+                    report=StoreReport(decoded.reports[first:first + n]),
                     object_id=request.object_id,
                     request_id=request.request_id,
                 ))

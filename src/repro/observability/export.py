@@ -343,10 +343,12 @@ class ServiceHealth:
         p50_seconds / p99_seconds: request-latency quantiles (submit to
             answer) over the sliding window.
         cache_hit_rate: cache hits / lookups (0.0 before any lookup).
-        failure_rate: share of answers whose decode was not clean.
+        failure_rate: share of answers over the sliding window whose
+            decode was not clean.
         failure_reasons: per-label shares of the failure-reason
-            histogram (RS reason labels when a recording tracer supplied
-            them, the service's clean/failed outcomes otherwise).
+            histogram over the sliding window (RS reason labels when a
+            tracer sharing the service's registry recorded them, the
+            service's clean/failed/error outcomes otherwise).
         window_seconds: the window length the rates cover.
     """
 
@@ -392,45 +394,43 @@ class ServiceHealth:
 
 
 def capture_health(
-    metrics,
     *,
     window,
     cache_stats: Mapping,
     queue_depth: int = 0,
     slo: Optional[SLOThresholds] = None,
 ) -> ServiceHealth:
-    """Build a :class:`ServiceHealth` from a service's always-on registry.
+    """Build a :class:`ServiceHealth` from a service's sliding window.
+
+    Rates, latency quantiles, the failure rate and the failure reasons
+    all cover the window's intervals, so a fault stops counting once it
+    has left the window.
 
     Args:
-        metrics: the registry (or snapshot dict) holding the
-            ``service.*`` instruments.
         window: the :class:`~repro.observability.metrics.SlidingWindow`
-            over the same registry; rates and latency quantiles cover
-            its intervals.
+            over the registry holding the ``service.*`` instruments. Its
+            ``service.read_outcomes`` give the failure rate; its
+            ``rs.failure_reasons`` (recorded there by a tracer that
+            shares the registry) give the reasons, else the outcomes do.
         cache_stats: a :meth:`DecodedUnitCache.stats` dict (its hits and
             misses give the hit rate).
         queue_depth: current queue depth.
         slo: thresholds (defaults to :class:`SLOThresholds`).
     """
     slo = slo if slo is not None else SLOThresholds()
-    snapshot = metrics.snapshot() if hasattr(metrics, "snapshot") else metrics
     rate = window.rate("service.answers")
     p50 = window.quantile("service.request_seconds", 0.50)
     p99 = window.quantile("service.request_seconds", 0.99)
     lookups = cache_stats.get("hits", 0) + cache_stats.get("misses", 0)
     hit_rate = cache_stats.get("hits", 0) / lookups if lookups else 0.0
 
-    outcomes = snapshot.get("histograms", {}).get(
-        "service.read_outcomes", {}
-    )
+    outcomes = window.histogram("service.read_outcomes")
     total_outcomes = sum(outcomes.values())
     failed = sum(
         count for label, count in outcomes.items() if label != "clean"
     )
     failure_rate = failed / total_outcomes if total_outcomes else 0.0
-    reasons = snapshot.get("histograms", {}).get(
-        "rs.failure_reasons", outcomes
-    )
+    reasons = window.histogram("rs.failure_reasons") or outcomes
     total_reasons = sum(reasons.values())
     failure_reasons = {
         label: count / total_reasons

@@ -227,15 +227,16 @@ class TimingHistogram:
 
 
 class SlidingWindow:
-    """Last-N-intervals rates and quantiles over a registry.
+    """Last-N-intervals rates, quantiles and label counts over a registry.
 
     A ring of per-interval *snapshot deltas*: each :meth:`roll` closes
-    the current interval by diffing the registry's counters and timing
-    histograms against the previous roll and pushes the deltas onto a
-    ``deque(maxlen=n_intervals)`` — old intervals fall off the far end,
-    so :meth:`rate` and :meth:`quantile` reflect the last
-    ``n_intervals`` rolls, not process lifetime. Memory is bounded by
-    ``n_intervals`` times the instrument count.
+    the current interval by diffing the registry's counters, timing
+    histograms and categorical histograms against the previous roll and
+    pushes the deltas onto a ``deque(maxlen=n_intervals)`` — old
+    intervals fall off the far end, so :meth:`rate`, :meth:`quantile`
+    and :meth:`histogram` reflect the last ``n_intervals`` rolls, not
+    process lifetime. Memory is bounded by ``n_intervals`` times the
+    instrument count.
 
     The caller owns the cadence: a console refresher rolls once per
     frame, a scraper once per scrape. ``roll(seconds=...)`` overrides
@@ -254,7 +255,7 @@ class SlidingWindow:
         self._last = self._capture()
         self._last_time = time.perf_counter()
 
-    def _capture(self) -> Tuple[dict, dict]:
+    def _capture(self) -> Tuple[dict, dict, dict]:
         counters = {
             name: c.value for name, c in self.registry._counters.items()
         }
@@ -262,7 +263,11 @@ class SlidingWindow:
             name: (list(t.counts), t.count, t.sum)
             for name, t in self.registry._timings.items()
         }
-        return counters, timings
+        histograms = {
+            name: dict(h.counts)
+            for name, h in self.registry._histograms.items()
+        }
+        return counters, timings, histograms
 
     def roll(self, seconds: Optional[float] = None) -> None:
         """Close the current interval and push its deltas onto the ring."""
@@ -270,8 +275,8 @@ class SlidingWindow:
         if seconds is None:
             seconds = now - self._last_time
         self._last_time = now
-        counters, timings = self._capture()
-        last_counters, last_timings = self._last
+        counters, timings, histograms = self._capture()
+        last_counters, last_timings, last_histograms = self._last
         counter_deltas = {
             name: value - last_counters.get(name, 0)
             for name, value in counters.items()
@@ -288,10 +293,17 @@ class SlidingWindow:
                     count - last_count,
                     total - last_sum,
                 )
-        self._intervals.append(
-            (max(float(seconds), 0.0), counter_deltas, timing_deltas)
-        )
-        self._last = (counters, timings)
+        histogram_deltas = {}
+        for name, counts in histograms.items():
+            last = last_histograms.get(name, {})
+            histogram_deltas[name] = {
+                label: count - last.get(label, 0)
+                for label, count in counts.items()
+                if count != last.get(label, 0)
+            }
+        self._intervals.append((max(float(seconds), 0.0), counter_deltas,
+                                timing_deltas, histogram_deltas))
+        self._last = (counters, timings, histograms)
 
     @property
     def window_seconds(self) -> float:
@@ -302,8 +314,17 @@ class SlidingWindow:
         """A counter's growth across the window."""
         return sum(
             deltas.get(counter_name, 0)
-            for _, deltas, _ in self._intervals
+            for _, deltas, _, _ in self._intervals
         )
+
+    def histogram(self, histogram_name: str) -> Dict[str, int]:
+        """A categorical histogram's label counts observed within the
+        window (labels with no observation there are left out)."""
+        merged: Dict[str, int] = {}
+        for *_, histograms in self._intervals:
+            for label, count in histograms.get(histogram_name, {}).items():
+                merged[label] = merged.get(label, 0) + count
+        return {label: count for label, count in merged.items() if count}
 
     def rate(self, counter_name: str) -> float:
         """A counter's per-second rate over the window (0.0 when the
@@ -317,7 +338,7 @@ class SlidingWindow:
         merged: Optional[List[int]] = None
         count = 0
         total = 0.0
-        for _, _, timings in self._intervals:
+        for _, _, timings, _ in self._intervals:
             delta = timings.get(timing_name)
             if delta is None:
                 continue

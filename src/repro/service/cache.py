@@ -4,8 +4,9 @@ Entries are whole :class:`~repro.core.store.ReadResult` objects — what
 :meth:`~repro.core.store.DnaStore.read_many` answered for one object —
 keyed by ``(object_id, epoch)``. An object is decoded whole whenever any
 of it is missing, so it is cached and evicted whole too. Capacity, size
-and evictions count *units* (a result's ``len(report.unit_reports)``),
-so a large object costs what its units cost.
+and evictions count *units*: a result's ``report.n_units``, read off the
+store's columnar outcome without building a per-unit report, so a large
+object costs what its units cost.
 
 The epoch is the invalidation handle: :meth:`~repro.service.plane.
 StoreService.put` bumps an object's epoch when its reads are replaced
@@ -23,17 +24,18 @@ from repro.core.store import ReadResult
 
 
 def _units(result: ReadResult) -> int:
-    return len(result.report.unit_reports)
+    return result.report.n_units
 
 
 class DecodedUnitCache:
     """A capacity-bounded LRU of decoded objects, sized in units.
 
-    ``capacity`` counts *units*, not objects; an object with more units
-    than the whole capacity is not stored, so ``capacity=0`` disables
-    caching entirely (every :meth:`get` misses, :meth:`put` stores
-    nothing) — the throughput benchmark runs the plane this way so it
-    measures coalescing, not cache hits.
+    ``capacity`` counts *units*, not objects (a result's
+    ``report.n_units``, which builds no per-unit report); an object with
+    more units than the whole capacity is not stored, so ``capacity=0``
+    disables caching entirely (every :meth:`get` misses, :meth:`put`
+    stores nothing) — the throughput benchmark runs the plane this way
+    so it measures coalescing, not cache hits.
     """
 
     def __init__(self, capacity: int = 1024) -> None:

@@ -27,10 +27,10 @@ histograms, clean-vs-failed-vs-error outcomes), a structured
 decode / cache_hit / complete / error records keyed by monotonically
 assigned request ids), and a
 :class:`~repro.observability.metrics.SlidingWindow` so
-:meth:`StoreService.health` reports rates and latency quantiles over
-the recent window rather than process lifetime. A caller who wants the
-``service.*`` counters in a run manifest traces with
-``Tracer(metrics=service.metrics)`` and builds the manifest with
+:meth:`StoreService.health` reports rates, latency quantiles and the
+failure rate over the recent window rather than process lifetime. A
+caller who wants the ``service.*`` counters in a run manifest traces
+with ``Tracer(metrics=service.metrics)`` and builds the manifest with
 :func:`~repro.observability.manifest.build_manifest`. The
 ``NullTracer`` decode path is untouched — the always-on instruments
 live beside it, not inside it.
@@ -337,24 +337,16 @@ class StoreService:
         """One :class:`ServiceHealth` snapshot of the plane right now.
 
         Each call (with ``roll`` left on) closes one sliding-window
-        interval, so rates and latency quantiles cover the span since
-        the previous ``health()`` call (up to ``window_intervals`` calls
-        back), not process lifetime. When a recording tracer is active
-        its ``rs.failure_reasons`` histogram is folded in, so the
-        snapshot reports *why* decodes failed, not just that they did.
+        interval, so rates, latency quantiles and the failure rate cover
+        the span since the previous ``health()`` call (up to
+        ``window_intervals`` calls back), not process lifetime. To see
+        *why* decodes failed, trace with ``Tracer(metrics=service.metrics)``:
+        the pipeline's ``rs.failure_reasons`` histogram then lands in the
+        window too.
         """
         if roll:
             self.window.roll()
-        snapshot = self.metrics.snapshot()
-        tracer = get_tracer()
-        if tracer.is_recording:
-            reasons = tracer.metrics.snapshot().get("histograms", {}).get(
-                "rs.failure_reasons"
-            )
-            if reasons:
-                snapshot["histograms"]["rs.failure_reasons"] = reasons
         return capture_health(
-            snapshot,
             window=self.window,
             cache_stats=self.cache.stats(),
             queue_depth=len(self._queue),

@@ -17,6 +17,7 @@ from oracles.core import decode_units_reference
 from repro.channel import (
     ErrorModel,
     FixedCoverage,
+    ReadBatch,
     ReadCluster,
     SequencingSimulator,
 )
@@ -48,6 +49,23 @@ def sequence(store, seed, units=2, rate=0.01, labeled=True, ranking=False):
                                     FixedCoverage(5))
     reads = simulator.sequence_store(image, rng=seed, labeled=labeled)
     return reads, bits, perm
+
+
+def unit(reads, u):
+    """Unit ``u``'s clusters of a spanning batch, as a view."""
+    return reads.select_clusters(u * MATRIX.n_columns,
+                                 (u + 1) * MATRIX.n_columns)
+
+
+def with_symbol(reads, symbol):
+    """A copy of ``reads`` whose middle non-empty read starts with
+    ``symbol``."""
+    buffer = reads.buffer.copy()
+    nonempty = np.flatnonzero(reads.lengths)
+    buffer[reads.offsets[nonempty[nonempty.size // 2]]] = symbol
+    return ReadBatch(buffer, reads.offsets, reads.lengths,
+                     reads.cluster_ids, reads.n_clusters,
+                     reads.source_indices)
 
 
 class TestReadResult:
@@ -351,6 +369,75 @@ class TestRequestValidation:
             with pytest.raises(TypeError, match=r"ReadRequest\.reads"):
                 store.read_many([ReadRequest(reads, bits.size), bad])
         assert "consensus.reconstruct" not in tracer.stage_totals()
+
+    @pytest.mark.parametrize("make_reads,pool", [
+        (lambda reads: with_symbol(reads, 7), False),
+        (lambda reads: [unit(reads, 0), with_symbol(unit(reads, 1), 4)],
+         False),
+        (lambda reads: [
+            unit(reads, 0),
+            [ReadCluster.from_arrays(0, [np.array([0, 1, 9], np.uint8)])]
+            + unit(reads, 1).to_clusters()[1:],
+        ], False),
+        (lambda reads: [
+            unit(reads, 0),
+            [ReadCluster(0, ["ACGN"])] + unit(reads, 1).to_clusters()[1:],
+        ], False),
+        (lambda reads: with_symbol(
+            reads.pooled(np.array([0, 1, 2]) * MATRIX.n_columns), 255),
+         True),
+    ], ids=["spanning_batch", "unit_batch", "array_cluster",
+            "string_cluster", "pool"])
+    def test_out_of_alphabet_read_rejected_before_any_group_runs(
+        self, fixture_store, make_reads, pool
+    ):
+        """A base symbol outside ACGT fails the check with a ValueError
+        naming ``ReadRequest.reads``, in every reads form: alone, and
+        behind a good request in another threshold group, before any
+        consensus runs. It used to pass the check and raise inside the
+        consensus layer, taking the good request down with it."""
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=40)
+        bad = ReadRequest(make_reads(reads), bits.size, pool=pool,
+                          confidence_threshold=0.5)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(ValueError, match=r"ReadRequest\.reads"):
+                store.read(bad)
+            with pytest.raises(ValueError, match=r"ReadRequest\.reads"):
+                store.read_many([ReadRequest(reads, bits.size), bad])
+        assert "consensus.reconstruct" not in tracer.stage_totals()
+
+    def test_alphabet_check_reads_only_the_requests_bases(self,
+                                                          fixture_store):
+        """A sub-batch view is checked over its own reads: a bad symbol
+        elsewhere in the buffer it shares does not reject it."""
+        store = fixture_store
+        reads, bits, _ = sequence(store, seed=41)
+        poisoned = ReadBatch.concat([reads,
+                                     with_symbol(unit(reads, 0), 7)])
+        views = [unit(poisoned, 0), unit(poisoned, 1)]
+        assert views[0].buffer is poisoned.buffer
+        result = store.read(ReadRequest(views, bits.size))
+        assert result.clean
+        np.testing.assert_array_equal(result.bits, bits)
+        with pytest.raises(ValueError, match=r"ReadRequest\.reads"):
+            store.check(ReadRequest([views[0], unit(poisoned, 2)],
+                                    bits.size))
+        # Reads as long in total as their buffer, yet not filling it: a
+        # repeat of read 0 leaves a bad tail that no read covers.
+        first = unit(reads, 0)
+        extra = int(first.lengths[0])
+        overlapping = ReadBatch(
+            np.concatenate([first.buffer[:first.total_bases],
+                            np.full(extra, 7, dtype=np.uint8)]),
+            np.concatenate([[first.offsets[0]], first.offsets]),
+            np.concatenate([[extra], first.lengths]),
+            np.concatenate([[0], first.cluster_ids]),
+            first.n_clusters,
+        )
+        assert overlapping.buffer.size == overlapping.total_bases
+        store.check(ReadRequest([overlapping, unit(reads, 1)], bits.size))
 
     @pytest.mark.parametrize("make_reads", [
         lambda reads: 5,

@@ -120,8 +120,8 @@ def windowed():
 def health_of(registry, window, cache_stats=None, **kwargs):
     """Close a 10 s interval, then ``capture_health`` over the window."""
     window.roll(seconds=10.0)
-    return capture_health(registry, window=window,
-                          cache_stats=cache_stats or {}, **kwargs)
+    return capture_health(window=window, cache_stats=cache_stats or {},
+                          **kwargs)
 
 
 class TestServiceHealth:
@@ -208,7 +208,7 @@ class TestServiceHealth:
             [0.001] * 50
         )
         window.roll(seconds=2.0)
-        health = capture_health(registry, window=window, cache_stats={})
+        health = capture_health(window=window, cache_stats={})
         assert health.requests_per_second == pytest.approx(25.0)
         assert health.window_seconds == pytest.approx(2.0)
         assert 0.0 < health.p50_seconds < 0.01

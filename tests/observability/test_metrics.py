@@ -198,10 +198,12 @@ class TestSlidingWindow:
         window = SlidingWindow(registry, n_intervals=2)
         registry.counter("reqs").add(1000)
         registry.timing("lat").observe(100.0)  # a terrible early latency
+        registry.histogram("outcomes").observe("failed", 5)
         window.roll(seconds=1.0)
         for _ in range(2):  # two fresh intervals push the burst out
             registry.counter("reqs").add(10)
             registry.timing("lat").observe(0.001)
+            registry.histogram("outcomes").observe("clean")
             window.roll(seconds=1.0)
         assert window.total("reqs") == 20
         assert window.rate("reqs") == pytest.approx(10.0)
@@ -209,6 +211,8 @@ class TestSlidingWindow:
         # The window quantile reflects only the recent 1ms observations,
         # not the forgotten 100s outlier.
         assert window.quantile("lat", 0.99) < 0.01
+        # Label counts, too: the early failures left with their interval.
+        assert window.histogram("outcomes") == {"clean": 2}
 
     def test_quantile_merges_intervals(self):
         registry = MetricRegistry()
@@ -225,6 +229,7 @@ class TestSlidingWindow:
         window = SlidingWindow(registry, n_intervals=2)
         assert window.rate("anything") == 0.0
         assert window.quantile("anything", 0.5) == 0.0
+        assert window.histogram("anything") == {}
         assert window.window_seconds == 0.0
 
     def test_rejects_bad_interval_count(self):

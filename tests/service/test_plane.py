@@ -10,9 +10,11 @@ a malformed object fails at ``put``, never inside a tick.
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
+from repro.channel import ErrorModel, FixedCoverage, ReadBatch, \
+    SequencingSimulator
 from repro.consensus import TwoWayReconstructor
 from repro.core import MatrixConfig, PipelineConfig
+from repro.core.pipeline import DecodeReport, ReceivedUnit
 from repro.core.store import DnaStore
 from repro.observability import Tracer, build_manifest, use_tracer
 from repro.service import StoreService
@@ -53,6 +55,17 @@ def make_objects(store, n_objects, units=1, seed=0, labeled=True):
                                          labeled=labeled)
         objects[f"obj{k}"] = (reads, bits)
     return objects
+
+
+def with_symbol(reads, symbol):
+    """A copy of ``reads`` whose middle non-empty read starts with
+    ``symbol``."""
+    buffer = reads.buffer.copy()
+    nonempty = np.flatnonzero(reads.lengths)
+    buffer[reads.offsets[nonempty[nonempty.size // 2]]] = symbol
+    return ReadBatch(buffer, reads.offsets, reads.lengths,
+                     reads.cluster_ids, reads.n_clusters,
+                     reads.source_indices)
 
 
 @pytest.fixture
@@ -142,6 +155,36 @@ class TestCoalescing:
         assert CountingTwoWay.calls[0] <= MATRIX.n_columns
         for result in results:
             np.testing.assert_array_equal(result.bits, objects["obj4"][1])
+
+
+class TestColumnarOutcome:
+    def test_tick_builds_no_per_unit_objects(self, monkeypatch):
+        """A tick over cold 4-unit objects reads verdicts, unit counts
+        and bits from the store's columnar outcome: it constructs no
+        ``ReceivedUnit`` and no ``DecodeReport``. The reports are still
+        there, built when a caller reads them."""
+        built = []
+        for cls in (ReceivedUnit, DecodeReport):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        store = make_store()
+        objects = make_objects(store, 4, units=4)
+        service = StoreService(store, cache_capacity=64)
+        for oid, (reads, bits) in objects.items():
+            service.put(oid, reads, bits.size)
+        for oid in objects:
+            service.submit(oid)
+        answers = service.tick()
+        assert built == []
+        assert len(service.cache) == 16
+        for answer in answers:
+            assert answer.clean
+            np.testing.assert_array_equal(answer.bits,
+                                          objects[answer.object_id][1])
+        assert len(answers[0].report.unit_reports) == 4
+        assert built == ["DecodeReport"] * 4
 
 
 class TestCache:
@@ -601,6 +644,41 @@ class TestFailedTick:
                                           objects[answer.object_id][1])
         assert len(service.events.records("complete")) == 4
 
+    def test_failure_rate_leaves_the_window_with_the_fault(self):
+        """Health's failure rate covers the sliding window, like its
+        rates and latency: once a raising 4-ticket tick has rolled out of
+        a 3-interval window, 10 clean ticks later, it reads 0 and ``ok``
+        (it used to read the lifetime 4/44 and ``degraded``)."""
+        store = DnaStore(PipelineConfig(matrix=MATRIX),
+                         reconstructor=FailingTwoWay())
+        objects = make_objects(store, 4)
+        service = StoreService(store, cache_capacity=0,
+                               window_intervals=3)
+        for oid, (reads, bits) in objects.items():
+            service.put(oid, reads, bits.size)
+        for oid in objects:
+            service.submit(oid)
+        FailingTwoWay.fail = True
+        try:
+            with pytest.raises(RuntimeError, match="consensus fault"):
+                service.tick()
+        finally:
+            FailingTwoWay.fail = False
+        health = service.health()
+        assert health.failure_rate == 1.0
+        assert health.failure_reasons == {"error": 1.0}
+        for _ in range(10):
+            for oid in objects:
+                service.submit(oid)
+            assert all(answer.clean for answer in service.tick())
+            health = service.health()
+        assert health.failure_rate == 0.0
+        assert health.failure_reasons == {}
+        assert health.verdict == "ok"
+        # Lifetime outcomes still hold the fault.
+        assert service.metrics.snapshot()["histograms"][
+            "service.read_outcomes"] == {"error": 4, "clean": 40}
+
 
 class TestPutValidation:
     """``put`` checks an object's reads, size and threshold before it
@@ -641,15 +719,16 @@ class TestPutValidation:
 
     @pytest.mark.parametrize("case", [
         "pool_with_labeled_reads", "ranking_not_a_permutation",
-        "bad_unit_entry",
+        "bad_unit_entry", "out_of_alphabet_read",
     ])
     def test_malformed_object_fails_at_put(self, case):
         """Anything a decode would reject fails at ``put``: the
         lost-tickets repro (``pool=True`` with labeled reads), a ranking
-        that is not a permutation and a per-unit entry that is not reads
-        each raise a typed error naming the field. The catalog and the
-        cache stay as they were, and the next tick answers every good
-        object."""
+        that is not a permutation, a per-unit entry that is not reads and
+        a read holding symbol 7 (which used to pass ``put`` and then sink
+        every ticket of the tick it joined) each raise a typed error
+        naming the field. The catalog and the cache stay as they were,
+        and the next tick answers every good object."""
         store = make_store()
         objects = make_objects(store, 4, units=2)
         service = StoreService(store, cache_capacity=64)
@@ -671,6 +750,8 @@ class TestPutValidation:
             "bad_unit_entry": (
                 [reads.select_clusters(0, MATRIX.n_columns), 5], {},
                 TypeError, "ReadRequest.reads"),
+            "out_of_alphabet_read": (
+                with_symbol(reads, 7), {}, ValueError, "ReadRequest.reads"),
         }[case]
         CountingTwoWay.calls = []
         with pytest.raises(error, match=field):
