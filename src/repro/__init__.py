@@ -1,4 +1,4 @@
-"""repro — a reproduction of "Managing Reliability Bias in DNA Storage".
+"""repro — a reproduction of "Managing Reliability Skew in DNA Storage".
 
 Lin, Tabatabaee, Pote, Jevdjic — ISCA 2022 (arXiv:2204.12261).
 
@@ -12,6 +12,11 @@ encryption for the workload) and the paper's two contributions:
   the molecules the errors strike (de-biasing the medium);
 * **DnaMapper** — priority-based mapping that stores the most important
   bits in the most reliable molecule positions (leveraging the bias).
+
+The storage stack (channel, clustering, consensus scans, RS, store and
+service) runs on numpy alone. scipy is imported on first use by the
+three callers that need it — posterior consensus and the JPEG and
+synthetic-image helpers — so ``import repro`` loads none of it.
 
 Quick start::
 

@@ -5,10 +5,12 @@ apply_indices` in a Python loop) draws randomness and assembles output one
 noisy copy at a time. The engine here instead simulates *all reads of all
 strands at once*: the emitted bases of the entire batch live in one flat
 buffer, a single RNG draw covers every template base, and the variable-
-length outputs are assembled with a segmented cumulative sum. The decision
-logic per base is bit-identical to the reference — the differential suite
-in ``tests/channel/test_engine.py`` replays the engine's RNG stream
-through per-read reference calls and requires byte-equal reads.
+length outputs are placed from the indices of the insertion and deletion
+events. The decision logic per base is bit-identical to the reference —
+the differential suite in ``tests/channel/test_engine.py`` replays the
+engine's RNG stream through per-read reference calls and requires
+byte-equal reads, and ``tests/channel/test_engine_oracle.py`` pins the
+pass to its frozen cumsum-placed predecessor (``oracles.channel``).
 
 RNG contract (what the differential tests rely on): for one IDS pass over
 ``total`` template bases the engine consumes, in order,
@@ -162,6 +164,15 @@ def batched_ids_pass(
     Read ``i`` is a noisy copy of template ``template_of_read[i]``. Returns
     ``(out_buffer, out_lengths)``: the emitted bases of all reads back to
     back (read order, ``uint8``) and each read's emitted length.
+
+    Memory: each per-base array is freed after its last use. With a
+    scalar model the pass peaks at the ``float64`` draws, three event
+    masks and the ``uint8`` bases, ~13 B per template base (a
+    mixed-length set's ``int64`` gather index comes and goes before the
+    draw). The output is placed from the inserted and deleted bases'
+    indices, a few words per event rather than per base. A rate map adds
+    its three ``float64`` rates per base.
+    ``tests/channel/test_engine_memory.py`` bounds the peak.
     """
     if n_alphabet < 2:
         raise ValueError(f"n_alphabet must be >= 2, got {n_alphabet}")
@@ -173,81 +184,82 @@ def batched_ids_pass(
     if total == 0:
         return np.zeros(0, dtype=np.uint8), np.zeros(n_reads, dtype=np.int64)
 
-    # Flat-base geometry. The per-base read/position bookkeeping is only
-    # needed for positional rate maps; the scalar-model path just gathers
-    # the input bases (one row gather when all templates share a length).
-    in_starts = np.cumsum(in_lengths) - in_lengths
-    length0 = int(template_lengths[0]) if template_lengths.size else 0
+    read_ends = np.cumsum(in_lengths)
+    read_starts = read_ends - in_lengths
+    length0 = int(template_lengths[0])
     uniform = (
-        template_lengths.size > 0
-        and template_buffer.size == template_lengths.size * length0
+        template_buffer.size == template_lengths.size * length0
         and np.all(template_lengths == length0)
         and np.array_equal(
             template_offsets,
             np.arange(template_lengths.size, dtype=np.int64) * length0,
         )
     )
-    if uniform and length0 > 0:
-        inp = template_buffer.reshape(-1, length0)[template_of_read].reshape(-1)
+    # Every read's template bases back to back, in a fresh array: one row
+    # gather when the templates share a length and tile the buffer.
+    if uniform:
+        emitted = template_buffer.reshape(-1, length0)[template_of_read]
+        emitted = emitted.reshape(-1)
     else:
-        read_of_base = np.repeat(
-            np.arange(n_reads, dtype=np.int64), in_lengths
-        )
-        position = np.arange(total, dtype=np.int64) - in_starts[read_of_base]
-        strand_of_base = template_of_read[read_of_base]
-        inp = template_buffer[template_offsets[strand_of_base] + position]
-
+        at = np.repeat(template_offsets[template_of_read] - read_starts,
+                       in_lengths)
+        at += np.arange(total, dtype=np.int64)
+        emitted = template_buffer[at]
+        del at
     if isinstance(rates, ErrorRateMap):
-        if uniform and length0 > 0:
-            position = np.tile(
-                np.arange(length0, dtype=np.int64), n_reads
-            )
-            strand_of_base = np.repeat(template_of_read, length0)
-        p_del, p_ins, p_sub = rates.per_base(strand_of_base, position)
-        noiseless = False
+        # Positional rates: each base's strand and in-strand position.
+        p_del, p_ins, p_sub = rates.per_base(
+            np.repeat(template_of_read, in_lengths),
+            np.arange(total, dtype=np.int64)
+            - np.repeat(read_starts, in_lengths),
+        )
+    elif rates.is_noiseless:
+        return emitted, in_lengths.astype(np.int64)
     else:
         p_del = rates.p_deletion
         p_ins = rates.p_insertion
         p_sub = rates.p_substitution
-        noiseless = rates.is_noiseless
-    if noiseless:
-        return inp.copy(), in_lengths.astype(np.int64)
 
     # Single RNG draw over every template base of the whole batch; the
     # event classification matches ErrorModel.apply_indices exactly.
     draws = generator.random(total)
     deleted = draws < p_del
-    inserted = (draws >= p_del) & (draws < p_del + p_ins)
-    substituted = (draws >= p_del + p_ins) & (draws < p_del + p_ins + p_sub)
+    upper = p_del + p_ins
+    inserted = draws >= p_del
+    inserted &= draws < upper
+    substituted = draws >= upper
+    substituted &= draws < upper + p_sub
+    del draws, p_del, p_ins, p_sub, upper
 
-    emitted = inp.copy()
-    n_subs = int(substituted.sum())
+    n_subs = int(np.count_nonzero(substituted))
     if n_subs:
         offsets = generator.integers(1, n_alphabet, size=n_subs,
                                      dtype=np.uint8)
         emitted[substituted] = (emitted[substituted] + offsets) % n_alphabet
+    del substituted
 
     # Each template base emits 0 (deletion), 1 (keep/substitute) or 2
-    # (insertion: the random base, then the original) output bases; a
-    # segmented cumsum over the whole batch places them.
-    counts = np.ones(total, dtype=np.int64)
-    counts[deleted] = 0
-    counts[inserted] = 2
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    survivors = ~deleted
-    out[ends[survivors] - 1] = emitted[survivors]
-    n_ins = int(inserted.sum())
-    if n_ins:
-        out[starts[inserted]] = generator.integers(
-            0, n_alphabet, size=n_ins, dtype=np.uint8
+    # (insertion: the random base, then the original) output bases. The
+    # survivors go out in order, and each inserted base's random base
+    # goes in front of its original, whose place among the survivors is
+    # its own index less the deletions before it.
+    inserted_at = np.flatnonzero(inserted)
+    del inserted
+    deleted_at = np.flatnonzero(deleted)
+    out = emitted[np.logical_not(deleted, out=deleted)]
+    del deleted, emitted
+    if inserted_at.size:
+        out = np.insert(
+            out,
+            inserted_at - np.searchsorted(deleted_at, inserted_at),
+            generator.integers(0, n_alphabet, size=inserted_at.size,
+                               dtype=np.uint8),
         )
-    # Per-read emitted lengths: differences of the emission cumsum at the
-    # read boundaries (O(n_reads), no per-base reduction).
-    bounds = np.concatenate([np.zeros(1, dtype=np.int64), ends])
-    out_lengths = bounds[in_starts + in_lengths] - bounds[in_starts]
-    return out, out_lengths
+    # Per-read emitted lengths: each read's end moves by the insertions
+    # and deletions before it (O(n_reads log n_events)).
+    out_ends = (read_ends + np.searchsorted(inserted_at, read_ends)
+                - np.searchsorted(deleted_at, read_ends))
+    return out, np.diff(out_ends, prepend=0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ position ``i`` the channel deletes (``p_del``), inserts a uniform base
 copies. The forward/backward recursions run in the probability domain
 with per-row renormalization (the within-row insertion chain is a linear
 recurrence solved by ``scipy.signal.lfilter``), so strands of hundreds of
-bases are handled without underflow.
+bases are handled without underflow. scipy loads on the first lattice
+pass, not at import, so a process that never runs this engine never
+loads it.
 
 The lattice is *batched*: the recursions run over a ``(reads,
 positions)`` stack — every read of every cluster advances one lattice row
@@ -47,7 +49,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.channel.errors import ErrorModel
 from repro.channel.readbatch import ReadBatch
@@ -295,6 +296,8 @@ class PosteriorReconstructor(Reconstructor):
         Garbage in the stored lattice is harmless downstream: the edge
         product multiplies it by the backward lattice's exact zeros.
         """
+        from scipy.signal import lfilter
+
         n_reads, length, width = emit.shape
         columns = np.arange(width + 1)
         valid = columns[None, :] <= lengths[:, None]  # (R, m + 1)
@@ -333,6 +336,8 @@ class PosteriorReconstructor(Reconstructor):
         (With the base masked, the chain output is already exactly zero in
         every padded column — the edge product relies on that.)
         """
+        from scipy.signal import lfilter
+
         n_reads, length, width = emit.shape
         columns = np.arange(width + 1)
         exponents = lengths[:, None] - columns[None, :]

@@ -4,13 +4,13 @@ The orthonormal 2-D DCT-II over an 8x8 block equals the JPEG FDCT exactly
 (the 1/4 * C(u) * C(v) scaling of T.81 is the product of the two 1-D
 orthonormal factors), so :func:`scipy.fft.dctn` with ``norm='ortho'`` is
 the textbook-correct transform. All blocks of an image are transformed in
-one vectorized call.
+one vectorized call. scipy loads on the first transform, not at import,
+so the storage path never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 
 def blockify(image: np.ndarray, block: int = 8) -> tuple:
@@ -53,10 +53,14 @@ def unblockify(
 
 def forward_dct(blocks: np.ndarray) -> np.ndarray:
     """JPEG FDCT of every block (level shift is the caller's job)."""
+    from scipy.fft import dctn
+
     return dctn(blocks.astype(np.float64), axes=(-2, -1), norm="ortho")
 
 
 def inverse_dct(coefficients: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_dct`."""
+    from scipy.fft import idctn
+
     return idctn(np.asarray(coefficients, dtype=np.float64),
                  axes=(-2, -1), norm="ortho")

@@ -6,13 +6,13 @@ combine the structures that drive JPEG behaviour on natural photos: smooth
 illumination gradients (low-frequency energy), geometric objects with hard
 edges (localized high frequency), and band-limited texture noise
 (mid-frequency energy). Sizes and object counts are parameterized so a
-compressed-size mix like the paper's can be produced.
+compressed-size mix like the paper's can be produced. scipy (for the
+texture blur) loads on the first call, not at import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -32,6 +32,8 @@ def synth_image(
         texture_strength: amplitude of the band-limited texture component.
         rng: random source.
     """
+    from scipy import ndimage
+
     if height < 16 or width < 16:
         raise ValueError("image must be at least 16x16")
     generator = ensure_rng(rng)

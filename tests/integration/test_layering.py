@@ -9,7 +9,9 @@ per-cluster and list entry points may not come back. The serving plane
 is a plain client of ``DnaStore.read_many`` and ``DnaStore.check``: the
 private read engine, the per-request check helpers, the service's copy
 of ``ReadRequest`` and the automatic manifests are gone for good, and no
-service module reads another object's private attributes.
+service module reads another object's private attributes. scipy is
+imported only inside the functions that call it, so importing ``repro``
+loads none of it.
 """
 
 import ast
@@ -177,5 +179,58 @@ def test_service_reads_no_private_store_attribute():
     assert SRC / "service" / "plane.py" in paths
     problems = [problem for path in paths
                 for problem in _private_reads(path.read_text(),
+                                              path.relative_to(ROOT))]
+    assert problems == []
+
+
+def _module_level_imports(tree):
+    """Import statements that run when the module is imported: those
+    outside any function body (class bodies and top-level ``if``/``try``
+    blocks included)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _module_level_imports(node)
+
+
+def _scipy_imports(source, where):
+    for node in _module_level_imports(ast.parse(source)):
+        names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names])
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield f"{where}:{node.lineno} imports {name} at module level"
+
+
+def test_scipy_import_scan_skips_function_bodies():
+    source = (
+        "import scipy\n"
+        "from scipy.signal import lfilter\n"
+        "try:\n"
+        "    import scipy.fft as fft\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    from scipy import ndimage\n"
+        "def f():\n"
+        "    from scipy import ndimage\n"
+        "    return ndimage\n"
+    )
+    assert [problem.split(" ", 1)[1]
+            for problem in _scipy_imports(source, "x")] == [
+        "imports scipy at module level",
+        "imports scipy.signal at module level",
+        "imports scipy.fft at module level",
+        "imports scipy at module level",
+    ]
+
+
+def test_no_module_level_scipy_import_in_package():
+    """scipy serves only posterior consensus and the JPEG/image helpers;
+    each imports it on first use, so a storage process never loads it
+    (``tests/integration/test_storage_without_scipy.py`` runs one)."""
+    problems = [problem for path in sorted(SRC.rglob("*.py"))
+                for problem in _scipy_imports(path.read_text(),
                                               path.relative_to(ROOT))]
     assert problems == []
