@@ -81,8 +81,8 @@ batch call over every surviving cluster of every unit::
         ReadRequest(batch, bits.size))
     assert report.clean and np.array_equal(decoded, bits)
 
-``sequence_store`` (and ``ReadPool.for_store`` for coverage sweeps) emit
-the units' clusters back to back in one columnar batch;
+``sequence_store`` emits the units' clusters back to back in one
+columnar batch;
 ``pipeline.receive_many`` then parses the whole estimate stack with
 array operations — index validation, first-claim-wins column assembly
 and confidence-cell extraction, segmented by unit — feeding one batched
@@ -252,7 +252,6 @@ from repro.channel import (
     ReadCluster,
     ReadPool,
     SequencingSimulator,
-    SynthesisSimulator,
     TwoStageSequencer,
 )
 from repro.cluster import (
@@ -260,7 +259,6 @@ from repro.cluster import (
     LSHClusterer,
     pair_precision_recall,
 )
-from repro.codec import DirectCodec, RotationCodec
 from repro.consensus import (
     IterativeReconstructor,
     OneWayReconstructor,
@@ -284,20 +282,12 @@ from repro.core import (
     StoreReport,
     identity_ranking,
     oracle_ranking,
-    positional_ranking,
     proportional_share_ranking,
 )
 from repro.ecc import DecodeFailure, GaloisField, ReedSolomon, UnevenEccScheme
-from repro.files import FileEntry, pack_archive, unpack_archive
+from repro.files import FileEntry, pack_archive, unpack_archive_robust
 from repro.service import DecodedUnitCache, StoreService
-from repro.media import (
-    ColorJpegCodec,
-    JpegCodec,
-    psnr,
-    quality_loss_db,
-    synth_image,
-    synth_image_rgb,
-)
+from repro.media import JpegCodec, psnr, quality_loss_db, synth_image
 
 __version__ = "1.0.0"
 
@@ -314,15 +304,11 @@ __all__ = [
     "ReadCluster",
     "ReadPool",
     "SequencingSimulator",
-    "SynthesisSimulator",
     "TwoStageSequencer",
     # clustering
     "BatchedGreedyClusterer",
     "LSHClusterer",
     "pair_precision_recall",
-    # codecs
-    "DirectCodec",
-    "RotationCodec",
     # consensus
     "OneWayReconstructor",
     "TwoWayReconstructor",
@@ -347,7 +333,6 @@ __all__ = [
     "GiniLayout",
     "DnaMapperLayout",
     "identity_ranking",
-    "positional_ranking",
     "proportional_share_ranking",
     "oracle_ranking",
     # ecc
@@ -358,12 +343,10 @@ __all__ = [
     # files
     "FileEntry",
     "pack_archive",
-    "unpack_archive",
+    "unpack_archive_robust",
     # media
     "JpegCodec",
-    "ColorJpegCodec",
     "synth_image",
-    "synth_image_rgb",
     "psnr",
     "quality_loss_db",
 ]

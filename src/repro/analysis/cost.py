@@ -79,19 +79,3 @@ class CostModel:
         if baseline == 0:
             raise ValueError("baseline coverage must be positive")
         return 1.0 - self.read_cost(matrix, new_coverage) / baseline
-
-    def write_saving(
-        self, matrix: MatrixConfig, reduced_nsym: int
-    ) -> float:
-        """Fractional synthesis saving from dropping parity molecules.
-
-        Mirrors the paper's Figure 13 arithmetic: cutting redundancy from
-        ``matrix.nsym`` to ``reduced_nsym`` molecules shrinks the unit by
-        that many columns; the saving is relative to the full unit.
-        """
-        if not (0 <= reduced_nsym <= matrix.nsym):
-            raise ValueError(
-                f"reduced_nsym must be in [0, {matrix.nsym}], got {reduced_nsym}"
-            )
-        dropped_columns = matrix.nsym - reduced_nsym
-        return dropped_columns / matrix.n_columns

@@ -202,10 +202,6 @@ class RetrievalResult:
     def mean_loss_db(self) -> float:
         return float(np.mean(self.losses_db)) if self.losses_db else float("nan")
 
-    @property
-    def max_loss_db(self) -> float:
-        return float(np.max(self.losses_db)) if self.losses_db else float("nan")
-
 
 class ImageStoreExperiment:
     """Encrypted multi-image archive stored in one encoding unit.
@@ -217,16 +213,12 @@ class ImageStoreExperiment:
     proportional share of each reliability class.
 
     Args:
-        images: uint8 arrays — grayscale (H, W), or RGB (H, W, 3) when a
-            color codec is supplied.
+        images: grayscale (H, W) uint8 arrays.
         matrix: encoding-unit geometry (must fit the archive).
         layout: 'baseline', 'gini', or 'dnamapper'.
-        quality: JPEG quality for compression (ignored if ``codec`` given).
+        quality: JPEG quality for compression.
         encrypt: ChaCha20-encrypt every image payload (as the paper does).
         rng: random source for keys.
-        codec: image codec; defaults to the grayscale
-            :class:`~repro.media.jpeg.JpegCodec`. Pass a
-            :class:`~repro.media.jpeg.ColorJpegCodec` for RGB stores.
     """
 
     def __init__(
@@ -237,10 +229,9 @@ class ImageStoreExperiment:
         quality: int = 75,
         encrypt: bool = True,
         rng: RngLike = None,
-        codec=None,
     ) -> None:
         generator = ensure_rng(rng)
-        self.codec = codec if codec is not None else JpegCodec(quality=quality)
+        self.codec = JpegCodec(quality=quality)
         self.layout = layout
         self.encrypt = encrypt
         self.images: List[StoredImage] = []

@@ -25,12 +25,11 @@ from repro.channel.engine import (
 )
 from repro.channel.readbatch import ReadBatch
 from repro.channel.sequencer import ReadCluster, ReadPool, SequencingSimulator
-from repro.channel.synthesis import SynthesisSimulator, TwoStageSequencer
+from repro.channel.synthesis import TwoStageSequencer
 from repro.channel.profiles import (
     enzymatic_synthesis_profile,
     illumina_profile,
     nanopore_profile,
-    uniform_profile,
 )
 
 __all__ = [
@@ -44,12 +43,10 @@ __all__ = [
     "ReadCluster",
     "ReadPool",
     "SequencingSimulator",
-    "SynthesisSimulator",
     "TwoStageSequencer",
     "as_template_set",
     "batched_ids_pass",
     "illumina_profile",
     "nanopore_profile",
     "enzymatic_synthesis_profile",
-    "uniform_profile",
 ]

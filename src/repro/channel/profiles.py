@@ -14,11 +14,6 @@ from __future__ import annotations
 from repro.channel.errors import ErrorModel
 
 
-def uniform_profile(total_rate: float) -> ErrorModel:
-    """The paper's simulation default: equal thirds ins/del/sub."""
-    return ErrorModel.uniform(total_rate)
-
-
 def illumina_profile(total_rate: float = 0.01) -> ErrorModel:
     """Illumina NGS: low error, ~27% indels (split evenly), rest substitutions."""
     return ErrorModel.with_breakdown(

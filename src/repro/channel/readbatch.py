@@ -248,10 +248,6 @@ class ReadBatch:
         """Reads per cluster, ``(n_clusters,)``."""
         return np.diff(self._starts)
 
-    def lost_clusters(self) -> np.ndarray:
-        """Ids of clusters with zero reads (strand dropouts)."""
-        return np.flatnonzero(np.diff(self._starts) == 0)
-
     def cluster_rows(self, cluster: int) -> Tuple[int, int]:
         """Read-row range ``[start, stop)`` owned by ``cluster``."""
         if not (0 <= cluster < self.n_clusters):

@@ -84,11 +84,6 @@ class ReadCluster:
         backing = self._arrays if self._strings is None else self._strings
         return len(backing)
 
-    @property
-    def is_lost(self) -> bool:
-        """True when the strand received no reads at all (an erasure)."""
-        return self.coverage == 0
-
     def __repr__(self) -> str:
         return (f"ReadCluster(source_index={self.source_index}, "
                 f"coverage={self.coverage})")
@@ -245,30 +240,6 @@ class ReadPool:
             self._weights = generator.gamma(
                 dispersion_shape, 1.0 / dispersion_shape, size=n_strands
             )
-
-    @classmethod
-    def for_store(
-        cls,
-        image,
-        error_model: ErrorModel,
-        max_coverage: int,
-        rng: RngLike = None,
-        dispersion_shape: Optional[float] = None,
-    ) -> "ReadPool":
-        """A pool spanning every strand of a multi-unit store.
-
-        ``image`` is a :class:`~repro.core.store.StoreImage`; the pool
-        holds all units' strands back to back, so ``batch_at(coverage)``
-        emits the spanning :class:`ReadBatch` that
-        :meth:`~repro.core.store.DnaStore.read` consumes in one pass —
-        multi-unit coverage sweeps stay nested and zero-copy exactly like
-        single-unit ones.
-        """
-        strands = [
-            strand for unit in image.units for strand in unit.strands
-        ]
-        return cls(strands, error_model, max_coverage, rng=rng,
-                   dispersion_shape=dispersion_shape)
 
     def __len__(self) -> int:
         return self._batch.n_clusters

@@ -11,12 +11,11 @@ The paper's Section 8 distinguishes the two physical error sources:
 * **sequencing** (reading) injects independent errors per read — the
   noise consensus is designed to cancel.
 
-:class:`SynthesisSimulator` applies a per-molecule error model once, and
-:class:`TwoStageSequencer` composes it with the ordinary per-read
-sequencing channel. Both ride the batched channel engine: the synthesis
-stage mutates every molecule in one vectorized IDS pass, and the two-stage
-sequencer is a façade over a :class:`~repro.channel.engine.
-BatchedChannelEngine` configured with both models. The ablation benchmark
+:class:`TwoStageSequencer` applies a per-molecule error model once and
+then the ordinary per-read sequencing channel. It is a façade over a
+:class:`~repro.channel.engine.BatchedChannelEngine` configured with both
+models: the engine's synthesis stage mutates every molecule in one
+vectorized IDS pass before the reads are drawn. The ablation benchmark
 shows the consequence: raising coverage drives sequencing-induced failures
 to zero but leaves a synthesis-induced floor that only redundancy can
 cross.
@@ -29,47 +28,11 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.channel.coverage import CoverageModel, FixedCoverage
-from repro.channel.engine import BatchedChannelEngine, as_template_set, batched_ids_pass
+from repro.channel.engine import BatchedChannelEngine
 from repro.channel.errors import ErrorModel
 from repro.channel.readbatch import ReadBatch
 from repro.channel.sequencer import ReadCluster
-from repro.codec.basemap import indices_to_bases
-from repro.utils.rng import RngLike, ensure_rng
-
-
-class SynthesisSimulator:
-    """Mutates each designed strand once, as synthesis would.
-
-    Args:
-        error_model: per-position error probabilities applied one time per
-            molecule (use :func:`repro.channel.profiles.
-            enzymatic_synthesis_profile` for the indel-heavy regime).
-    """
-
-    def __init__(self, error_model: ErrorModel) -> None:
-        self.error_model = error_model
-
-    def synthesize(
-        self, strands: Sequence[str], rng: RngLike = None
-    ) -> List[str]:
-        """Return the physically synthesized (possibly mutated) molecules.
-
-        All molecules are mutated in one batched IDS pass (one read per
-        strand); strings in, strings out — this is a write-side edge, not
-        the decode hot path.
-        """
-        generator = ensure_rng(rng)
-        buffer, offsets, lengths = as_template_set(strands)
-        out, out_lengths = batched_ids_pass(
-            buffer, offsets, lengths,
-            np.arange(lengths.size, dtype=np.int64),
-            self.error_model, generator,
-        )
-        starts = np.cumsum(out_lengths) - out_lengths
-        return [
-            indices_to_bases(out[start: start + length])
-            for start, length in zip(starts, out_lengths)
-        ]
+from repro.utils.rng import RngLike
 
 
 class TwoStageSequencer:

@@ -4,8 +4,10 @@ After sequencing, reads must be grouped so that all noisy copies of one
 original strand land in one cluster (the paper's Section 2.1, following
 Rashtchian et al.). The simulation methodology (Section 6.1.2) uses
 *perfect* clustering — each read is tagged with its source strand — to
-isolate consensus behaviour from clustering errors; the greedy
-edit-distance clusterer is provided as the realistic alternative.
+isolate consensus behaviour from clustering errors: that is a labeled
+:class:`~repro.channel.readbatch.ReadBatch`, whose cluster ids are the
+source strands, and it needs no code here. The greedy edit-distance
+clusterer is the realistic alternative.
 
 The realistic path is columnar: :class:`BatchedGreedyClusterer` runs the
 greedy scan straight off a :class:`~repro.channel.readbatch.ReadBatch`
@@ -27,7 +29,6 @@ still exact-edit-distance-verified.
 
 from repro.cluster.batched import BatchedGreedyClusterer
 from repro.cluster.distance import (
-    banded_edit_distance,
     banded_edit_distance_indices,
     banded_edit_distances_stack,
     edit_distance,
@@ -35,24 +36,15 @@ from repro.cluster.distance import (
 )
 from repro.cluster.lsh import LSHClusterer
 from repro.cluster.metrics import pair_precision_recall
-from repro.cluster.perfect import perfect_clusters
-from repro.cluster.signatures import (
-    batch_signatures,
-    batch_signatures_sparse,
-    qgram_signature,
-)
+from repro.cluster.signatures import batch_signatures
 
 __all__ = [
     "edit_distance",
     "edit_distance_indices",
-    "banded_edit_distance",
     "banded_edit_distance_indices",
     "banded_edit_distances_stack",
     "BatchedGreedyClusterer",
     "LSHClusterer",
-    "perfect_clusters",
     "pair_precision_recall",
     "batch_signatures",
-    "batch_signatures_sparse",
-    "qgram_signature",
 ]

@@ -41,29 +41,16 @@ def edit_distance_indices(a: np.ndarray, b: np.ndarray) -> int:
     return banded_edit_distance_indices(a, b, max(a.size, b.size))
 
 
-def banded_edit_distance(a: str, b: str, band: int) -> int:
+def banded_edit_distance_indices(a: np.ndarray, b: np.ndarray,
+                                 band: int) -> int:
     """Edit distance restricted to a diagonal band of half-width ``band``.
 
     Returns the exact distance when it is at most ``band``; otherwise
-    returns a value strictly greater than ``band`` (a certificate that the
-    strings are farther apart than the band, not the true distance). The
-    length difference alone decides when it already exceeds the band.
-    """
-    return banded_edit_distance_indices(
-        bases_to_indices(a) if a else np.zeros(0, dtype=np.uint8),
-        bases_to_indices(b) if b else np.zeros(0, dtype=np.uint8),
-        band,
-    )
-
-
-def banded_edit_distance_indices(a: np.ndarray, b: np.ndarray,
-                                 band: int) -> int:
-    """Banded edit distance between two symbol-index arrays.
-
-    Same contract as :func:`banded_edit_distance`: the one-pair case of
-    :func:`banded_edit_distances_stack`, except that a length gap beyond
-    the band returns the gap itself (still a certificate, and a tighter
-    one than ``band + 1``).
+    returns a value strictly greater than ``band`` (a certificate that
+    the arrays are farther apart than the band, not the true distance).
+    This is the one-pair case of :func:`banded_edit_distances_stack`,
+    except that a length gap beyond the band returns the gap itself
+    (still a certificate, and a tighter one than ``band + 1``).
     """
     a = np.asarray(a).reshape(1, -1)
     b = np.asarray(b).reshape(1, -1)
@@ -104,7 +91,7 @@ def banded_edit_distances_stack(
     :meth:`~repro.channel.readbatch.ReadBatch.padded_matrix` are fine).
     Returns one ``int64`` per pair: ``min(distance, band + 1)`` — exact
     when at most ``band``, ``band + 1`` otherwise, the
-    :func:`banded_edit_distance` contract.
+    :func:`banded_edit_distance_indices` contract.
 
     Bit-parallel (Myers, J. ACM 1999; diagonal band per Hyyrö, Nordic J.
     Computing 2003), one target row per step for every pair at once:

@@ -10,7 +10,7 @@ sense that matters: every pair that ends up in one cluster was verified
 by the exact banded edit-distance kernel.
 
 1. **Signatures.** Each read's q-gram window codes come from the
-   one-pass window kernel behind the sparse signatures
+   one-pass window kernel behind the dense signatures
    (:mod:`repro.cluster.signatures`), so the 4**q code space is never
    materialized. They are not deduplicated: the minimum over a read's
    windows is the minimum over its distinct q-grams.

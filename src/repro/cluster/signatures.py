@@ -12,19 +12,17 @@ pass over the flat base buffer: rolling base-4 window codes as one
 sliding-window dot product (no per-character Python loop, no dict
 lookups), window validity (windows must not straddle a read boundary) as
 one segmented comparison, and all reads' histograms via a single
-``bincount`` over ``read * 4**q + code`` keys. The single-read helper
-:func:`qgram_signature` rides the same rolling-code kernel, so the
-single-read and batch paths share one signature definition (pinned
-against the frozen per-character loop in ``tests/oracles/cluster.py`` by
-the differential suite).
+``bincount`` over ``read * 4**q + code`` keys. A single read is the
+one-read batch; every row is pinned against the frozen per-character
+loop in ``tests/oracles/cluster.py`` by the differential suite.
 
 Dense histograms are ``(n_reads, n_alphabet**q)`` and explode
 combinatorially in ``q`` — a million reads at ``q=8`` would need a
-quarter terabyte — so :func:`batch_signatures` enforces a byte budget,
-and :func:`batch_signatures_sparse` provides the ``(read_id, code,
-count)`` COO form whose size follows the reads, not the code space.
-The LSH clusterer's minhashes (:mod:`repro.cluster.lsh`) take the raw
-window codes of the kernel under both, :func:`_valid_window_codes`.
+quarter terabyte — so :func:`batch_signatures` enforces a byte budget.
+The LSH clusterer's minhashes (:mod:`repro.cluster.lsh`), which run at
+large ``q``, take the raw window codes of the kernel instead,
+:func:`_valid_window_codes`, whose size follows the reads, not the code
+space.
 """
 
 from __future__ import annotations
@@ -70,19 +68,6 @@ def rolling_qgram_codes(
     return windows @ place_values
 
 
-def qgram_signature(
-    read: np.ndarray, q: int, n_alphabet: int = 4
-) -> np.ndarray:
-    """Histogram of one read's q-gram codes, ``(n_alphabet**q,)`` int32.
-
-    Bit-identical to the frozen per-character loop
-    (``tests/oracles/cluster.py``) on index arrays; reads
-    shorter than ``q`` give the all-zero signature.
-    """
-    codes = rolling_qgram_codes(read, q, n_alphabet)
-    return np.bincount(codes, minlength=n_alphabet ** q).astype(np.int32)
-
-
 def _as_columnar(reads: ColumnarReads) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]:
     if isinstance(reads, ReadBatch):
@@ -97,8 +82,8 @@ def _valid_window_codes(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """``(owners, codes, n_reads)`` of every in-read q-gram window.
 
-    The shared kernel behind both signature layouts and the LSH
-    minhashes (which need no deduplication): reads are laid back to back
+    The shared kernel behind the dense signatures and the LSH minhashes
+    (which need no histogram): reads are laid back to back
     (:func:`~repro.channel.readbatch.packed_bases`, a no-op when the
     batch already is tight), window codes roll across
     the whole buffer, and windows straddling a read boundary are masked
@@ -140,13 +125,13 @@ def batch_signatures(
     when the batch already is), window codes roll across the whole
     buffer, windows straddling a read boundary are masked out by one
     segmented comparison, and every read's histogram comes from a single
-    flat ``bincount``. Row ``i`` equals ``qgram_signature(read_i, q)``.
+    flat ``bincount``. Row ``i`` is the histogram of read ``i``'s
+    q-gram codes; reads shorter than ``q`` give an all-zero row.
 
     The dense matrix costs ``n_reads * n_alphabet**q`` int32 cells
     regardless of how few of them are nonzero, so the call refuses (with
     a ``ValueError``) any request beyond ``max_bytes`` — at q >= 8 even
-    modest pools cross a gigabyte. Large-``q`` consumers should switch
-    to :func:`batch_signatures_sparse`.
+    modest pools cross a gigabyte.
     """
     buffer, offsets, lengths = _as_columnar(reads)
     n_reads = lengths.size
@@ -158,8 +143,8 @@ def batch_signatures(
         raise ValueError(
             f"dense q-gram signatures for n_reads={n_reads}, q={q} need "
             f"{dense_bytes} bytes ({n_reads} x {n_bins} int32), over the "
-            f"{max_bytes}-byte budget; use batch_signatures_sparse for "
-            f"large q or raise max_bytes explicitly"
+            f"{max_bytes}-byte budget; lower q or raise max_bytes "
+            f"explicitly"
         )
     owners, codes, n_reads = _valid_window_codes(
         (buffer, offsets, lengths), q, n_alphabet
@@ -169,30 +154,6 @@ def batch_signatures(
     keys = owners * n_bins + codes
     counts = np.bincount(keys, minlength=n_reads * n_bins)
     return counts.reshape(n_reads, n_bins).astype(np.int32)
-
-
-def batch_signatures_sparse(
-    reads: ColumnarReads, q: int, n_alphabet: int = 4
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse COO signatures: ``(read_ids, codes, counts)`` triples.
-
-    The same histograms as :func:`batch_signatures`, but holding only
-    the nonzero cells: entry ``j`` says read ``read_ids[j]`` contains
-    q-gram ``codes[j]`` exactly ``counts[j]`` times. Triples are sorted
-    by ``(read_id, code)``, so each read's run is contiguous
-    (``np.searchsorted(read_ids, ...)`` recovers per-read boundaries)
-    and size follows the reads — ``O(total_bases)`` worst case — never
-    the ``n_alphabet**q`` code space. Reads shorter than ``q``
-    contribute no triples.
-    """
-    owners, codes, _ = _valid_window_codes(reads, q, n_alphabet)
-    if codes.size == 0:
-        empty64 = np.zeros(0, dtype=np.int64)
-        return empty64, empty64, np.zeros(0, dtype=np.int32)
-    n_bins = n_alphabet ** q
-    keys, counts = np.unique(owners * n_bins + codes, return_counts=True)
-    read_ids, sparse_codes = np.divmod(keys, n_bins)
-    return read_ids, sparse_codes, counts.astype(np.int32)
 
 
 def l1_distances(signatures: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -2,17 +2,17 @@
 
 The paper assumes the maximum-density direct mapping (2 bits per base,
 00=A 01=C 10=G 11=T) and notes that constrained codes (homopolymer-free,
-GC-balanced) are common alternatives. Both are provided:
+GC-balanced) are common alternatives:
 
-* :class:`repro.codec.basemap.DirectCodec` — the paper's 2-bit mapping.
-* :class:`repro.codec.rotation.RotationCodec` — a Goldman-style rotating
-  ternary code that never repeats a base (homopolymer-free).
-* :mod:`repro.codec.constraints` — GC-content and homopolymer validators.
+* :mod:`repro.codec.basemap` — the paper's base alphabet and the
+  vectorized string <-> index conversions the pipeline renders strands
+  with.
+* :mod:`repro.codec.constraints` — GC-content and homopolymer validators
+  (the primer designer's filter).
 """
 
 from repro.codec.basemap import (
     BASES,
-    DirectCodec,
     bases_to_indices,
     indices_to_bases,
     random_bases,
@@ -22,12 +22,9 @@ from repro.codec.constraints import (
     max_homopolymer_run,
     violates_constraints,
 )
-from repro.codec.rotation import RotationCodec
 
 __all__ = [
     "BASES",
-    "DirectCodec",
-    "RotationCodec",
     "bases_to_indices",
     "indices_to_bases",
     "random_bases",

@@ -12,7 +12,6 @@ import numpy as np
 from repro.utils.rng import RngLike, ensure_rng
 
 BASES = "ACGT"
-_BASE_TO_INDEX = {base: i for i, base in enumerate(BASES)}
 # Lookup table over ASCII codes for vectorized conversion.
 _ASCII_TO_INDEX = np.full(128, -1, dtype=np.int8)
 for _i, _b in enumerate(BASES):
@@ -44,38 +43,3 @@ def random_bases(length: int, rng: RngLike = None) -> str:
     """Generate a uniformly random DNA string of the given length."""
     generator = ensure_rng(rng)
     return indices_to_bases(generator.integers(0, 4, size=length))
-
-
-class DirectCodec:
-    """Maximum-density mapping between bit arrays and DNA strings.
-
-    Two consecutive bits form one base; the first bit of the pair is the
-    high bit (00=A, 01=C, 10=G, 11=T), matching the paper's Section 2.1.
-    """
-
-    bits_per_base = 2
-
-    def encode(self, bits: np.ndarray) -> str:
-        """Map a 0/1 array (even length) to a DNA string."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size % 2 != 0:
-            raise ValueError(f"bit count must be even, got {bits.size}")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        pairs = bits.reshape(-1, 2)
-        indices = pairs[:, 0] * 2 + pairs[:, 1]
-        return indices_to_bases(indices)
-
-    def decode(self, strand: str) -> np.ndarray:
-        """Map a DNA string back to its 0/1 array."""
-        indices = bases_to_indices(strand)
-        bits = np.empty(indices.size * 2, dtype=np.uint8)
-        bits[0::2] = indices >> 1
-        bits[1::2] = indices & 1
-        return bits
-
-    def encoded_length(self, n_bits: int) -> int:
-        """Number of bases needed for ``n_bits`` bits."""
-        if n_bits % 2 != 0:
-            raise ValueError(f"bit count must be even, got {n_bits}")
-        return n_bits // 2

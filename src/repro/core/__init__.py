@@ -27,7 +27,6 @@ from repro.core.pipeline import (
 from repro.core.ranking import (
     identity_ranking,
     oracle_ranking,
-    positional_ranking,
     proportional_share_ranking,
 )
 from repro.core.store import (
@@ -49,7 +48,6 @@ __all__ = [
     "EncodedUnit",
     "DecodeReport",
     "identity_ranking",
-    "positional_ranking",
     "proportional_share_ranking",
     "oracle_ranking",
     "DnaStore",

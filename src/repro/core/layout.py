@@ -88,11 +88,6 @@ class MatrixConfig:
         """Data bit capacity per encoding unit."""
         return self.data_symbols * self.m
 
-    @property
-    def redundancy_fraction(self) -> float:
-        """Fraction of matrix symbols that are parity."""
-        return self.nsym / self.n_columns
-
 
 class LayoutPolicy:
     """Codeword geometry + data placement order over a matrix config."""

@@ -7,10 +7,11 @@ reliable location; the decoder inverts the permutation.
 
 Provided heuristics:
 
-* :func:`identity_ranking` — the baseline (no prioritization).
-* :func:`positional_ranking` — the paper's zero-metadata heuristic for a
-  single file: earlier bits are more important (JPEG entropy coding makes
-  later bits depend on earlier ones).
+* :func:`identity_ranking` — the baseline (no prioritization), and also
+  the paper's zero-metadata positional heuristic for a single file:
+  earlier bits are more important (JPEG entropy coding makes later bits
+  depend on earlier ones), so priority equals file position and the
+  *placement*, not the ranking, does the work.
 * :func:`proportional_share_ranking` — the paper's multi-file heuristic
   (Section 6.1.1): every file receives a share of each reliability class
   proportional to its size, so all files degrade in step; designated
@@ -36,16 +37,6 @@ def identity_ranking(n_bits: int) -> np.ndarray:
     if n_bits < 0:
         raise ValueError(f"n_bits must be non-negative, got {n_bits}")
     return np.arange(n_bits, dtype=np.int64)
-
-
-def positional_ranking(n_bits: int) -> np.ndarray:
-    """Single-file heuristic: bit priority equals file position.
-
-    For one file this coincides with the identity permutation — the whole
-    point of the heuristic is that the *placement*, not the ranking
-    computation, does the work, and no metadata is needed.
-    """
-    return identity_ranking(n_bits)
 
 
 def proportional_share_ranking(
@@ -139,11 +130,3 @@ def oracle_ranking(
         if progress is not None:
             progress(i + 1, n)
     return np.argsort(-losses, kind="stable").astype(np.int64)
-
-
-def invert_ranking(rank: np.ndarray) -> np.ndarray:
-    """Inverse permutation: ``inverse[bit_index] = priority``."""
-    rank = np.asarray(rank, dtype=np.int64)
-    inverse = np.empty_like(rank)
-    inverse[rank] = np.arange(len(rank), dtype=np.int64)
-    return inverse

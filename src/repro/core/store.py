@@ -190,10 +190,6 @@ class StoreReport:
     def total_erased_columns(self) -> int:
         return sum(len(report.erased_columns) for report in self._units)
 
-    @property
-    def total_failed_codewords(self) -> int:
-        return sum(len(report.failed_codewords) for report in self._units)
-
 
 @dataclass
 class ReadRequest:

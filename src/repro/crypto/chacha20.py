@@ -90,13 +90,3 @@ class ChaCha20:
                                dtype=np.uint8)
         message = np.frombuffer(data, dtype=np.uint8)
         return (message ^ stream).tobytes()
-
-
-def chacha20_encrypt(data: bytes, key: bytes, nonce: bytes) -> bytes:
-    """One-shot encryption with block counter 1 (RFC 8439 convention)."""
-    return ChaCha20(key, nonce).process(data)
-
-
-def chacha20_decrypt(data: bytes, key: bytes, nonce: bytes) -> bytes:
-    """One-shot decryption (identical to encryption for a stream cipher)."""
-    return ChaCha20(key, nonce).process(data)

@@ -102,10 +102,6 @@ class BatchDecodeResult:
     def n_rows(self) -> int:
         return self.ok.shape[0]
 
-    def failed_rows(self) -> np.ndarray:
-        """Indices of rows that did not decode, ascending."""
-        return np.flatnonzero(~self.ok)
-
     def reason_counts(self) -> Dict[str, int]:
         """Per-row outcomes as ``{label: count}`` (see
         :func:`reason_counts`); ``"ok"`` counts the successful rows."""

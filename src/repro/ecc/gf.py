@@ -98,51 +98,17 @@ class GaloisField:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
-    def div(self, a: int, b: int) -> int:
-        """Field division ``a / b``; raises ZeroDivisionError for b == 0."""
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return int(self._exp[(self._log[a] - self._log[b]) % self.max_value])
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^m)")
         return int(self._exp[self.max_value - self._log[a]])
 
-    def pow(self, a: int, exponent: int) -> int:
-        """Raise ``a`` to an integer power (negative exponents allowed)."""
-        if a == 0:
-            if exponent < 0:
-                raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return 0 if exponent != 0 else 1
-        return int(self._exp[(self._log[a] * exponent) % self.max_value])
-
     def alpha_pow(self, exponent: int) -> int:
         """Return alpha^exponent for the field's primitive element."""
         return int(self._exp[exponent % self.max_value])
 
-    def log_alpha(self, a: int) -> int:
-        """Return the discrete log of ``a`` base alpha."""
-        if a == 0:
-            raise ValueError("log(0) is undefined")
-        return int(self._log[a])
-
     # -- vector ops ---------------------------------------------------------
-
-    def log_vec(self, a: np.ndarray) -> np.ndarray:
-        """Discrete logs of a symbol array; raises ValueError on any zero."""
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ValueError("log(0) is undefined")
-        return self._log[a]
-
-    def alpha_pow_vec(self, exponents: np.ndarray) -> np.ndarray:
-        """alpha^e for an array of integer exponents (negatives allowed)."""
-        exponents = np.asarray(exponents, dtype=np.int64)
-        return self._exp[exponents % self.max_value]
 
     def inv_vec(self, a: np.ndarray) -> np.ndarray:
         """Elementwise multiplicative inverse; raises on any zero."""
@@ -190,13 +156,6 @@ class GaloisField:
 
     # -- polynomial ops (coefficient arrays, highest degree first) ----------
 
-    def poly_eval(self, poly: np.ndarray, x: int) -> int:
-        """Evaluate a polynomial at a point (Horner's method)."""
-        result = 0
-        for coeff in np.asarray(poly, dtype=np.int64):
-            result = self.mul(result, x) ^ int(coeff)
-        return result
-
     def poly_eval_many(self, poly: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Evaluate a polynomial at many points at once (vector Horner)."""
         xs = np.asarray(xs, dtype=np.int64)
@@ -230,16 +189,6 @@ class GaloisField:
         for i, coeff in enumerate(p):
             if coeff != 0:
                 out[i: i + len(q)] ^= self.scale_vec(q, int(coeff))
-        return out
-
-    def poly_add(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Add two polynomials (XOR of aligned coefficients)."""
-        p = np.asarray(p, dtype=np.int64)
-        q = np.asarray(q, dtype=np.int64)
-        if len(p) < len(q):
-            p, q = q, p
-        out = p.copy()
-        out[len(p) - len(q):] ^= q
         return out
 
     def poly_divmod(self, dividend: np.ndarray, divisor: np.ndarray) -> tuple:

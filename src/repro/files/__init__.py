@@ -14,7 +14,6 @@ from repro.files.archive import (
     directory_file_sizes,
     directory_size_bits,
     pack_archive,
-    unpack_archive,
     unpack_archive_robust,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "PackedArchive",
     "ArchiveError",
     "pack_archive",
-    "unpack_archive",
     "unpack_archive_robust",
     "directory_size_bits",
     "directory_file_sizes",

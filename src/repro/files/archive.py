@@ -63,11 +63,6 @@ class PackedArchive:
     segment_bits: List[int]
 
     @property
-    def directory_segment(self) -> int:
-        """Index of the header+directory segment (always 0)."""
-        return 0
-
-    @property
     def n_bits(self) -> int:
         return len(self.data) * 8
 
@@ -139,11 +134,6 @@ def directory_file_sizes(directory_blob: bytes) -> List[int]:
     return sizes
 
 
-def unpack_archive(data: bytes) -> List[FileEntry]:
-    """Strict unpacking; raises :class:`ArchiveError` on any inconsistency."""
-    return _unpack(data, strict=True)
-
-
 def unpack_archive_robust(data: bytes) -> List[FileEntry]:
     """Best-effort unpacking: payloads may be corrupt or truncated.
 
@@ -152,10 +142,6 @@ def unpack_archive_robust(data: bytes) -> List[FileEntry]:
     stream is short. Corruption inside a payload therefore never leaks
     across file boundaries.
     """
-    return _unpack(data, strict=False)
-
-
-def _unpack(data: bytes, strict: bool) -> List[FileEntry]:
     if len(data) < _HEADER.size:
         raise ArchiveError("archive shorter than its header")
     magic, dir_len, n_files = _HEADER.unpack_from(data)
@@ -196,11 +182,7 @@ def _unpack(data: bytes, strict: bool) -> List[FileEntry]:
     for name, size in zip(names, sizes):
         payload = data[offset: offset + size]
         if len(payload) < size:
-            if strict:
-                raise ArchiveError(f"payload of {name!r} truncated")
             payload = payload + b"\x00" * (size - len(payload))
         entries.append(FileEntry(name=name, data=payload))
         offset += size
-    if strict and offset != len(data):
-        raise ArchiveError("trailing bytes after the last payload")
     return entries

@@ -1,19 +1,15 @@
-"""FASTA/FASTQ serialization of strands and reads.
+"""FASTA export of synthesized strands.
 
-Interoperability layer: synthesized strands can be exported for an
-external synthesis order, and sequencer output (real or simulated) can be
-imported back. Sequence identifiers carry the cluster tag
-(``strand_<index>``/``read_<cluster>_<n>``) so perfect clustering
-round-trips through the files.
+Interoperability layer: the strands of an encoding unit can be written as
+a FASTA synthesis order (``repro.cli encode --fasta``), one record per
+molecule named ``strand_<index>``.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
-
-from repro.channel.sequencer import ReadCluster
+from typing import Sequence, Union
 
 PathLike = Union[str, Path]
 _VALID_SEQUENCE = re.compile(r"^[ACGT]*$")
@@ -27,101 +23,6 @@ def write_fasta(path: PathLike, strands: Sequence[str],
         for index, strand in enumerate(strands):
             _check_sequence(strand)
             handle.write(f">{prefix}_{index}\n{strand}\n")
-
-
-def read_fasta(path: PathLike) -> List[Tuple[str, str]]:
-    """Read FASTA records as (name, sequence) pairs.
-
-    Multi-line sequences are concatenated; blank lines are ignored.
-    """
-    path = Path(path)
-    records: List[Tuple[str, str]] = []
-    name = None
-    chunks: List[str] = []
-    with path.open("r", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                if name is not None:
-                    records.append((name, "".join(chunks)))
-                name = line[1:].split()[0]
-                chunks = []
-            else:
-                if name is None:
-                    raise ValueError("sequence data before any FASTA header")
-                _check_sequence(line)
-                chunks.append(line)
-    if name is not None:
-        records.append((name, "".join(chunks)))
-    return records
-
-
-def write_fastq(path: PathLike, clusters: Sequence[ReadCluster],
-                quality_char: str = "I") -> None:
-    """Write clustered reads as FASTQ, ids ``read_<cluster>_<n>``.
-
-    The simulator has no per-base quality model, so a constant quality
-    (default 'I' = Phred 40) is emitted.
-    """
-    if len(quality_char) != 1:
-        raise ValueError("quality_char must be a single character")
-    path = Path(path)
-    with path.open("w", encoding="ascii") as handle:
-        for cluster in clusters:
-            for n, read in enumerate(cluster.reads):
-                _check_sequence(read)
-                handle.write(
-                    f"@read_{cluster.source_index}_{n}\n{read}\n+\n"
-                    f"{quality_char * len(read)}\n"
-                )
-
-
-def read_fastq(path: PathLike) -> List[Tuple[str, str]]:
-    """Read FASTQ records as (name, sequence) pairs (qualities dropped)."""
-    path = Path(path)
-    records: List[Tuple[str, str]] = []
-    with path.open("r", encoding="ascii") as handle:
-        lines = [line.strip() for line in handle]
-    lines = [line for line in lines if line]
-    if len(lines) % 4 != 0:
-        raise ValueError("FASTQ file length is not a multiple of 4 lines")
-    for i in range(0, len(lines), 4):
-        header, sequence, plus, quality = lines[i: i + 4]
-        if not header.startswith("@"):
-            raise ValueError(f"record {i // 4}: missing @ header")
-        if not plus.startswith("+"):
-            raise ValueError(f"record {i // 4}: missing + separator")
-        if len(quality) != len(sequence):
-            raise ValueError(f"record {i // 4}: quality length mismatch")
-        _check_sequence(sequence)
-        records.append((header[1:].split()[0], sequence))
-    return records
-
-
-def clusters_from_records(
-    records: Sequence[Tuple[str, str]], n_strands: int
-) -> List[ReadCluster]:
-    """Rebuild perfect clusters from ``read_<cluster>_<n>`` record names."""
-    buckets: Dict[int, List[Tuple[int, str]]] = {
-        index: [] for index in range(n_strands)
-    }
-    pattern = re.compile(r"^read_(\d+)_(\d+)$")
-    for name, sequence in records:
-        match = pattern.match(name)
-        if not match:
-            raise ValueError(f"unrecognized read id {name!r}")
-        cluster_index = int(match.group(1))
-        read_index = int(match.group(2))
-        if cluster_index >= n_strands:
-            raise ValueError(f"cluster index {cluster_index} out of range")
-        buckets[cluster_index].append((read_index, sequence))
-    clusters = []
-    for index in range(n_strands):
-        ordered = [seq for _, seq in sorted(buckets[index])]
-        clusters.append(ReadCluster(source_index=index, reads=ordered))
-    return clusters
 
 
 def _check_sequence(sequence: str) -> None:

@@ -15,16 +15,14 @@ generator standing in for the paper's private photos and the PSNR metric
 used throughout the evaluation.
 """
 
-from repro.media.jpeg import ColorJpegCodec, JpegCodec, JpegDecodeStats
+from repro.media.jpeg import JpegCodec, JpegDecodeStats
 from repro.media.psnr import psnr, quality_loss_db
-from repro.media.synth import synth_image, synth_image_rgb
+from repro.media.synth import synth_image
 
 __all__ = [
     "JpegCodec",
-    "ColorJpegCodec",
     "JpegDecodeStats",
     "psnr",
     "quality_loss_db",
     "synth_image",
-    "synth_image_rgb",
 ]

@@ -5,6 +5,5 @@ robust-decoding behaviour the evaluation relies on.
 """
 
 from repro.media.jpeg.codec import JpegCodec, JpegDecodeStats
-from repro.media.jpeg.color import ColorJpegCodec
 
-__all__ = ["JpegCodec", "ColorJpegCodec", "JpegDecodeStats"]
+__all__ = ["JpegCodec", "JpegDecodeStats"]

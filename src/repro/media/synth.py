@@ -77,36 +77,3 @@ def synth_image(
         image += texture_strength * texture / scale
 
     return np.clip(np.round(image), 0, 255).astype(np.uint8)
-
-
-def synth_image_rgb(
-    height: int = 256,
-    width: int = 256,
-    n_shapes: int = 12,
-    texture_strength: float = 12.0,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Generate an (height, width, 3) uint8 RGB photograph stand-in.
-
-    The three channels share one luminance structure (so the image looks
-    like a tinted photo, not channel noise) with channel-specific casts
-    and a couple of colored objects on top.
-    """
-    generator = ensure_rng(rng)
-    luminance = synth_image(height, width, n_shapes=n_shapes,
-                            texture_strength=texture_strength,
-                            rng=generator).astype(np.float64)
-    casts = generator.uniform(0.75, 1.25, size=3)
-    image = np.stack([luminance * cast for cast in casts], axis=-1)
-
-    ys, xs = np.mgrid[0:height, 0:width]
-    for _ in range(max(2, n_shapes // 4)):
-        cy, cx = generator.uniform(0, height), generator.uniform(0, width)
-        ry = generator.uniform(0.05, 0.25) * height
-        rx = generator.uniform(0.05, 0.25) * width
-        mask = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
-        color = generator.uniform(0, 255, size=3)
-        alpha = generator.uniform(0.4, 0.8)
-        image[mask] = (1 - alpha) * image[mask] + alpha * color
-
-    return np.clip(np.round(image), 0, 255).astype(np.uint8)

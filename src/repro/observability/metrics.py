@@ -260,7 +260,7 @@ class SlidingWindow:
             name: c.value for name, c in self.registry._counters.items()
         }
         timings = {
-            name: (list(t.counts), t.count, t.sum)
+            name: (list(t.counts), t.count)
             for name, t in self.registry._timings.items()
         }
         histograms = {
@@ -282,16 +282,15 @@ class SlidingWindow:
             for name, value in counters.items()
         }
         timing_deltas = {}
-        for name, (counts, count, total) in timings.items():
+        for name, (counts, count) in timings.items():
             last = last_timings.get(name)
             if last is None:
-                timing_deltas[name] = (list(counts), count, total)
+                timing_deltas[name] = (list(counts), count)
             else:
-                last_counts, last_count, last_sum = last
+                last_counts, last_count = last
                 timing_deltas[name] = (
                     [c - lc for c, lc in zip(counts, last_counts)],
                     count - last_count,
-                    total - last_sum,
                 )
         histogram_deltas = {}
         for name, counts in histograms.items():
@@ -337,32 +336,22 @@ class SlidingWindow:
     def _merged_timing(self, timing_name: str):
         merged: Optional[List[int]] = None
         count = 0
-        total = 0.0
         for _, _, timings, _ in self._intervals:
             delta = timings.get(timing_name)
             if delta is None:
                 continue
-            counts, n, s = delta
+            counts, n = delta
             if merged is None:
                 merged = list(counts)
             else:
                 for i, c in enumerate(counts):
                     merged[i] += c
             count += n
-            total += s
-        return merged, count, total
-
-    def timing_count(self, timing_name: str) -> int:
-        """Observations recorded within the window."""
-        return self._merged_timing(timing_name)[1]
-
-    def timing_mean(self, timing_name: str) -> float:
-        merged, count, total = self._merged_timing(timing_name)
-        return total / count if count else 0.0
+        return merged, count
 
     def quantile(self, timing_name: str, q: float) -> float:
         """Quantile estimate over the window's observations only."""
-        merged, count, _ = self._merged_timing(timing_name)
+        merged, count = self._merged_timing(timing_name)
         if merged is None or count <= 0:
             return 0.0
         instrument = self.registry._timings.get(timing_name)

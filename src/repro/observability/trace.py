@@ -257,10 +257,6 @@ def get_tracer():
     return getattr(_state, "tracer", NULL_TRACER)
 
 
-def _activate(tracer) -> None:
-    _state.tracer = tracer
-
-
 def _deactivate() -> None:
     if hasattr(_state, "tracer"):
         del _state.tracer

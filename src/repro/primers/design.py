@@ -24,11 +24,6 @@ class PrimerPair:
     forward: str
     reverse: str
 
-    @property
-    def overhead_bases(self) -> int:
-        """Bases of strand capacity consumed by this pair."""
-        return len(self.forward) + len(self.reverse)
-
 
 class PrimerDesigner:
     """Rejection-sampling designer for mutually-distant constrained primers.

@@ -6,25 +6,26 @@ itself carries errors, so matching is by banded edit distance against the
 read's prefix/suffix windows, and trimming cuts at the best-matching
 boundary.
 
-Selection also runs on the columnar read plane: :meth:`PcrSelector.
+Selection runs on the columnar read plane: :meth:`PcrSelector.
 select_batch` matches every read of a :class:`~repro.channel.readbatch.
 ReadBatch` with one stacked banded-DP sweep per candidate cut (the
 clustering subsystem's :func:`~repro.cluster.distance.
 banded_edit_distances_stack` kernel) and trims zero-copy — the selected
-batch re-windows the parent's base buffer. Cut choice is value-identical
-to the scalar :meth:`PcrSelector.trim` (both kernels cap distances at
-``band + 1`` and take the first minimal cut scanning ascending).
+batch re-windows the parent's base buffer. Reads and cuts are identical
+to the frozen per-read scalar loop in ``tests/oracles/primers.py``
+(distances capped at ``band + 1``, the first minimal cut scanning
+ascending), pinned by a property test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.channel.readbatch import ReadBatch
-from repro.cluster.distance import banded_edit_distance, banded_edit_distances_stack
+from repro.cluster.distance import banded_edit_distances_stack
 from repro.codec.basemap import bases_to_indices
 from repro.primers.design import PrimerPair
 
@@ -49,69 +50,8 @@ class PcrSelector:
     max_errors: int = 3
     window_slack: int = 4
 
-    def matches(self, read: str) -> bool:
-        """True when both primers are found within the error budget."""
-        return (
-            self._locate_forward(read) is not None
-            and self._locate_reverse(read) is not None
-        )
-
-    def select(self, reads: Sequence[str]) -> List[str]:
-        """Filter to matching reads and trim the primer regions off."""
-        selected = []
-        for read in reads:
-            trimmed = self.trim(read)
-            if trimmed is not None:
-                selected.append(trimmed)
-        return selected
-
-    def trim(self, read: str) -> Optional[str]:
-        """Strip both primers; None when either primer does not match."""
-        start = self._locate_forward(read)
-        end = self._locate_reverse(read)
-        if start is None or end is None or start > end:
-            return None
-        return read[start:end]
-
-    def _locate_forward(self, read: str) -> Optional[int]:
-        """Best end-offset of the forward primer near the read's start."""
-        primer = self.pair.forward
-        best_cut, best_distance = None, self.max_errors + 1
-        for cut in self._cut_range(len(primer), len(read)):
-            distance = banded_edit_distance(read[:cut], primer, self.max_errors)
-            if distance < best_distance:
-                best_cut, best_distance = cut, distance
-        return best_cut
-
-    def _locate_reverse(self, read: str) -> Optional[int]:
-        """Best start-offset of the reverse primer near the read's end."""
-        primer = self.pair.reverse
-        best_cut, best_distance = None, self.max_errors + 1
-        for cut in self._cut_range(len(primer), len(read)):
-            distance = banded_edit_distance(
-                read[len(read) - cut:], primer, self.max_errors
-            )
-            if distance < best_distance:
-                best_cut, best_distance = len(read) - cut, distance
-        return best_cut
-
-    def _cut_range(self, primer_length: int, read_length: int) -> range:
-        low = max(0, primer_length - self.window_slack)
-        high = min(read_length, primer_length + self.window_slack)
-        return range(low, high + 1)
-
-    # -- the columnar plane ---------------------------------------------------
-
-    def matches_batch(self, batch: ReadBatch) -> np.ndarray:
-        """Per-read match flags for a whole batch (one bool per read)."""
-        forward, _ = self._locate_batch(batch, self.pair.forward,
-                                        suffix=False)
-        reverse, _ = self._locate_batch(batch, self.pair.reverse,
-                                        suffix=True)
-        return (forward <= self.max_errors) & (reverse <= self.max_errors)
-
     def select_batch(self, batch: ReadBatch) -> ReadBatch:
-        """Batched :meth:`select`: filter + trim, zero-copy.
+        """Keep the reads carrying both primers and trim them, zero-copy.
 
         Returns a batch over the *same* base buffer whose read windows
         are the trimmed payload regions of the matching reads. Cluster
@@ -148,8 +88,8 @@ class PcrSelector:
         One :func:`~repro.cluster.distance.banded_edit_distances_stack`
         sweep per candidate cut compares every eligible read's prefix
         (or suffix) window against the primer; cuts scan ascending and
-        update on strictly smaller distance, replicating the scalar
-        tie-break. Returns ``(distances, cuts)`` — distance capped at
+        update on strictly smaller distance, so the first minimal cut
+        wins. Returns ``(distances, cuts)`` — distance capped at
         ``max_errors + 1`` (no match), ``cuts`` counted from the read's
         start (prefix) or end (suffix).
         """

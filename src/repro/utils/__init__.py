@@ -5,12 +5,9 @@ from repro.utils.bitio import (
     BitWriter,
     bits_to_bytes,
     bytes_to_bits,
-    pack_uint,
-    unpack_uint,
 )
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
@@ -21,10 +18,7 @@ __all__ = [
     "BitWriter",
     "bits_to_bytes",
     "bytes_to_bits",
-    "pack_uint",
-    "unpack_uint",
     "ensure_rng",
-    "check_in_range",
     "check_non_negative",
     "check_positive",
     "check_probability",

@@ -46,19 +46,9 @@ class BitWriter:
         for shift in range(width - 1, -1, -1):
             self.write_bit((value >> shift) & 1)
 
-    def write_bit_array(self, bits: np.ndarray) -> None:
-        """Append a numpy array of 0/1 values."""
-        for bit in np.asarray(bits, dtype=np.uint8):
-            self.write_bit(int(bit))
-
     def to_bytes(self) -> bytes:
         """Return the buffer, zero-padding the final partial byte."""
         return bytes(self._bytes)
-
-    def to_bit_array(self) -> np.ndarray:
-        """Return exactly the written bits (no padding) as a uint8 array."""
-        all_bits = bytes_to_bits(bytes(self._bytes))
-        return all_bits[: len(self)]
 
 
 class BitReader:
@@ -67,13 +57,6 @@ class BitReader:
     def __init__(self, data: bytes) -> None:
         self._bits = bytes_to_bits(data)
         self._pos = 0
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "BitReader":
-        """Build a reader over a raw 0/1 array (no byte padding involved)."""
-        reader = cls(b"")
-        reader._bits = np.asarray(bits, dtype=np.uint8)
-        return reader
 
     @property
     def position(self) -> int:
@@ -107,12 +90,6 @@ class BitReader:
             self._pos += 1
         return value
 
-    def seek(self, bit_offset: int) -> None:
-        """Jump to an absolute bit offset."""
-        if not (0 <= bit_offset <= len(self._bits)):
-            raise ValueError(f"offset {bit_offset} out of range")
-        self._pos = bit_offset
-
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
     """Vectorized bytes -> uint8 bit array (MSB of each byte first)."""
@@ -127,19 +104,3 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     if bits.size == 0:
         return b""
     return np.packbits(bits).tobytes()
-
-
-def pack_uint(value: int, width: int) -> np.ndarray:
-    """Encode an unsigned int into a ``width``-bit 0/1 array, MSB first."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> shift) & 1 for shift in range(width - 1, -1, -1)],
-                    dtype=np.uint8)
-
-
-def unpack_uint(bits: np.ndarray) -> int:
-    """Decode an MSB-first 0/1 array into an unsigned int."""
-    value = 0
-    for bit in np.asarray(bits, dtype=np.uint8):
-        value = (value << 1) | int(bit)
-    return value

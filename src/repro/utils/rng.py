@@ -35,16 +35,3 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     raise TypeError(
         f"expected None, int seed, or numpy Generator, got {type(rng).__name__}"
     )
-
-
-def spawn_rngs(rng: RngLike, count: int) -> list:
-    """Split a random source into ``count`` independent child generators.
-
-    Used by experiment harnesses to give each trial an independent stream,
-    so per-trial work can be reordered without changing results.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(rng)
-    seeds = parent.integers(0, 2**63, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]

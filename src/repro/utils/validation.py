@@ -28,9 +28,3 @@ def check_non_negative(value: Number, name: str) -> None:
     """Require ``value >= 0``."""
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-def check_in_range(value: Number, name: str, low: Number, high: Number) -> None:
-    """Require ``low <= value <= high`` (inclusive on both ends)."""
-    if not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")

@@ -37,21 +37,10 @@ class TestCostModel:
         # Paper headline: 30% lower coverage = 30% lower read cost.
         assert model.read_saving(MATRIX, 10, 7) == pytest.approx(0.3)
 
-    def test_write_saving_figure13_arithmetic(self, model):
-        # The paper: dropping redundancy 18.4% -> 6% on a unit whose parity
-        # is 18.4% of columns saves ~12.5% of the whole synthesis cost.
-        paper_like = MatrixConfig(m=16, n_columns=65535, nsym=12056,
-                                  payload_rows=82)
-        reduced = int(0.06 * paper_like.n_columns)
-        saving = model.write_saving(paper_like, reduced)
-        assert saving == pytest.approx(0.124, abs=0.01)
-
     def test_validation(self, model):
         with pytest.raises(ValueError):
             CostModel(synthesis_per_base=0)
         with pytest.raises(ValueError):
             model.read_cost(MATRIX, -1)
-        with pytest.raises(ValueError):
-            model.write_saving(MATRIX, MATRIX.nsym + 1)
         with pytest.raises(ValueError):
             model.read_saving(MATRIX, 0, 0)

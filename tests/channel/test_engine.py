@@ -188,7 +188,7 @@ class TestEngineComposition:
         batch = engine.sequence(strands, rng=9)
         expected = coverage.sample(len(strands), np.random.default_rng(9))
         np.testing.assert_array_equal(batch.coverage_counts(), expected)
-        assert batch.lost_clusters().size > 0  # Gamma dispersion drops some
+        assert (batch.coverage_counts() == 0).any()  # Gamma dispersion drops some
 
     def test_synthesis_errors_shared_by_whole_cluster(self):
         strands = [random_bases(120, np.random.default_rng(1))]

@@ -6,16 +6,12 @@ from repro.channel import (
     enzymatic_synthesis_profile,
     illumina_profile,
     nanopore_profile,
-    uniform_profile,
 )
+
+PROFILES = [illumina_profile, nanopore_profile, enzymatic_synthesis_profile]
 
 
 class TestProfiles:
-    def test_uniform_splits_equally(self):
-        model = uniform_profile(0.09)
-        assert model.p_insertion == pytest.approx(model.p_deletion)
-        assert model.p_deletion == pytest.approx(model.p_substitution)
-
     def test_illumina_is_low_error_sub_dominated(self):
         model = illumina_profile()
         assert model.total_rate <= 0.02
@@ -33,5 +29,19 @@ class TestProfiles:
         assert model.total_rate >= 0.30
         assert model.p_insertion + model.p_deletion > model.p_substitution
 
-    def test_rates_are_scalable(self):
-        assert nanopore_profile(0.30).total_rate == pytest.approx(0.30)
+    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.__name__)
+    @pytest.mark.parametrize("rate", [0.0, 0.003, 0.30])
+    def test_rates_are_scalable(self, profile, rate):
+        assert profile(rate).total_rate == pytest.approx(rate)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.__name__)
+class TestEveryProfile:
+    def test_breakdown_is_rate_independent(self, profile):
+        low, high = profile(0.01), profile(0.1)
+        for name in ("p_insertion", "p_deletion", "p_substitution"):
+            assert getattr(high, name) == pytest.approx(10 * getattr(low, name))
+
+    def test_rejects_rate_outside_unit_interval(self, profile):
+        with pytest.raises(ValueError, match="total_rate"):
+            profile(1.5)

@@ -11,7 +11,11 @@ from repro.channel import (
     SequencingSimulator,
 )
 from repro.channel.readbatch import packed_bases
-from repro.codec.basemap import bases_to_indices, random_bases
+from repro.codec.basemap import (
+    bases_to_indices,
+    indices_to_bases,
+    random_bases,
+)
 
 
 def make_batch():
@@ -29,7 +33,6 @@ class TestConstruction:
         assert batch.n_reads == 5
         assert batch.total_bases == 11
         np.testing.assert_array_equal(batch.coverage_counts(), [2, 0, 3])
-        np.testing.assert_array_equal(batch.lost_clusters(), [1])
         np.testing.assert_array_equal(batch.source_indices, [5, 6, 7])
 
     def test_read_views_share_buffer(self):
@@ -100,7 +103,7 @@ class TestSequenceProtocol:
         assert len(batch) == 3
         assert [c.source_index for c in batch] == [5, 6, 7]
         assert batch[2].reads == ["A", "", "GGT"]
-        assert batch[1].is_lost
+        assert batch[1].coverage == 0
 
     def test_string_backed_cluster_honors_reads_mutation(self):
         """The ``reads`` list is caller-visible state (historical plain
@@ -194,6 +197,74 @@ class TestRestructuring:
         assert tail.buffer is batch.buffer
         with pytest.raises(ValueError):
             batch.select_clusters(2, 5)
+
+
+class TestClusterAccess:
+    def test_cluster_rows(self):
+        batch = make_batch()
+        assert [batch.cluster_rows(c) for c in range(3)] \
+            == [(0, 2), (2, 2), (2, 5)]
+
+    @pytest.mark.parametrize("cluster", [-1, 3])
+    def test_cluster_rows_out_of_range(self, cluster):
+        with pytest.raises(IndexError):
+            make_batch().cluster_rows(cluster)
+
+    def test_cluster_view_carries_source_index(self):
+        view = make_batch().cluster_view(2)
+        assert view.source_index == 7
+        assert view.coverage == 3
+        assert view.reads == ["A", "", "GGT"]
+
+    def test_lost_cluster_view(self):
+        view = make_batch().cluster_view(1)
+        assert view.source_index == 6
+        assert view.coverage == 0
+        assert view.reads == []
+
+    def test_reads_of_are_buffer_views(self):
+        batch = make_batch()
+        reads = batch.reads_of(0)
+        assert [np.shares_memory(read, batch.buffer) for read in reads] \
+            == [True, True]
+        assert [indices_to_bases(read) for read in reads] == ["ACG", "TTAC"]
+
+
+class TestGroupRows:
+    def test_translates_cluster_bounds_to_row_bounds(self):
+        batch = make_batch()
+        np.testing.assert_array_equal(batch.group_rows([0, 1, 3]), [0, 2, 5])
+        np.testing.assert_array_equal(batch.group_rows([0, 2, 3]), [0, 2, 5])
+        np.testing.assert_array_equal(batch.group_rows([0, 3]), [0, 5])
+
+    def test_empty_groups_allowed(self):
+        np.testing.assert_array_equal(
+            make_batch().group_rows([0, 0, 3, 3]), [0, 0, 5, 5]
+        )
+
+    @pytest.mark.parametrize("bad", [[], [1, 3], [0, 2], [0, 2, 1, 3],
+                                     [[0, 3]]])
+    def test_bad_tables_rejected(self, bad):
+        with pytest.raises(ValueError, match="group boundaries"):
+            make_batch().group_rows(np.array(bad))
+
+
+class TestConcat:
+    def test_rebases_cluster_ids_and_keeps_sources(self):
+        first = make_batch()
+        second = ReadBatch.from_strings([["TT"], ["C", "G"]],
+                                        source_indices=[0, 1])
+        joined = ReadBatch.concat([first, second])
+        assert joined.n_clusters == 5
+        np.testing.assert_array_equal(joined.coverage_counts(),
+                                      [2, 0, 3, 1, 2])
+        np.testing.assert_array_equal(joined.source_indices,
+                                      [5, 6, 7, 0, 1])
+        assert joined[4].reads == ["C", "G"]
+
+    def test_no_batches(self):
+        joined = ReadBatch.concat([])
+        assert joined.n_clusters == 0 and joined.n_reads == 0
 
 
 class TestPooled:

@@ -18,10 +18,9 @@ class TestReadCluster:
     def test_coverage(self):
         cluster = ReadCluster(source_index=0, reads=["ACG", "ACT"])
         assert cluster.coverage == 2
-        assert not cluster.is_lost
 
     def test_lost(self):
-        assert ReadCluster(source_index=3).is_lost
+        assert ReadCluster(source_index=3).coverage == 0
 
     def test_read_indices(self):
         cluster = ReadCluster(source_index=0, reads=["ACG", "T"])
@@ -48,6 +47,23 @@ class TestReadCluster:
         with pytest.raises(ValueError):
             ReadCluster(source_index=0, reads=["ACG"]).padded_matrix(pad=-1)
 
+    def test_batch_view_is_one_labeled_cluster(self):
+        cluster = ReadCluster(source_index=4, reads=["ACG", "", "TT"])
+        batch = cluster.batch_view()
+        assert batch.n_clusters == 1
+        assert batch.source_indices.tolist() == [4]
+        assert [batch.read_string(i) for i in range(batch.n_reads)] \
+            == ["ACG", "", "TT"]
+
+    def test_array_backed_reads_decode_lazily(self):
+        arrays = [np.array([0, 1, 2], dtype=np.uint8),
+                  np.array([3], dtype=np.uint8)]
+        cluster = ReadCluster.from_arrays(2, arrays)
+        assert cluster.coverage == 2
+        assert cluster.read_indices()[0] is arrays[0]
+        assert cluster.reads == ["ACG", "T"]
+        assert repr(cluster) == "ReadCluster(source_index=2, coverage=2)"
+
 
 class TestSequencingSimulator:
     def test_one_cluster_per_strand(self, rng):
@@ -70,7 +86,7 @@ class TestSequencingSimulator:
             ErrorModel.uniform(0.0), GammaCoverage(1.2, shape=1.0)
         )
         clusters = simulator.sequence(strands, rng)
-        assert any(c.is_lost for c in clusters)
+        assert any(c.coverage == 0 for c in clusters)
 
 
 class TestReadPool:
@@ -90,7 +106,7 @@ class TestReadPool:
     def test_zero_coverage(self, rng):
         strands = [random_bases(40, rng)]
         pool = ReadPool(strands, ErrorModel.uniform(0.1), max_coverage=5, rng=1)
-        assert pool.clusters_at(0)[0].is_lost
+        assert pool.clusters_at(0)[0].coverage == 0
 
     def test_dispersion_weights_vary_cluster_sizes(self, rng):
         strands = [random_bases(30, rng) for _ in range(200)]

@@ -4,28 +4,64 @@ import numpy as np
 import pytest
 
 from repro.channel import ErrorModel, FixedCoverage
-from repro.channel.synthesis import SynthesisSimulator, TwoStageSequencer
+from repro.channel.synthesis import TwoStageSequencer
 from repro.codec.basemap import random_bases
 from repro.consensus import TwoWayReconstructor
 
 
-class TestSynthesisSimulator:
+class TestSynthesisStage:
+    """The engine's synthesis stage, driven through TwoStageSequencer."""
+
     def test_noiseless_is_identity(self, rng):
         strands = [random_bases(40, rng) for _ in range(3)]
-        simulator = SynthesisSimulator(ErrorModel.uniform(0.0))
-        assert simulator.synthesize(strands, rng) == strands
+        channel = TwoStageSequencer(
+            ErrorModel.uniform(0.0), ErrorModel.uniform(0.0),
+            FixedCoverage(4),
+        )
+        clusters = channel.sequence(strands, rng)
+        assert [c.reads for c in clusters] == [[s] * 4 for s in strands]
 
     def test_mutations_applied_once(self, rng):
-        strands = [random_bases(200, rng)]
-        simulator = SynthesisSimulator(ErrorModel.uniform(0.1))
-        synthesized = simulator.synthesize(strands, rng)
-        assert synthesized[0] != strands[0]
+        strands = [random_bases(200, rng) for _ in range(3)]
+        channel = TwoStageSequencer(
+            ErrorModel.uniform(0.1), ErrorModel.uniform(0.0),
+            FixedCoverage(5),
+        )
+        for cluster, strand in zip(channel.sequence(strands, rng), strands):
+            molecule = cluster.reads[0]
+            assert molecule != strand
+            assert cluster.reads == [molecule] * 5
 
     def test_deterministic(self, rng):
-        strands = [random_bases(60, rng)]
-        simulator = SynthesisSimulator(ErrorModel.uniform(0.2))
-        assert (simulator.synthesize(strands, rng=5)
-                == simulator.synthesize(strands, rng=5))
+        strands = [random_bases(60, rng) for _ in range(2)]
+        channel = TwoStageSequencer(
+            ErrorModel.uniform(0.2), ErrorModel.uniform(0.05),
+            FixedCoverage(3),
+        )
+        first = channel.sequence(strands, rng=5)
+        second = channel.sequence(strands, rng=5)
+        assert [c.reads for c in first] == [c.reads for c in second]
+
+    def test_batch_and_cluster_forms_agree(self, rng):
+        strands = [random_bases(50, rng) for _ in range(3)]
+        channel = TwoStageSequencer(
+            ErrorModel.uniform(0.05), ErrorModel.uniform(0.05),
+            FixedCoverage(4),
+        )
+        batch = channel.sequence_batch(strands, rng=9)
+        clusters = channel.sequence(strands, rng=9)
+        assert batch.n_clusters == len(clusters) == 3
+        assert [c.reads for c in batch.to_clusters()] \
+            == [c.reads for c in clusters]
+
+    def test_reassigned_model_is_honored(self, rng):
+        strands = [random_bases(80, rng)]
+        channel = TwoStageSequencer(
+            ErrorModel.uniform(0.3), ErrorModel.uniform(0.0),
+            FixedCoverage(2),
+        )
+        channel.synthesis_model = ErrorModel.uniform(0.0)
+        assert channel.sequence(strands, rng).pop().reads == strands * 2
 
 
 class TestTwoStageSequencer:

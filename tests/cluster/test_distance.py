@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from oracles.cluster import (
     banded_edit_distance_indices_reference,
+    banded_edit_distance_reference,
     banded_edit_distances_stack_reference,
 )
 from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.cluster import BatchedGreedyClusterer, LSHClusterer
 from repro.cluster.distance import (
-    banded_edit_distance,
     banded_edit_distance_indices,
     banded_edit_distances_stack,
     edit_distance,
@@ -87,6 +87,16 @@ class TestEditDistance:
         )
 
 
+def _as_indices(strand):
+    return (bases_to_indices(strand) if strand
+            else np.zeros(0, dtype=np.uint8))
+
+
+def banded_edit_distance(a, b, band):
+    """The live banded distance between two base strings."""
+    return banded_edit_distance_indices(_as_indices(a), _as_indices(b), band)
+
+
 class TestBandedEditDistance:
     @given(DNA, DNA)
     def test_exact_within_band(self, a, b):
@@ -115,18 +125,13 @@ class TestBandedEditDistance:
         assert banded_edit_distance("AAAA", "TTTT", band=2) > 2
 
 
-def _as_indices(strand):
-    return (bases_to_indices(strand) if strand
-            else np.zeros(0, dtype=np.uint8))
-
-
 class TestBandedEditDistanceIndices:
     @given(DNA, DNA)
     def test_matches_string_variant(self, a, b):
         for band in (0, 3, 8):
             assert banded_edit_distance_indices(
                 _as_indices(a), _as_indices(b), band
-            ) == banded_edit_distance(a, b, band)
+            ) == banded_edit_distance_reference(a, b, band)
 
     def test_negative_band_rejected(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,10 @@ from oracles.cluster import _qgram_signature as reference_signature
 from repro.cluster.signatures import (
     DENSE_SIGNATURE_BYTE_BUDGET,
     batch_signatures,
-    batch_signatures_sparse,
     l1_distances,
-    qgram_signature,
     rolling_qgram_codes,
 )
-from repro.codec.basemap import bases_to_indices, random_bases
+from repro.codec.basemap import bases_to_indices, indices_to_bases, random_bases
 
 
 class TestRollingCodes:
@@ -55,9 +53,11 @@ class TestQgramSignature:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 40, 68])
     def test_matches_reference_loop(self, rng, q, length):
+        """A one-read batch's row is the frozen per-character loop's
+        histogram, dtype included."""
         read = random_bases(length, rng)
         want = reference_signature(read, q)
-        got = qgram_signature(bases_to_indices(read), q)
+        (got,) = batch_signatures(ReadBatch.from_strings([[read]]), q)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -74,7 +74,7 @@ class TestQgramSignature:
 
 
 class TestBatchSignatures:
-    def test_rows_match_single_read_kernel(self, rng):
+    def test_rows_match_reference_loop(self, rng):
         lengths = [0, 1, 2, 3, 10, 35, 68]
         reads = [rng.integers(0, 4, n).astype(np.uint8) for n in lengths]
         batch = ReadBatch.from_arrays([[r] for r in reads])
@@ -83,7 +83,8 @@ class TestBatchSignatures:
             assert signatures.shape == (len(reads), 4**q)
             for i, read in enumerate(reads):
                 np.testing.assert_array_equal(
-                    signatures[i], qgram_signature(read, q)
+                    signatures[i],
+                    reference_signature(indices_to_bases(read), q),
                 )
 
     def test_windows_never_straddle_read_boundaries(self):
@@ -130,7 +131,7 @@ class TestBatchSignatures:
                  for _ in range(5000)]
         batch = ReadBatch.from_arrays([[r] for r in reads])
         # 5000 reads x 4**8 bins x 4 bytes = 1.3 GB > the 1 GB budget.
-        with pytest.raises(ValueError, match="batch_signatures_sparse"):
+        with pytest.raises(ValueError, match="lower q"):
             batch_signatures(batch, 8)
 
     def test_memory_guard_explicit_budget(self, rng):
@@ -142,62 +143,6 @@ class TestBatchSignatures:
         assert batch_signatures(
             batch, 3, max_bytes=DENSE_SIGNATURE_BYTE_BUDGET
         ).shape == (4, 64)
-
-
-class TestBatchSignaturesSparse:
-    @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_matches_dense(self, rng, q):
-        """The COO triples scatter back to exactly the dense matrix."""
-        lengths = [0, 1, 2, 3, 10, 35, 68]
-        reads = [rng.integers(0, 4, n).astype(np.uint8) for n in lengths]
-        batch = ReadBatch.from_arrays([[r] for r in reads])
-        dense = batch_signatures(batch, q)
-        read_ids, codes, counts = batch_signatures_sparse(batch, q)
-        rebuilt = np.zeros_like(dense)
-        rebuilt[read_ids, codes] = counts
-        np.testing.assert_array_equal(rebuilt, dense)
-        # Every stored cell is a real (nonzero) count.
-        assert (counts > 0).all()
-
-    def test_triples_sorted_by_read_then_code(self, rng):
-        reads = [rng.integers(0, 4, 30).astype(np.uint8) for _ in range(6)]
-        batch = ReadBatch.from_arrays([[r] for r in reads])
-        read_ids, codes, _ = batch_signatures_sparse(batch, 2)
-        keys = read_ids * 16 + codes
-        assert (np.diff(keys) > 0).all()
-
-    def test_large_q_stays_read_sized(self, rng):
-        """At q=8 the sparse form holds at most one triple per window —
-        the whole point of not materializing the 65536-bin histogram."""
-        reads = [rng.integers(0, 4, 68).astype(np.uint8)
-                 for _ in range(20)]
-        batch = ReadBatch.from_arrays([[r] for r in reads])
-        read_ids, codes, counts = batch_signatures_sparse(batch, 8)
-        assert read_ids.size <= 20 * (68 - 8 + 1)
-        assert int(counts.sum()) == 20 * (68 - 8 + 1)
-        assert (codes < 4 ** 8).all()
-
-    def test_non_tight_views_match(self, rng):
-        strands = [random_bases(30, rng) for _ in range(8)]
-        simulator = SequencingSimulator(
-            ErrorModel.uniform(0.05), FixedCoverage(4)
-        )
-        pool = simulator.sequence_batch(strands, rng)
-        view = pool.select_prefix(np.full(len(strands), 2))
-        tight = ReadBatch.from_arrays(
-            [view.reads_of(c) for c in range(view.n_clusters)]
-        )
-        for got, want in zip(batch_signatures_sparse(view, 3),
-                             batch_signatures_sparse(tight, 3)):
-            np.testing.assert_array_equal(got, want)
-
-    def test_empty_and_short_reads(self):
-        batch = ReadBatch.from_arrays([])
-        read_ids, codes, counts = batch_signatures_sparse(batch, 3)
-        assert read_ids.size == codes.size == counts.size == 0
-        short = ReadBatch.from_arrays([[np.zeros(2, dtype=np.uint8)]])
-        read_ids, _, _ = batch_signatures_sparse(short, 3)
-        assert read_ids.size == 0
 
 
 class TestL1Distances:
@@ -218,8 +163,8 @@ class TestL1Distances:
         for _ in range(25):
             a = random_bases(40, rng)
             b = model.apply(a, rng)
-            l1 = int(np.abs(
-                qgram_signature(bases_to_indices(a), q).astype(np.int64)
-                - qgram_signature(bases_to_indices(b), q)
-            ).sum())
+            sig_a, sig_b = batch_signatures(
+                ReadBatch.from_strings([[a], [b]]), q
+            ).astype(np.int64)
+            l1 = int(np.abs(sig_a - sig_b).sum())
             assert l1 <= 2 * q * edit_distance(a, b)

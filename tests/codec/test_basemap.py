@@ -1,13 +1,18 @@
-"""Tests for the direct 2-bit base mapping."""
+"""Tests for the direct 2-bit base mapping.
+
+The bit <-> base codec and ``pack_uint`` live in :mod:`oracles.core`,
+where the frozen encoder renders strands through them; their tests pin
+the paper's mapping that the live strand renderer must reproduce.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles.core import DirectCodec, pack_uint
 from repro.codec.basemap import (
     BASES,
-    DirectCodec,
     bases_to_indices,
     indices_to_bases,
     random_bases,
@@ -69,17 +74,21 @@ class TestDirectCodec:
         with pytest.raises(ValueError):
             codec.encode(np.array([0, 2], dtype=np.uint8))
 
-    def test_encoded_length(self, codec):
-        assert codec.encoded_length(10) == 5
-        with pytest.raises(ValueError):
-            codec.encoded_length(9)
-
-    def test_density(self, codec):
-        assert codec.bits_per_base == 2
-
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=100)
            .filter(lambda bits: len(bits) % 2 == 0))
     def test_roundtrip_property(self, bits):
         codec = DirectCodec()
         array = np.array(bits, dtype=np.uint8)
         np.testing.assert_array_equal(codec.decode(codec.encode(array)), array)
+
+
+class TestPackUint:
+    @given(st.integers(0, 2**32 - 1), st.integers(32, 40))
+    def test_msb_first_roundtrip(self, value, width):
+        bits = pack_uint(value, width)
+        assert bits.size == width
+        assert int("".join(map(str, bits)), 2) == value
+
+    def test_rejects_overflow(self):
+        with pytest.raises(ValueError):
+            pack_uint(4, 2)

@@ -9,9 +9,8 @@ prescribes.
 import numpy as np
 import pytest
 
-from repro.codec import DirectCodec
+from oracles.core import DirectCodec
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
-from repro.utils.bitio import unpack_uint
 
 MATRIX = MatrixConfig(m=8, n_columns=20, nsym=4, payload_rows=6)
 
@@ -20,7 +19,7 @@ def _strand_symbols(strand):
     """Decode a strand into its index symbol plus payload symbols."""
     bits = DirectCodec().decode(strand)
     symbols = [
-        unpack_uint(bits[i * 8: (i + 1) * 8])
+        int("".join(map(str, bits[i * 8: (i + 1) * 8])), 2)
         for i in range(len(bits) // 8)
     ]
     return symbols[0], symbols[1:]

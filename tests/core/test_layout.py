@@ -20,7 +20,7 @@ class TestMatrixConfig:
         assert config.strand_length == 28
         assert config.data_symbols == 192
         assert config.data_bits == 1536
-        assert config.redundancy_fraction == pytest.approx(0.2)
+        assert config.nsym / config.n_columns == pytest.approx(0.2)
 
     def test_paper_scale_geometry(self):
         """The paper's GF(2^16) unit: 82 rows, 65535 columns."""

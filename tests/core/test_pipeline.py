@@ -76,12 +76,11 @@ class TestEncode:
 
     def test_index_occupies_strand_start(self, pipeline, rng):
         unit = pipeline.encode(_payload(pipeline, rng))
-        from repro.codec import DirectCodec
-        from repro.utils.bitio import unpack_uint
+        from oracles.core import DirectCodec
         codec = DirectCodec()
         for column, strand in enumerate(unit.strands):
             bits = codec.decode(strand)
-            assert unpack_uint(bits[:8]) == column
+            assert int("".join(map(str, bits[:8])), 2) == column
 
     def test_parity_satisfies_rs(self, pipeline, rng):
         from repro.ecc import ReedSolomon

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.ranking import (
     identity_ranking,
-    invert_ranking,
     oracle_ranking,
-    positional_ranking,
     proportional_share_ranking,
 )
 from repro.media import JpegCodec, synth_image
@@ -25,9 +23,6 @@ class TestIdentityRanking:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             identity_ranking(-1)
-
-    def test_positional_equals_identity_for_one_file(self):
-        np.testing.assert_array_equal(positional_ranking(9), identity_ranking(9))
 
 
 class TestProportionalShare:
@@ -78,16 +73,6 @@ class TestProportionalShare:
     def test_always_a_permutation(self, sizes):
         rank = proportional_share_ranking(sizes)
         assert sorted(rank.tolist()) == list(range(sum(sizes)))
-
-
-class TestInvertRanking:
-    @given(st.integers(0, 200))
-    def test_inverse_property(self, n):
-        rng = np.random.default_rng(n)
-        rank = rng.permutation(n)
-        inverse = invert_ranking(rank)
-        np.testing.assert_array_equal(rank[inverse], np.arange(n))
-        np.testing.assert_array_equal(inverse[rank], np.arange(n))
 
 
 class TestOracleRanking:

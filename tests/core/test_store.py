@@ -133,7 +133,7 @@ class TestValidation:
         decoded, report = store.read(ReadRequest(clusters, bits.size))
         assert report.clean  # one erasure is well within nsym=8
         assert report.total_erased_columns == 1
-        assert report.total_failed_codewords == 0
+        assert all(not r.failed_codewords for r in report.unit_reports)
         np.testing.assert_array_equal(decoded, bits)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ChaCha20, chacha20_decrypt, chacha20_encrypt
+from repro.crypto import ChaCha20
 
 KEY = bytes(range(32))
 NONCE = bytes.fromhex("000000000000004a00000000")
@@ -29,7 +29,7 @@ class TestRfc8439Vectors:
             b"Ladies and Gentlemen of the class of '99: If I could offer you "
             b"only one tip for the future, sunscreen would be it."
         )
-        ciphertext = chacha20_encrypt(plaintext, KEY, NONCE)
+        ciphertext = ChaCha20(KEY, NONCE).process(plaintext)
         expected = bytes.fromhex(
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
             "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
@@ -42,10 +42,11 @@ class TestRfc8439Vectors:
 class TestBasics:
     def test_roundtrip(self):
         data = b"the quick brown fox" * 10
-        assert chacha20_decrypt(chacha20_encrypt(data, KEY, NONCE), KEY, NONCE) == data
+        cipher = ChaCha20(KEY, NONCE)
+        assert cipher.process(cipher.process(data)) == data
 
     def test_empty_message(self):
-        assert chacha20_encrypt(b"", KEY, NONCE) == b""
+        assert ChaCha20(KEY, NONCE).process(b"") == b""
 
     def test_key_length_validated(self):
         with pytest.raises(ValueError):
@@ -61,9 +62,8 @@ class TestBasics:
 
     def test_different_nonces_differ(self):
         other = bytes.fromhex("000000000000004a00000001")
-        assert chacha20_encrypt(b"x" * 64, KEY, NONCE) != chacha20_encrypt(
-            b"x" * 64, KEY, other
-        )
+        assert ChaCha20(KEY, NONCE).process(b"x" * 64) \
+            != ChaCha20(KEY, other).process(b"x" * 64)
 
     def test_counter_offsets_are_consistent(self):
         cipher = ChaCha20(KEY, NONCE)
@@ -77,9 +77,9 @@ class TestStreamCipherLocality:
 
     def test_single_bit_flip_stays_local(self):
         plaintext = bytes(range(256))
-        ciphertext = bytearray(chacha20_encrypt(plaintext, KEY, NONCE))
+        ciphertext = bytearray(ChaCha20(KEY, NONCE).process(plaintext))
         ciphertext[100] ^= 0x40
-        recovered = chacha20_decrypt(bytes(ciphertext), KEY, NONCE)
+        recovered = ChaCha20(KEY, NONCE).process(bytes(ciphertext))
         diffs = [i for i in range(256) if recovered[i] != plaintext[i]]
         assert diffs == [100]
         assert recovered[100] ^ plaintext[100] == 0x40
@@ -89,9 +89,9 @@ class TestStreamCipherLocality:
     def test_flip_property(self, plaintext, data):
         position = data.draw(st.integers(0, len(plaintext) - 1))
         mask = data.draw(st.integers(1, 255))
-        ciphertext = bytearray(chacha20_encrypt(plaintext, KEY, NONCE))
+        ciphertext = bytearray(ChaCha20(KEY, NONCE).process(plaintext))
         ciphertext[position] ^= mask
-        recovered = chacha20_decrypt(bytes(ciphertext), KEY, NONCE)
+        recovered = ChaCha20(KEY, NONCE).process(bytes(ciphertext))
         assert recovered[position] == plaintext[position] ^ mask
         assert recovered[:position] == plaintext[:position]
         assert recovered[position + 1:] == plaintext[position + 1:]

@@ -170,7 +170,7 @@ class TestBatchedVsReference:
         result = rs.decode_many(np.zeros((0, 40), dtype=np.int64))
         assert result.n_rows == 0
         assert result.messages.shape == (0, rs.k)
-        assert result.failed_rows().size == 0
+        assert result.ok.size == 0
 
     def test_scalar_decode_matches_reference_failure_for_failure(self):
         """The public scalar wrapper raises exactly when the frozen

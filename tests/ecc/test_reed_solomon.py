@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ecc import DecodeFailure, ReedSolomon
+from repro.ecc.batched import as_erasure_mask, decode_words
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +293,75 @@ class TestBatchedEntryPoints:
 
         for m in _PRIMITIVE_POLYS:
             assert ((1 << m) - 1) * m < 2 ** 24, m
+
+
+class TestErasureMask:
+    """``as_erasure_mask``: every erasure form decode_many accepts."""
+
+    def test_none_is_no_erasures(self):
+        mask = as_erasure_mask(None, 3, 10)
+        assert mask.shape == (3, 10) and mask.dtype == bool
+        assert not mask.any()
+
+    def test_boolean_mask_used_as_is(self):
+        mask = np.zeros((2, 6), dtype=bool)
+        mask[1, 4] = True
+        assert as_erasure_mask(mask, 2, 6) is mask
+
+    def test_boolean_mask_shape_checked(self):
+        with pytest.raises(ValueError, match=r"\(2, 6\)"):
+            as_erasure_mask(np.zeros((2, 5), dtype=bool), 2, 6)
+
+    def test_index_lists_collapse_duplicates(self):
+        mask = as_erasure_mask([[0, 0, 3], [], [5]], 3, 6)
+        assert mask.sum(axis=1).tolist() == [2, 0, 1]
+        assert np.flatnonzero(mask[0]).tolist() == [0, 3]
+
+    def test_row_count_checked(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            as_erasure_mask([[0]], 2, 6)
+
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_index_range_checked(self, index):
+        with pytest.raises(ValueError, match="row 1"):
+            as_erasure_mask([[0], [index]], 2, 6)
+
+
+class TestDecodeWords:
+    """``decode_words`` row by row equals the scalar ``decode``."""
+
+    def test_rows_match_scalar_decode(self, rs, rng):
+        messages = rng.integers(0, 256, (4, rs.k))
+        words = np.array([rs.encode(message) for message in messages])
+        mask = np.zeros(words.shape, dtype=bool)
+        words[1] = _corrupt(words[1], [2, 40], rng)
+        mask[2, [0, 9, 33]] = True
+        words[2, [0, 9, 33]] = 7
+        mask[3, : rs.nsym + 1] = True
+        result = decode_words(rs, words, mask)
+        assert result.ok.tolist() == [True, True, True, False]
+        for row in range(3):
+            decoded, corrected = rs.decode(
+                words[row], erasures=np.flatnonzero(mask[row])
+            )
+            np.testing.assert_array_equal(result.messages[row], decoded)
+            assert result.n_corrected[row] == corrected
+        assert result.reason_counts() == {
+            "ok": 3, "erasures exceed correction capability": 1,
+        }
+
+    def test_clean_rows_count_their_erasures(self, rs, rng):
+        """An erased symbol that was truly zero still counts as corrected."""
+        message = np.zeros(rs.k, dtype=np.int64)
+        word = rs.encode(message)[None, :]
+        mask = np.zeros(word.shape, dtype=bool)
+        mask[0, [1, 2, 3]] = True
+        result = decode_words(rs, word, mask)
+        assert result.ok.tolist() == [True]
+        assert result.n_corrected.tolist() == [3]
+
+    def test_empty_batch(self, rs):
+        result = decode_words(rs, np.zeros((0, rs.n), dtype=np.int64),
+                              np.zeros((0, rs.n), dtype=bool))
+        assert result.n_rows == 0
+        assert result.messages.shape == (0, rs.k)

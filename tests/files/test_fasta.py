@@ -1,98 +1,46 @@
-"""Tests for FASTA/FASTQ serialization."""
+"""Tests for the FASTA synthesis-order export."""
 
 import pytest
 
-from repro.channel import ErrorModel, FixedCoverage, ReadCluster, SequencingSimulator
 from repro.codec.basemap import random_bases
-from repro.files.fasta import (
-    clusters_from_records,
-    read_fasta,
-    read_fastq,
-    write_fasta,
-    write_fastq,
-)
+from repro.files.fasta import write_fasta
 
 
 class TestFasta:
-    def test_roundtrip(self, tmp_path, rng):
+    def test_records_named_by_index(self, tmp_path, rng):
         strands = [random_bases(30, rng) for _ in range(5)]
         path = tmp_path / "strands.fasta"
         write_fasta(path, strands)
-        records = read_fasta(path)
-        assert [name for name, _ in records] == [
-            f"strand_{i}" for i in range(5)
+        assert path.read_text().splitlines() == [
+            line
+            for i, strand in enumerate(strands)
+            for line in (f">strand_{i}", strand)
         ]
-        assert [seq for _, seq in records] == strands
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.fasta"
         write_fasta(path, [])
-        assert read_fasta(path) == []
-
-    def test_multiline_sequences(self, tmp_path):
-        path = tmp_path / "multi.fasta"
-        path.write_text(">x\nACGT\nACGT\n>y\nTTTT\n")
-        records = read_fasta(path)
-        assert records == [("x", "ACGTACGT"), ("y", "TTTT")]
+        assert path.read_text() == ""
 
     def test_rejects_invalid_characters(self, tmp_path):
         with pytest.raises(ValueError):
             write_fasta(tmp_path / "bad.fasta", ["ACGX"])
 
-    def test_rejects_headerless_data(self, tmp_path):
-        path = tmp_path / "bad.fasta"
-        path.write_text("ACGT\n")
-        with pytest.raises(ValueError):
-            read_fasta(path)
+    @pytest.mark.parametrize("strand", ["acgt", "AC GT", "ACGU"])
+    def test_rejects_anything_but_upper_case_acgt(self, tmp_path, strand):
+        with pytest.raises(ValueError, match="invalid DNA sequence"):
+            write_fasta(tmp_path / "bad.fasta", ["ACGT", strand])
 
+    def test_roundtrip(self, tmp_path, rng):
+        strands = [random_bases(n, rng) for n in (0, 1, 57, 120)]
+        path = tmp_path / "strands.fasta"
+        write_fasta(str(path), strands)
+        records = path.read_text().split(">")[1:]
+        assert [record.splitlines()[1:] for record in records] \
+            == [[strand] for strand in strands]
 
-class TestFastq:
-    def test_roundtrip_through_clusters(self, tmp_path, rng):
-        strands = [random_bases(40, rng) for _ in range(4)]
-        simulator = SequencingSimulator(ErrorModel.uniform(0.05),
-                                        FixedCoverage(3))
-        clusters = simulator.sequence(strands, rng)
-        path = tmp_path / "reads.fastq"
-        write_fastq(path, clusters)
-        records = read_fastq(path)
-        assert len(records) == 12
-        rebuilt = clusters_from_records(records, n_strands=4)
-        for original, recovered in zip(clusters, rebuilt):
-            assert recovered.reads == original.reads
-
-    def test_quality_line_length(self, tmp_path):
-        cluster = ReadCluster(source_index=0, reads=["ACGTAC"])
-        path = tmp_path / "r.fastq"
-        write_fastq(path, [cluster])
-        lines = path.read_text().splitlines()
-        assert len(lines[3]) == 6
-
-    def test_bad_quality_char(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_fastq(tmp_path / "r.fastq", [], quality_char="II")
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "bad.fastq"
-        path.write_text("@x\nACGT\n+\n")
-        with pytest.raises(ValueError):
-            read_fastq(path)
-
-    def test_quality_mismatch_detected(self, tmp_path):
-        path = tmp_path / "bad.fastq"
-        path.write_text("@x\nACGT\n+\nIII\n")
-        with pytest.raises(ValueError):
-            read_fastq(path)
-
-    def test_unknown_read_id_rejected(self):
-        with pytest.raises(ValueError):
-            clusters_from_records([("weird", "ACGT")], n_strands=1)
-
-    def test_cluster_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            clusters_from_records([("read_5_0", "ACGT")], n_strands=2)
-
-    def test_empty_clusters_preserved(self):
-        clusters = clusters_from_records([("read_1_0", "AC")], n_strands=3)
-        assert clusters[0].is_lost
-        assert clusters[1].reads == ["AC"]
-        assert clusters[2].is_lost
+    def test_overwrites_existing_file(self, tmp_path):
+        path = tmp_path / "order.fasta"
+        write_fasta(path, ["ACGT", "TTGA", "CC"])
+        write_fasta(path, ["GG"])
+        assert path.read_text() == ">strand_0\nGG\n"

@@ -10,10 +10,11 @@ from repro.channel import (
     ReadBatch,
     SequencingSimulator,
 )
-from repro.cluster import BatchedGreedyClusterer, perfect_clusters
+from repro.cluster import BatchedGreedyClusterer
+from repro.cluster.batched import relabel_batch
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
 from repro.crypto import ChaCha20
-from repro.files import FileEntry, pack_archive, unpack_archive
+from repro.files import FileEntry, pack_archive, unpack_archive_robust
 from repro.media import JpegCodec, psnr, synth_image
 from repro.primers import PcrSelector, PrimerDesigner, attach_primers
 from repro.utils.bitio import bits_to_bytes, bytes_to_bits
@@ -40,7 +41,7 @@ class TestFullStack:
         decoded_bits, report = pipeline.decode(clusters, bits.size)
         assert report.clean
 
-        entries = unpack_archive(bits_to_bytes(decoded_bits))
+        entries = unpack_archive_robust(bits_to_bytes(decoded_bits))
         recovered = ChaCha20(key, nonce).process(entries[0].data)
         assert recovered == compressed
         decoded_image = JpegCodec(quality=60).decode(recovered)
@@ -100,11 +101,11 @@ class TestFullStack:
         for strand in tagged_pool:
             noisy_reads.extend(model.apply_many(strand, 5, rng))
         selector = PcrSelector(pairs[1], max_errors=4)
-        selected = selector.select(noisy_reads)
-        assert len(selected) >= 0.9 * 5 * matrix.n_columns
+        selected = selector.select_batch(ReadBatch.from_strings([noisy_reads]))
+        assert selected.n_reads >= 0.9 * 5 * matrix.n_columns
 
         clusters = BatchedGreedyClusterer(threshold=10).cluster_batch(
-            ReadBatch.from_strings([list(selected)])
+            selected
         ).to_clusters()
         # Keep the plausible clusters (primer survivors of the other file
         # are rare but possible).
@@ -114,7 +115,7 @@ class TestFullStack:
         np.testing.assert_array_equal(decoded, payloads[1])
 
     def test_perfect_clusters_match_simulator(self, rng):
-        """perfect_clusters regroups a flattened tagged pool correctly."""
+        """Relabeling a shuffled pool by true source regroups it correctly."""
         pipeline = DnaStoragePipeline(PipelineConfig(matrix=MATRIX))
         bits = rng.integers(0, 2, pipeline.capacity_bits).astype(np.uint8)
         unit = pipeline.encode(bits)
@@ -124,7 +125,10 @@ class TestFullStack:
             for read in model.apply_many(strand, 7, rng):
                 tagged.append((index, read))
         rng.shuffle(tagged)
-        clusters = perfect_clusters(tagged, n_strands=len(unit.strands))
+        pool = ReadBatch.from_strings([[read for _, read in tagged]])
+        sources = np.array([index for index, _ in tagged], dtype=np.int64)
+        clusters = relabel_batch(pool, sources, len(unit.strands))
+        assert clusters.coverage_counts().tolist() == [7] * len(unit.strands)
         decoded, report = pipeline.decode(clusters, bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)

@@ -11,12 +11,15 @@ private read engine, the per-request check helpers, the service's copy
 of ``ReadRequest`` and the automatic manifests are gone for good, and no
 service module reads another object's private attributes. scipy is
 imported only inside the functions that call it, so importing ``repro``
-loads none of it.
+loads none of it. Every definition in the package has a caller outside
+``tests/``: code that only tests reach is deleted or, when a test uses
+it as a reference, moved into ``tests/oracles/``.
 """
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -234,3 +237,141 @@ def test_no_module_level_scipy_import_in_package():
                 for problem in _scipy_imports(path.read_text(),
                                               path.relative_to(ROOT))]
     assert problems == []
+
+
+#: Trees whose code counts as a caller. ``tests/`` does not: a definition
+#: only tests reach is not part of the system.
+CALLER_TREES = ("src/repro", "benchmarks", "perfbench", "examples")
+
+#: Definitions with no caller outside ``tests/``, each with the reason it
+#: stays. The list may only shrink: the scan fails on an entry that is
+#: referenced again or no longer defined.
+UNREFERENCED = {
+    "ErrorModel.apply": "one strand's string form of apply_indices; the "
+                        "channel, primer and clustering tests draw noisy "
+                        "reads with it",
+    "ReadBatch.read_string": "one read as a base string; tests compare "
+                             "batch contents with strings through it",
+    "EventLog.load_jsonl": "parses the file EventLog.save writes; the "
+                           "event, service and CLI tests read logs back "
+                           "with it",
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _covered_definitions(sources):
+    """``(qualified, name)`` of every top-level function or class, and of
+    every method whose name is defined once across ``sources`` (a map of
+    path to source). Dunder methods are skipped."""
+    definitions = []
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+                definitions.append((node.name, node.name, False))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{node.name}.{item.name}", item.name, True)
+                                for item in node.body
+                                if isinstance(item, _FUNCTIONS)]
+    counts = Counter(name for _, name, _ in definitions)
+    return [(qualified, name) for qualified, name, method in definitions
+            if not (name.startswith("__") and name.endswith("__"))
+            and (not method or counts[name] == 1)]
+
+
+def _not_references(tree):
+    """Nodes whose names do not count: docstrings and ``__all__`` lists."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef) + _FUNCTIONS) \
+                and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant):
+            skipped.add(id(node.body[0].value))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            skipped.update(id(sub) for sub in ast.walk(node.value))
+    return skipped
+
+
+def _referenced_names(sources):
+    """Every name ``sources`` reference: ``Name`` nodes, attributes,
+    imported names (except re-exports in a package ``__init__.py``) and
+    string constants."""
+    names = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        skipped = _not_references(tree)
+        package_init = Path(path).name == "__init__.py"
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias) and not package_init:
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _unreferenced(defining, referencing):
+    """Covered definitions of ``defining`` that nothing in ``referencing``
+    names, as sorted qualified names."""
+    names = _referenced_names(referencing)
+    return sorted(qualified
+                  for qualified, name in _covered_definitions(defining)
+                  if name not in names)
+
+
+def _sources(*trees):
+    return {str(path.relative_to(ROOT)): path.read_text()
+            for top in trees for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+def test_definition_scan_flags_a_planted_function():
+    module = (
+        '"""planted is named in this docstring."""\n'
+        "def planted():\n"
+        "    return 1  # planted\n"
+        "def used():\n"
+        "    return 2\n"
+        "def by_name():\n"
+        "    return 3\n"
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return used()\n"
+        "    def unique(self):\n"
+        "        return getattr(self, 'by_name')\n"
+        "    def shared(self):\n"
+        "        return None\n"
+        "class Other:\n"
+        "    def shared(self):\n"
+        "        return Box()\n"
+    )
+    package = (
+        "from repro.pkg.mod import planted\n"
+        "__all__ = ['planted']\n"
+    )
+    sources = {"src/repro/pkg/__init__.py": package,
+               "src/repro/pkg/mod.py": module}
+    assert _unreferenced(sources, sources) == [
+        "Box.unique", "Other", "planted",
+    ]
+    caller = {"examples/demo.py": "from repro.pkg.mod import planted\n"}
+    assert "planted" not in _unreferenced(sources, {**sources, **caller})
+
+
+def test_every_definition_has_a_caller():
+    """Each top-level function or class in ``src/repro``, and each method
+    whose name is defined once there, is named by code under
+    ``CALLER_TREES``, or listed in ``UNREFERENCED`` with its reason."""
+    referencing = _sources(*CALLER_TREES)
+    assert {"perfbench/run.py", "examples/random_access.py",
+            "benchmarks/conftest.py"} <= set(referencing)
+    unreferenced = _unreferenced(_sources("src/repro"), referencing)
+    assert [name for name in unreferenced if name not in UNREFERENCED] == []
+    assert [name for name in UNREFERENCED if name not in unreferenced] == []

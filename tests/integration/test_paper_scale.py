@@ -35,7 +35,7 @@ class TestPaperScaleGeometry:
     def test_full_width_capacity_is_paper_scale(self):
         full = MatrixConfig(m=16, n_columns=65535, nsym=12056, payload_rows=82)
         assert full.data_bits / 8 / 2**20 == pytest.approx(8.36, abs=0.1)
-        assert full.redundancy_fraction == pytest.approx(0.184, abs=0.001)
+        assert full.nsym / full.n_columns == pytest.approx(0.184, abs=0.001)
 
 
 class TestPaperScaleRoundtrip:

@@ -790,8 +790,8 @@ class TestTracingBudget:
         np.testing.assert_array_equal(on_decoded, off_decoded)
         np.testing.assert_array_equal(off_decoded, bits)
         assert on_report.clean == off_report.clean
-        assert on_report.total_failed_codewords == \
-            off_report.total_failed_codewords
+        assert [r.failed_codewords for r in on_report.unit_reports] == \
+            [r.failed_codewords for r in off_report.unit_reports]
         assert on_report.total_erased_columns == \
             off_report.total_erased_columns
         assert tracer.find("store.read") is not None  # traced evidence

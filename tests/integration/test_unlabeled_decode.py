@@ -57,13 +57,13 @@ class TestPipelinePoolDecode:
         np.testing.assert_array_equal(decoded, bits)
 
     def test_explicit_clusterer_and_ranking(self):
-        from repro.core import positional_ranking
+        from repro.core import identity_ranking
 
         pipeline = DnaStoragePipeline(
             PipelineConfig(matrix=MATRIX, layout="dnamapper")
         )
         bits = payload_for(pipeline, trim=9)
-        ranking = positional_ranking(bits.size)
+        ranking = identity_ranking(bits.size)
         unit = pipeline.encode(bits, ranking)
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.04), FixedCoverage(8)

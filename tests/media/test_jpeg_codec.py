@@ -47,6 +47,18 @@ class TestEncode:
         decoded = codec.decode(codec.encode(image))
         assert decoded.shape == image.shape
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 9), (8, 8), (9, 17),
+                                       (16, 3)])
+    def test_edge_block_geometry(self, codec, shape):
+        """Partial edge blocks pad on encode and crop on decode."""
+        rows, cols = np.mgrid[0:shape[0], 0:shape[1]]
+        image = (rows * 9 + cols * 5 + 40).astype(np.uint8)
+        decoded, stats = codec.decode_robust(codec.encode(image))
+        assert decoded.shape == shape
+        assert not stats.failed
+        assert stats.blocks_total == (-(-shape[0] // 8)) * (-(-shape[1] // 8))
+        assert np.abs(decoded.astype(int) - image.astype(int)).max() <= 12
+
 
 class TestDecode:
     def test_roundtrip_quality(self, image, codec, compressed):

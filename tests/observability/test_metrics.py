@@ -207,7 +207,6 @@ class TestSlidingWindow:
             window.roll(seconds=1.0)
         assert window.total("reqs") == 20
         assert window.rate("reqs") == pytest.approx(10.0)
-        assert window.timing_count("lat") == 2
         # The window quantile reflects only the recent 1ms observations,
         # not the forgotten 100s outlier.
         assert window.quantile("lat", 0.99) < 0.01
@@ -220,9 +219,10 @@ class TestSlidingWindow:
         for value in (0.001, 0.002):
             registry.timing("lat").observe(value)
             window.roll(seconds=1.0)
-        assert window.timing_count("lat") == 2
-        assert window.timing_mean("lat") == pytest.approx(0.0015)
-        assert window.quantile("lat", 0.5) >= 0.001
+        # Both intervals' observations count: the median sits in the
+        # first one's bucket and the maximum in the second one's.
+        assert 0.001 <= window.quantile("lat", 0.5) < 0.002
+        assert window.quantile("lat", 1.0) >= 0.002
 
     def test_empty_window_is_zero(self):
         registry = MetricRegistry()

@@ -72,7 +72,7 @@ def banded_edit_distance_indices_reference(a: np.ndarray, b: np.ndarray,
                                            band: int) -> int:
     """Banded edit distance between two symbol-index arrays.
 
-    Same contract as :func:`banded_edit_distance`; the batched clustering
+    Same contract as :func:`banded_edit_distance_reference`; the batched clustering
     path calls this directly so no string ever materializes. The
     horizontal (insertion) pass uses the same ``np.minimum.accumulate``
     offset trick as :func:`edit_distance_indices` — with unit gap costs,
@@ -128,9 +128,9 @@ def banded_edit_distances_stack_reference(
     ``targets[k, :target_lengths[k]]``; entries past a sequence's end are
     sentinels (any value that matches nothing, e.g. ``-1`` from
     :meth:`~repro.channel.readbatch.ReadBatch.padded_matrix`). Returns one
-    ``int64`` distance per pair under the :func:`banded_edit_distance`
-    contract: exact when at most ``band``, some value strictly greater
-    than ``band`` otherwise.
+    ``int64`` distance per pair under the
+    :func:`banded_edit_distance_reference` contract: exact when at most
+    ``band``, some value strictly greater than ``band`` otherwise.
 
     This is the clustering counterpart of
     ``consensus.iterative._edit_matrix_stack``, kept truly *banded*: the

@@ -6,8 +6,9 @@ step — kept verbatim so the array code stays pinned against something
 obviously correct:
 
 * :func:`encode_loop_reference` (with :func:`_fill_parity` and
-  :func:`_column_to_strand`) — the per-cell loop encoder behind
-  ``DnaStoragePipeline.encode_many``;
+  :func:`_column_to_strand`, which renders each column through
+  :func:`pack_uint` and :class:`DirectCodec`) — the per-cell loop
+  encoder behind ``DnaStoragePipeline.encode_many``;
 * :func:`receive_loop_reference` (with :func:`_parse_indices` and
   :func:`_low_confidence_rows`) — the per-estimate parse loop behind
   ``receive_many``'s vectorized parse;
@@ -33,12 +34,11 @@ import numpy as np
 
 from oracles.ecc import ReferenceReedSolomon
 from repro.channel.readbatch import ReadBatch
-from repro.codec.basemap import DirectCodec
+from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.core.pipeline import DecodeReport, EncodedUnit, ReceivedUnit
 from repro.core.ranking import identity_ranking
 from repro.core.store import StoreReport
 from repro.ecc.reed_solomon import DecodeFailure
-from repro.utils.bitio import pack_uint
 
 
 # -- encode ------------------------------------------------------------------
@@ -110,6 +110,41 @@ def _fill_parity(pipeline, matrix: np.ndarray) -> None:
         parity = pipeline._rs.parity(message)
         for value, (row, col) in zip(parity, cells[data_columns:]):
             matrix[row, col] = value
+
+
+def pack_uint(value: int, width: int) -> np.ndarray:
+    """Encode an unsigned int into a ``width``-bit 0/1 array, MSB first."""
+    if value < 0 or value >= (1 << width):
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    return np.array([(value >> shift) & 1 for shift in range(width - 1, -1, -1)],
+                    dtype=np.uint8)
+
+
+class DirectCodec:
+    """Maximum-density mapping between bit arrays and DNA strings.
+
+    Two consecutive bits form one base; the first bit of the pair is the
+    high bit (00=A, 01=C, 10=G, 11=T), matching the paper's Section 2.1.
+    """
+
+    def encode(self, bits: np.ndarray) -> str:
+        """Map a 0/1 array (even length) to a DNA string."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.size % 2 != 0:
+            raise ValueError(f"bit count must be even, got {bits.size}")
+        if bits.size and bits.max() > 1:
+            raise ValueError("bits must be 0 or 1")
+        pairs = bits.reshape(-1, 2)
+        indices = pairs[:, 0] * 2 + pairs[:, 1]
+        return indices_to_bases(indices)
+
+    def decode(self, strand: str) -> np.ndarray:
+        """Map a DNA string back to its 0/1 array."""
+        indices = bases_to_indices(strand)
+        bits = np.empty(indices.size * 2, dtype=np.uint8)
+        bits[0::2] = indices >> 1
+        bits[1::2] = indices & 1
+        return bits
 
 
 def _column_to_strand(pipeline, matrix: np.ndarray, column: int) -> str:

@@ -12,7 +12,9 @@ Like :mod:`oracles.consensus` and :mod:`oracles.cluster`, it exists so correctne
 construction: ``tests/ecc/test_batched_vs_reference.py`` asserts that
 :meth:`ReedSolomon.decode_many` matches this chain row for row —
 corrected symbols, corrected counts, and which rows fail. Do not optimize
-this module; its value is that it never changes.
+this module; its value is that it never changes. Its Forney step divides
+with :func:`gf_div`, the scalar field division nothing in the live
+decoder uses any more.
 
 :class:`Float64BitPlaneProducts` freezes the batched parity and syndrome
 products as they ran in float64, per-bit shifts and all, before the
@@ -28,6 +30,15 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from repro.ecc.reed_solomon import DecodeFailure, ReedSolomon
+
+
+def gf_div(field, a: int, b: int) -> int:
+    """Field division ``a / b``; raises ZeroDivisionError for b == 0."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero in GF(2^m)")
+    if a == 0:
+        return 0
+    return int(field._exp[(field._log[a] - field._log[b]) % field.max_value])
 
 
 class ReferenceReedSolomon(ReedSolomon):
@@ -174,7 +185,8 @@ class ReferenceReedSolomon(ReedSolomon):
                 power = self.field.mul(power, x_inv_sq)
             if deriv_val == 0:
                 raise DecodeFailure("Forney derivative evaluated to zero")
-            magnitude = self.field.mul(x, self.field.div(omega_val, deriv_val))
+            magnitude = self.field.mul(x, gf_div(self.field, omega_val,
+                                                 deriv_val))
             magnitudes.append(magnitude)
         return magnitudes
 

@@ -4,13 +4,7 @@ import pytest
 
 from repro.cluster.distance import edit_distance
 from repro.codec.constraints import gc_content, max_homopolymer_run
-from repro.primers import PrimerDesigner, PrimerPair
-
-
-class TestPrimerPair:
-    def test_overhead(self):
-        pair = PrimerPair(forward="ACGT", reverse="TGCA")
-        assert pair.overhead_bases == 8
+from repro.primers import PrimerDesigner
 
 
 class TestPrimerDesigner:

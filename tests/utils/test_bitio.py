@@ -10,8 +10,6 @@ from repro.utils.bitio import (
     BitWriter,
     bits_to_bytes,
     bytes_to_bits,
-    pack_uint,
-    unpack_uint,
 )
 
 
@@ -51,17 +49,6 @@ class TestBitWriter:
         with pytest.raises(ValueError):
             BitWriter().write_bits(0, -1)
 
-    def test_to_bit_array_has_no_padding(self):
-        writer = BitWriter()
-        writer.write_bits(0b11011, 5)
-        np.testing.assert_array_equal(writer.to_bit_array(), [1, 1, 0, 1, 1])
-
-    def test_write_bit_array(self):
-        writer = BitWriter()
-        writer.write_bit_array(np.array([1, 0, 1], dtype=np.uint8))
-        assert len(writer) == 3
-        np.testing.assert_array_equal(writer.to_bit_array(), [1, 0, 1])
-
 
 class TestBitReader:
     def test_reads_bits_msb_first(self):
@@ -89,22 +76,6 @@ class TestBitReader:
         assert reader.position == 5
         assert reader.remaining == 11
 
-    def test_seek(self):
-        reader = BitReader(b"\xf0")
-        reader.seek(4)
-        assert reader.read_bit() == 0
-        reader.seek(0)
-        assert reader.read_bit() == 1
-
-    def test_seek_out_of_range(self):
-        with pytest.raises(ValueError):
-            BitReader(b"\x00").seek(9)
-
-    def test_from_bits(self):
-        reader = BitReader.from_bits(np.array([1, 1, 0], dtype=np.uint8))
-        assert reader.read_bits(3) == 0b110
-        assert reader.remaining == 0
-
 
 class TestConversions:
     def test_bytes_to_bits_empty(self):
@@ -125,14 +96,6 @@ class TestConversions:
     def test_roundtrip(self, data):
         assert bits_to_bytes(bytes_to_bits(data)) == data
 
-    @given(st.integers(0, 2**32 - 1), st.integers(32, 40))
-    def test_pack_unpack_uint_roundtrip(self, value, width):
-        assert unpack_uint(pack_uint(value, width)) == value
-
-    def test_pack_uint_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            pack_uint(4, 2)
-
 
 class TestWriterReaderTogether:
     @settings(max_examples=50)
@@ -142,7 +105,7 @@ class TestWriterReaderTogether:
         writer = BitWriter()
         for value, width in fields:
             writer.write_bits(value, width)
-        reader = BitReader.from_bits(writer.to_bit_array())
+        reader = BitReader(writer.to_bytes())
         for value, width in fields:
             assert reader.read_bits(width) == value
-        assert reader.remaining == 0
+        assert reader.remaining == (-len(writer)) % 8  # zero padding only

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -30,26 +30,3 @@ class TestEnsureRng:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(0, 2)
-        a = children[0].integers(0, 2**30, 5)
-        b = children[1].integers(0, 2**30, 5)
-        assert not np.array_equal(a, b)
-
-    def test_deterministic_from_seed(self):
-        a = [g.integers(0, 2**30) for g in spawn_rngs(9, 3)]
-        b = [g.integers(0, 2**30) for g in spawn_rngs(9, 3)]
-        assert a == b
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
