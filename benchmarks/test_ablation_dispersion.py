@@ -30,7 +30,7 @@ def _exact_rate(coverage, dispersion_shape, rng):
         pool = ReadPool(unit.strands, ErrorModel.uniform(ERROR_RATE),
                         max_coverage=3 * coverage, rng=generator,
                         dispersion_shape=dispersion_shape)
-        decoded, report = pipeline.decode(pool.clusters_at(coverage), bits.size)
+        decoded, report = pipeline.decode(pool.batch_at(coverage), bits.size)
         exact += int(report.clean and np.array_equal(decoded, bits))
     return exact / TRIALS
 

@@ -34,7 +34,7 @@ def run_experiment(rng=2022):
             unit = pipeline.encode(bits)
             pool = ReadPool(unit.strands, ErrorModel.uniform(ERROR_RATE),
                             max_coverage=coverage, rng=generator)
-            _, report = pipeline.decode(pool.clusters_at(coverage), bits.size)
+            _, report = pipeline.decode(pool.batch_at(coverage), bits.size)
             failed = set(report.failed_codewords)
             premium += sum(1 for k in EXCLUDED if k in failed)
             standard += sum(1 for k in failed if k not in EXCLUDED)

@@ -20,7 +20,7 @@ import numpy as np
 
 from benchmarks.conftest import print_series
 from repro.analysis import errors_per_codeword, gini_coefficient
-from repro.channel import ErrorModel, ReadPool, ReadCluster
+from repro.channel import ErrorModel, ReadPool
 from repro.channel import FixedCoverage, SequencingSimulator
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
 from repro.core.layout import build_layout
@@ -42,7 +42,7 @@ def _flatten_metric(layout_name, rng):
         unit = pipeline.encode(bits)
         pool = ReadPool(unit.strands, ErrorModel.uniform(ERROR_RATE),
                         max_coverage=COVERAGE, rng=generator)
-        received = pipeline.receive(pool.clusters_at(COVERAGE))
+        received = pipeline.receive(pool.batch_at(COVERAGE))
         counts += errors_per_codeword(layout, unit.matrix, received.matrix,
                                       received.erased_columns)
     return gini_coefficient(counts)
@@ -56,11 +56,12 @@ def _erasure_survival(layout_name, rng):
     simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
     survived = 0
     for trial in range(LOSS_TRIALS):
-        clusters = simulator.sequence(unit.strands, generator)
+        batch = simulator.sequence_batch(unit.strands, generator)
         lost = generator.choice(MATRIX.n_columns, MATRIX.nsym, replace=False)
-        for column in lost:
-            clusters[column] = ReadCluster(source_index=int(column), reads=[])
-        decoded, report = pipeline.decode(clusters, bits.size)
+        kept = batch.coverage_counts()
+        kept[lost] = 0  # the lost molecules keep no reads
+        decoded, report = pipeline.decode(batch.select_prefix(kept),
+                                          bits.size)
         survived += int(report.clean and np.array_equal(decoded, bits))
     return survived / LOSS_TRIALS
 

@@ -41,12 +41,12 @@ def run_experiment(rng=2022):
             unit = pipeline.encode(bits)
             pool = ReadPool(unit.strands, model, max_coverage=coverage,
                             rng=generator)
-            clusters = pool.clusters_at(coverage)
-            received_plain = pipeline.receive(clusters)
+            batch = pool.batch_at(coverage)
+            received_plain = pipeline.receive(batch)
             _, report = pipeline.correct(received_plain, bits.size)
             plain += len(report.failed_codewords)
             received_soft = pipeline.receive(
-                clusters, confidence_threshold=THRESHOLD
+                batch, confidence_threshold=THRESHOLD
             )
             _, report = pipeline.correct(received_soft, bits.size)
             assisted += len(report.failed_codewords)

@@ -45,8 +45,8 @@ def _exact_rate(layout, synthesis_rate, coverage, rng):
     for _ in range(TRIALS):
         bits = generator.integers(0, 2, MATRIX.data_bits).astype(np.uint8)
         unit = pipeline.encode(bits)
-        clusters = channel.sequence(unit.strands, generator)
-        decoded, report = pipeline.decode(clusters, bits.size)
+        batch = channel.sequence_batch(unit.strands, generator)
+        decoded, report = pipeline.decode(batch, bits.size)
         exact += int(report.clean and np.array_equal(decoded, bits))
     return exact / TRIALS
 

@@ -62,7 +62,7 @@ def _uneven_failures(scheme, pipeline, coverage, rng):
         strands = pipeline._render_strands(matrix[None])[0]
         pool = ReadPool(strands, ErrorModel.uniform(ERROR_RATE),
                         max_coverage=coverage, rng=generator)
-        received = pipeline.receive(pool.clusters_at(coverage))
+        received = pipeline.receive(pool.batch_at(coverage))
         _, row_ok = scheme.decode(
             received.matrix, erasures=received.erased_columns
         )
@@ -80,7 +80,7 @@ def _gini_exact_rate(coverage, rng):
         unit = pipeline.encode(bits)
         pool = ReadPool(unit.strands, ErrorModel.uniform(ERROR_RATE),
                         max_coverage=coverage, rng=generator)
-        decoded, report = pipeline.decode(pool.clusters_at(coverage), bits.size)
+        decoded, report = pipeline.decode(pool.batch_at(coverage), bits.size)
         exact += int(report.clean and np.array_equal(decoded, bits))
     return exact / TRIALS
 

@@ -43,7 +43,7 @@ def run_experiment(rng=2022):
             unit = pipeline.encode(bits)
             pool = ReadPool(unit.strands, ErrorModel.uniform(ERROR_RATE),
                             max_coverage=COVERAGE, rng=generator)
-            received = pipeline.receive(pool.clusters_at(COVERAGE))
+            received = pipeline.receive(pool.batch_at(COVERAGE))
             total += errors_per_codeword(
                 layout_cls(MATRIX), unit.matrix, received.matrix,
                 received.erased_columns,

@@ -45,7 +45,7 @@ def run_experiment(rng=2022):
                         rng=generator,
                     )
                     total += experiment.retrieve(
-                        pool.clusters_at(coverage)
+                        pool.batch_at(coverage)
                     ).mean_loss_db
                 series.append(total / POOL_REPEATS)
             losses[(layout, rate)] = series

@@ -34,7 +34,7 @@ def _mean_loss(pipeline, ranking, bits, codec, image, clean, rng):
             pool = ReadPool(unit.strands, ErrorModel.uniform(ERROR_RATE),
                             max_coverage=max(COVERAGES), rng=rng)
             decoded_bits, _ = pipeline.decode(
-                pool.clusters_at(coverage), bits.size, ranking=ranking,
+                pool.batch_at(coverage), bits.size, ranking=ranking,
             )
             decoded, _ = codec.decode_robust(bits_to_bytes(decoded_bits))
             if decoded.shape != clean.shape:

@@ -34,7 +34,7 @@ def run_experiment(rng=2022):
             max_coverage=COVERAGE,
             rng=generator,
         )
-        result = experiment.retrieve(pool.clusters_at(COVERAGE))
+        result = experiment.retrieve(pool.batch_at(COVERAGE))
         outcomes[layout] = result
     return outcomes
 

@@ -51,7 +51,7 @@ def main() -> None:
     for coverage in coverages:
         row = str(coverage).ljust(10)
         for layout, experiment in experiments.items():
-            result = experiment.retrieve(pools[layout].clusters_at(coverage))
+            result = experiment.retrieve(pools[layout].batch_at(coverage))
             label = f"{result.mean_loss_db:.2f}"
             if result.n_catastrophic:
                 label += f" ({result.n_catastrophic} lost)"
@@ -60,7 +60,7 @@ def main() -> None:
 
     print("\nPer-image losses for DnaMapper at the lowest coverage:")
     result = experiments["dnamapper"].retrieve(
-        pools["dnamapper"].clusters_at(coverages[-1])
+        pools["dnamapper"].batch_at(coverages[-1])
     )
     for stored, loss in zip(experiments["dnamapper"].images, result.losses_db):
         print(f"  {stored.name}: {loss:.2f} dB")

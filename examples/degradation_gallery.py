@@ -31,7 +31,7 @@ def main() -> None:
     stored = experiment.images[0]
     clean = experiment.codec.decode_robust(stored.compressed)[0]
     for coverage in (12, 6, 4):
-        received = experiment.pipeline.receive(pool.clusters_at(coverage))
+        received = experiment.pipeline.receive(pool.batch_at(coverage))
         corrected, _ = experiment.pipeline.correct_matrix(received)
         prioritized = experiment.pipeline.prioritized_bits(corrected)
         try:

@@ -110,12 +110,11 @@ def main() -> None:
           f"posterior {posterior_ms:.0f}ms for {refined.shape[0]} clusters "
           f"(mean posterior confidence {confidence.mean():.3f})")
 
-    # Strings stay available at the edges, decoded lazily from the batch
-    # (clusters come from the compacted batch: Gamma coverage can drop a
+    # Strings stay available at the edges, spelled out of the batch on
+    # demand (read 0 of the compacted batch: Gamma coverage can drop a
     # cluster entirely, so index only the live ones):
-    first = live.to_clusters()[0]
-    print(f"first read of cluster {first.source_index}: "
-          f"{first.reads[0][:24]}... (decoded on demand)")
+    print(f"first read of cluster {live.source_indices[0]}: "
+          f"{live.read_string(0)[:24]}... (decoded on demand)")
 
     # Payloads bigger than one unit go through the multi-unit store, and
     # the *store* is the batching boundary: encode assembles every unit's

@@ -37,15 +37,17 @@ def main() -> None:
     channel = SequencingSimulator(
         ErrorModel.uniform(TRUE_RATE), FixedCoverage(8)
     )
-    clusters = channel.sequence(pilot_strands, rng)
+    batch = channel.sequence_batch(pilot_strands, rng)
 
     # --- 2. blind channel estimation ----------------------------------------
+    reads = [[batch.read_string(i) for i in range(*batch.cluster_rows(c))]
+             for c in range(batch.n_clusters)]
     reconstructor = TwoWayReconstructor()
     references = [
-        reconstructor.reconstruct(c.reads, MATRIX.strand_length)
-        for c in clusters
+        reconstructor.reconstruct(cluster, MATRIX.strand_length)
+        for cluster in reads
     ]
-    estimate = estimate_channel(references, [c.reads for c in clusters])
+    estimate = estimate_channel(references, reads)
     print("pilot channel estimate (truth hidden at "
           f"{TRUE_RATE:.1%} total, uniform split):")
     print(f"  total rate : {estimate.total_rate:.2%}")

@@ -42,10 +42,11 @@ Quick start::
 every base of every read, and the result is a columnar
 :class:`~repro.channel.ReadBatch` — flat base buffer plus per-read
 offsets — that ``pipeline.decode`` consumes without ever materializing a
-DNA string. ``simulator.sequence(...)`` still returns familiar
-``ReadCluster`` objects (zero-copy views whose ``.reads`` strings decode
-lazily), and both forms decode identically. Every consensus engine has one
-entry point, ``reconstruct_batch``, also available directly::
+DNA string. It is the only read container: each read carries its cluster
+and each cluster its source strand (the paper's perfectly clustered
+reads), and base strings enter through ``ReadBatch.from_strings``. Every
+consensus engine has one entry point, ``reconstruct_batch``, also
+available directly::
 
     from repro import TwoWayReconstructor
 
@@ -249,7 +250,6 @@ from repro.channel import (
     FixedCoverage,
     GammaCoverage,
     ReadBatch,
-    ReadCluster,
     ReadPool,
     SequencingSimulator,
     TwoStageSequencer,
@@ -301,7 +301,6 @@ __all__ = [
     "GammaCoverage",
     "BatchedChannelEngine",
     "ReadBatch",
-    "ReadCluster",
     "ReadPool",
     "SequencingSimulator",
     "TwoStageSequencer",

@@ -289,9 +289,10 @@ class ImageStoreExperiment:
             dispersion_shape=dispersion_shape,
         )
 
-    def retrieve(self, clusters) -> RetrievalResult:
-        """Decode the whole store from read clusters and score every image."""
-        received = self.pipeline.receive(clusters)
+    def retrieve(self, batch: ReadBatch) -> RetrievalResult:
+        """Decode the whole store from one unit's read batch (e.g.
+        ``pool.batch_at(coverage)``) and score every image."""
+        received = self.pipeline.receive(batch)
         matrix, report = self.pipeline.correct_matrix(received)
         prioritized = self.pipeline.prioritized_bits(matrix)
         try:

@@ -11,8 +11,10 @@ The data plane is columnar: :class:`~repro.channel.engine.
 BatchedChannelEngine` emits every read of every strand in one vectorized
 IDS pass into a :class:`~repro.channel.readbatch.ReadBatch` (flat base
 buffer + per-read offsets), which the consensus engines consume without
-ever materializing a DNA string; ``SequencingSimulator``, ``ReadPool`` and
-``TwoStageSequencer`` are façades over the engine.
+ever materializing a DNA string. ``SequencingSimulator``, ``ReadPool`` and
+``TwoStageSequencer`` are façades over the engine, and reads leave the
+channel only as a ``ReadBatch``: ``sequence_batch`` (and the store-wide
+``sequence_store``) or ``ReadPool.batch_at``.
 """
 
 from repro.channel.errors import ErrorModel
@@ -24,7 +26,7 @@ from repro.channel.engine import (
     batched_ids_pass,
 )
 from repro.channel.readbatch import ReadBatch
-from repro.channel.sequencer import ReadCluster, ReadPool, SequencingSimulator
+from repro.channel.sequencer import ReadPool, SequencingSimulator
 from repro.channel.synthesis import TwoStageSequencer
 from repro.channel.profiles import (
     enzymatic_synthesis_profile,
@@ -40,7 +42,6 @@ __all__ = [
     "GammaCoverage",
     "BatchedChannelEngine",
     "ReadBatch",
-    "ReadCluster",
     "ReadPool",
     "SequencingSimulator",
     "TwoStageSequencer",

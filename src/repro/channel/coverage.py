@@ -26,10 +26,6 @@ class CoverageModel:
     def sample(self, n_clusters: int, rng: RngLike = None) -> np.ndarray:
         raise NotImplementedError
 
-    def with_mean(self, mean_coverage: float) -> "CoverageModel":
-        """Return a copy of this model re-targeted to a new mean coverage."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FixedCoverage(CoverageModel):
@@ -42,9 +38,6 @@ class FixedCoverage(CoverageModel):
 
     def sample(self, n_clusters: int, rng: RngLike = None) -> np.ndarray:
         return np.full(n_clusters, int(round(self.mean_coverage)), dtype=np.int64)
-
-    def with_mean(self, mean_coverage: float) -> "FixedCoverage":
-        return FixedCoverage(mean_coverage)
 
 
 @dataclass(frozen=True)
@@ -70,6 +63,3 @@ class GammaCoverage(CoverageModel):
         scale = self.mean_coverage / self.shape
         sizes = generator.gamma(self.shape, scale, size=n_clusters)
         return np.maximum(np.round(sizes), 0).astype(np.int64)
-
-    def with_mean(self, mean_coverage: float) -> "GammaCoverage":
-        return GammaCoverage(mean_coverage, self.shape)

@@ -6,8 +6,10 @@ base buffer plus per-read offsets/lengths, per-read cluster ids, and
 per-cluster source-strand indices. Everything downstream — the padded
 matrix the batched consensus scans eat, prefix selection for coverage
 sweeps, per-cluster grouping — is a vectorized view over those arrays;
-DNA *strings* only ever materialize lazily at the edges (``ReadCluster.
-reads``, FASTA/FASTQ export, CLI output).
+DNA *strings* only exist at the edges: :meth:`ReadBatch.from_strings`
+packs them in, and :meth:`ReadBatch.read_string` spells one read out.
+It is the one read container: the channel emits it, and the pipeline,
+the store, the clusterers and the consensus engines take it.
 
 Invariants:
 
@@ -25,15 +27,12 @@ Invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.utils.rng import RngLike, ensure_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.channel.sequencer import ReadCluster
 
 
 def packed_bases(
@@ -164,14 +163,6 @@ class ReadBatch:
         )
 
     @classmethod
-    def from_clusters(cls, clusters: Sequence["ReadCluster"]) -> "ReadBatch":
-        """Pack :class:`ReadCluster` objects (string- or array-backed)."""
-        return cls.from_arrays(
-            [cluster.read_indices() for cluster in clusters],
-            source_indices=[cluster.source_index for cluster in clusters],
-        )
-
-    @classmethod
     def concat(cls, batches: Sequence["ReadBatch"]) -> "ReadBatch":
         """Concatenate batches into one spanning batch.
 
@@ -270,26 +261,8 @@ class ReadBatch:
         start, stop = self.cluster_rows(cluster)
         return [self.read(i) for i in range(start, stop)]
 
-    def cluster_view(self, cluster: int) -> "ReadCluster":
-        """One cluster as a batch-backed :class:`ReadCluster` (lazy strings)."""
-        from repro.channel.sequencer import ReadCluster
-
-        return ReadCluster.from_arrays(
-            int(self.source_indices[cluster]), self.reads_of(cluster)
-        )
-
-    def to_clusters(self) -> List["ReadCluster"]:
-        """Every cluster as a batch-backed :class:`ReadCluster` view."""
-        return [self.cluster_view(c) for c in range(self.n_clusters)]
-
     def __len__(self) -> int:
         return self.n_clusters
-
-    def __getitem__(self, cluster: int) -> "ReadCluster":
-        return self.cluster_view(cluster)
-
-    def __iter__(self):
-        return (self.cluster_view(c) for c in range(self.n_clusters))
 
     # -- vectorized dense views ----------------------------------------------
 

@@ -12,14 +12,15 @@ The retrieval methodology of the paper's Section 6.1.2 is reproduced here:
 
 Both are thin façades over the columnar read plane: reads are generated
 by :class:`repro.channel.engine.BatchedChannelEngine` in one vectorized
-pass and stored as a :class:`repro.channel.readbatch.ReadBatch`;
-:class:`ReadCluster` objects are zero-copy views into that batch whose
-``reads`` strings only materialize if someone asks for them.
+pass and leave as a :class:`repro.channel.readbatch.ReadBatch`
+(:meth:`SequencingSimulator.sequence_batch`, :meth:`ReadPool.batch_at`),
+each read tagged with its cluster and each cluster with its source
+strand.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,95 +28,7 @@ from repro.channel.coverage import CoverageModel, FixedCoverage
 from repro.channel.engine import BatchedChannelEngine
 from repro.channel.errors import ErrorModel
 from repro.channel.readbatch import ReadBatch
-from repro.codec.basemap import bases_to_indices, indices_to_bases
 from repro.utils.rng import RngLike, ensure_rng
-
-
-class ReadCluster:
-    """Noisy reads known to originate from one source strand.
-
-    Backed either by ACGT strings (the historical construction, still the
-    right edge format for files and tests) or by symbol-index arrays
-    (batch views from the columnar read plane). Each representation is
-    derived lazily from the other and cached, so the decode hot path never
-    touches strings and the string edges never see arrays.
-
-    Attributes:
-        source_index: index of the original strand in the encoded unit.
-        reads: noisy copies (possibly empty, i.e. strand dropout),
-            decoded lazily when array-backed.
-    """
-
-    __slots__ = ("source_index", "_strings", "_arrays")
-
-    def __init__(
-        self, source_index: int, reads: Optional[List[str]] = None
-    ) -> None:
-        self.source_index = source_index
-        self._strings: Optional[List[str]] = (
-            list(reads) if reads is not None else []
-        )
-        self._arrays: Optional[List[np.ndarray]] = None
-
-    @classmethod
-    def from_arrays(
-        cls, source_index: int, arrays: Sequence[np.ndarray]
-    ) -> "ReadCluster":
-        """Build an array-backed cluster (e.g. a zero-copy batch view)."""
-        cluster = cls(source_index)
-        cluster._strings = None
-        cluster._arrays = list(arrays)
-        return cluster
-
-    @property
-    def reads(self) -> List[str]:
-        """The reads as ACGT strings (decoded on first access).
-
-        Once decoded, the string list becomes the cluster's authoritative
-        backing (mutations to it are honored, as with the historical
-        plain-list attribute).
-        """
-        if self._strings is None:
-            self._strings = [indices_to_bases(a) for a in self._arrays]
-        return self._strings
-
-    @property
-    def coverage(self) -> int:
-        backing = self._arrays if self._strings is None else self._strings
-        return len(backing)
-
-    def __repr__(self) -> str:
-        return (f"ReadCluster(source_index={self.source_index}, "
-                f"coverage={self.coverage})")
-
-    def read_indices(self) -> List[np.ndarray]:
-        """The reads as symbol-index arrays (what the consensus engines eat).
-
-        String-backed clusters convert on every call (the ``reads`` list
-        is caller-visible and may be mutated, so a cache would go stale);
-        array-backed batch views return their zero-copy arrays directly.
-        """
-        if self._strings is not None:
-            return [bases_to_indices(read) for read in self._strings]
-        return list(self._arrays)
-
-    def batch_view(self) -> ReadBatch:
-        """This cluster as a single-cluster :class:`ReadBatch`."""
-        return ReadBatch.from_arrays(
-            [self.read_indices()], source_indices=[self.source_index]
-        )
-
-    def padded_matrix(self, pad: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """The cluster as one ``(n_reads, max_len + pad)`` index matrix.
-
-        An analysis-friendly view using the same convention as the batched
-        refinement engines (sentinel -1 past each read's end; ``pad`` appends
-        extra sentinel columns), built by the vectorized
-        :meth:`ReadBatch.padded_matrix` gather rather than a per-read fill
-        loop. Returns ``(matrix, lengths)``; the matrix is empty with zero
-        columns for a lost cluster.
-        """
-        return self.batch_view().padded_matrix(pad)
 
 
 class SequencingSimulator:
@@ -143,14 +56,6 @@ class SequencingSimulator:
             coverage_model=self.coverage_model,
         )
         return engine.sequence(strands, rng)
-
-    def sequence(
-        self,
-        strands: Union[Sequence[str], Sequence[np.ndarray], np.ndarray],
-        rng: RngLike = None,
-    ) -> List[ReadCluster]:
-        """Produce one :class:`ReadCluster` per input strand (batch views)."""
-        return self.sequence_batch(strands, rng).to_clusters()
 
     def sequence_store(
         self, image, rng: RngLike = None, labeled: bool = True
@@ -270,7 +175,3 @@ class ReadPool:
             batch = batch.select_clusters(first_cluster, stop)
             counts = counts[first_cluster:stop]
         return batch.select_prefix(counts)
-
-    def clusters_at(self, coverage: float) -> List[ReadCluster]:
-        """Return clusters using the first ``coverage``-worth of pool reads."""
-        return self.batch_at(coverage).to_clusters()

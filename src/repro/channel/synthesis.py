@@ -23,7 +23,7 @@ cross.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from repro.channel.coverage import CoverageModel, FixedCoverage
 from repro.channel.engine import BatchedChannelEngine
 from repro.channel.errors import ErrorModel
 from repro.channel.readbatch import ReadBatch
-from repro.channel.sequencer import ReadCluster
 from repro.utils.rng import RngLike
 
 
@@ -70,11 +69,3 @@ class TwoStageSequencer:
             synthesis_model=self.synthesis_model,
         )
         return engine.sequence(strands, rng)
-
-    def sequence(
-        self,
-        strands: Union[Sequence[str], Sequence[np.ndarray], np.ndarray],
-        rng: RngLike = None,
-    ) -> List[ReadCluster]:
-        """Synthesize every strand once, then sequence the molecules."""
-        return self.sequence_batch(strands, rng).to_clusters()

@@ -42,7 +42,9 @@ from pathlib import Path
 from typing import List
 
 
-from repro.channel import ErrorModel, GammaCoverage, SequencingSimulator
+from repro.channel import (
+    ErrorModel, GammaCoverage, ReadBatch, SequencingSimulator,
+)
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
 from repro.core.ranking import proportional_share_ranking
 from repro.files import FileEntry, pack_archive, unpack_archive_robust
@@ -147,24 +149,20 @@ def _decode(args) -> int:
             ErrorModel.uniform(args.error_rate),
             GammaCoverage(args.coverage, shape=6),
         )
-        clusters = simulator.sequence(strands, rng=args.seed)
+        batch = simulator.sequence_batch(strands, rng=args.seed)
         print(f"simulated sequencing: {args.error_rate:.1%} errors, "
               f"coverage ~{args.coverage}")
     else:
-        from repro.channel import ReadCluster
-        clusters = [
-            ReadCluster(source_index=i, reads=[strand])
-            for i, strand in enumerate(strands)
-        ]
+        batch = ReadBatch.from_strings([[strand] for strand in strands])
 
     n_bits = header["n_data_bits"]
     if header["layout"] == "dnamapper":
-        received = pipeline.receive(clusters)
+        received = pipeline.receive(batch)
         corrected, report = pipeline.correct_matrix(received)
         prioritized = pipeline.prioritized_bits(corrected)
         data = _staged_unrank(pipeline, prioritized, n_bits)
     else:
-        bits, report = pipeline.decode(clusters, n_bits)
+        bits, report = pipeline.decode(batch, n_bits)
         data = bits_to_bytes(bits)
 
     if not report.clean:

@@ -115,10 +115,6 @@ class LayoutPolicy:
         """
         raise NotImplementedError
 
-    def codeword_of_cell(self, row: int, column: int) -> int:
-        """Inverse geometry: which codeword owns the given cell."""
-        raise NotImplementedError
-
     # -- shared helpers -------------------------------------------------------
 
     def _column_major(self) -> Iterator[Cell]:
@@ -141,9 +137,6 @@ class BaselineLayout(LayoutPolicy):
 
     def placement_order(self) -> Iterator[Cell]:
         return self._column_major()
-
-    def codeword_of_cell(self, row: int, column: int) -> int:
-        return row
 
 
 class GiniLayout(LayoutPolicy):
@@ -198,14 +191,6 @@ class GiniLayout(LayoutPolicy):
     def placement_order(self) -> Iterator[Cell]:
         return self._column_major()
 
-    def codeword_of_cell(self, row: int, column: int) -> int:
-        if row in self.excluded_rows:
-            return row
-        s = len(self._interleaved_rows)
-        position_in_group = self._interleaved_rows.index(row)
-        t = (position_in_group - column) % s
-        return self._interleaved_rows[t]
-
 
 class DnaMapperLayout(LayoutPolicy):
     """DnaMapper's priority zig-zag placement (the paper's Figure 9).
@@ -227,9 +212,6 @@ class DnaMapperLayout(LayoutPolicy):
         for row in self.row_priority_order():
             for column in range(self.config.data_columns):
                 yield (row, column)
-
-    def codeword_of_cell(self, row: int, column: int) -> int:
-        return row
 
     def row_priority_order(self) -> List[int]:
         """Payload rows from most to least reliable.
@@ -281,14 +263,10 @@ class RandomInterleavedLayout(LayoutPolicy):
                         for c in range(config.data_columns, config.n_columns)
                         for r in range(rows)]
         self._cells_of = [[] for _ in range(rows)]
-        self._owner = {}
         for pool in (data_cells, parity_cells):
             order = generator.permutation(len(pool))
             for slot, cell_index in enumerate(order):
-                codeword = slot % rows
-                cell = pool[int(cell_index)]
-                self._cells_of[codeword].append(cell)
-                self._owner[cell] = codeword
+                self._cells_of[slot % rows].append(pool[int(cell_index)])
 
     def codeword_cells(self, k: int) -> List[Cell]:
         if not (0 <= k < self.n_codewords):
@@ -297,9 +275,6 @@ class RandomInterleavedLayout(LayoutPolicy):
 
     def placement_order(self) -> Iterator[Cell]:
         return self._column_major()
-
-    def codeword_of_cell(self, row: int, column: int) -> int:
-        return self._owner[(row, column)]
 
 
 def build_layout(

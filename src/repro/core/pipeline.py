@@ -3,9 +3,10 @@
 Encoding: data bits -> priority permutation -> matrix placement -> per-
 codeword Reed-Solomon parity -> per-column DNA strands (index + payload).
 
-Decoding: read clusters -> consensus (two-way by default) -> index parse
-and column assembly -> per-codeword RS error/erasure correction ->
-inverse placement -> inverse permutation -> data bits.
+Decoding: a read batch (reads grouped into clusters) -> consensus
+(two-way by default) -> index parse and column assembly -> per-codeword
+RS error/erasure correction -> inverse placement -> inverse permutation
+-> data bits.
 
 The pipeline is deliberately split into ``receive`` (clusters to a raw
 symbol matrix) and ``correct`` (matrix to bits) so analyses like the
@@ -39,7 +40,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.channel.readbatch import ReadBatch
-from repro.channel.sequencer import ReadCluster
 from repro.codec.basemap import BASES
 from repro.consensus.base import Reconstructor, consensus_span
 from repro.consensus.two_way import TwoWayReconstructor
@@ -298,20 +298,16 @@ class DnaStoragePipeline:
 
     def receive(
         self,
-        clusters: Union[Sequence[ReadCluster], ReadBatch],
+        batch: ReadBatch,
         confidence_threshold: Optional[float] = None,
     ) -> ReceivedUnit:
         """Consensus + column assembly for one unit; no error correction.
 
-        The one-unit case of :meth:`receive_many`. A plain cluster list
-        is packed into a columnar
-        :class:`~repro.channel.readbatch.ReadBatch` first (index arrays
-        only — no base string is materialized).
+        The one-unit case of :meth:`receive_many`.
 
         Args:
-            clusters: read clusters (one per molecule, any order), or one
-                :class:`~repro.channel.readbatch.ReadBatch` covering the
-                unit.
+            batch: one :class:`~repro.channel.readbatch.ReadBatch`
+                covering the unit, one cluster per molecule in any order.
             confidence_threshold: when set *and* the reconstructor exposes
                 ``reconstruct_batch_with_confidence`` (see
                 :class:`repro.consensus.posterior.PosteriorReconstructor`),
@@ -322,8 +318,6 @@ class DnaStoragePipeline:
                 — an extension of the paper's design enabled by soft
                 consensus output.
         """
-        batch = (clusters if isinstance(clusters, ReadBatch)
-                 else ReadBatch.from_clusters(clusters))
         return self.receive_many(
             batch, [0, batch.n_clusters], confidence_threshold
         )[0]
@@ -762,7 +756,7 @@ class DnaStoragePipeline:
 
     def decode(
         self,
-        clusters: Union[Sequence[ReadCluster], ReadBatch],
+        batch: ReadBatch,
         n_data_bits: int,
         ranking: Optional[np.ndarray] = None,
         extra_erasure_columns: Sequence[int] = (),
@@ -772,7 +766,7 @@ class DnaStoragePipeline:
         An unlabeled read pool clusters first:
         ``decode(clusterer.cluster_batch(pool), n_data_bits)``.
         """
-        received = self.receive(clusters)
+        received = self.receive(batch)
         return self.correct(
             received, n_data_bits, ranking, extra_erasure_columns
         )

@@ -44,14 +44,12 @@ import ctypes
 import functools
 import numbers
 import os
-from collections import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.channel.readbatch import ReadBatch, packed_bases
-from repro.channel.sequencer import ReadCluster
 from repro.cluster.batched import BatchedGreedyClusterer
 from repro.cluster.lsh import LSHClusterer
 from repro.codec.basemap import BASES
@@ -114,14 +112,6 @@ def pin_heap() -> bool:
         )
     return _heap_pinned
 
-
-#: The labeled reads a :class:`ReadRequest` can carry: one spanning
-#: batch, one batch or cluster list per unit.
-StoreReads = Union[
-    ReadBatch,
-    Sequence[ReadBatch],
-    Sequence[Sequence[ReadCluster]],
-]
 
 #: Any clusterer a pooled request can ride: the exact batched greedy
 #: scan, or the sub-linear LSH-banded path for large pools — anything
@@ -204,9 +194,11 @@ class ReadRequest:
     ``TypeError``/``ValueError`` names the field.
 
     Attributes:
-        reads: the read material — anything :data:`StoreReads` accepts
-            for labeled requests; one :class:`ReadBatch` with one cluster
-            (pool) per unit when ``pool`` is set.
+        reads: the read material, always one :class:`ReadBatch`. Labeled
+            reads span the object: ``n_units x n_columns`` clusters, unit
+            ``u`` in cluster slots ``[u * n_columns, (u + 1) *
+            n_columns)`` (what ``SequencingSimulator.sequence_store``
+            returns). A pooled request holds one cluster (pool) per unit.
         n_data_bits: payload size stored at encode time.
         pool: when True, ``reads`` is an unlabeled per-unit pool batch
             and is clustered before decoding.
@@ -227,7 +219,7 @@ class ReadRequest:
             against the structured event log.
     """
 
-    reads: StoreReads
+    reads: ReadBatch
     n_data_bits: int
     pool: bool = False
     ranking: Optional[np.ndarray] = None
@@ -337,14 +329,13 @@ class DnaStore:
         must be a permutation of ``range(n_data_bits)`` (``ValueError``). A
         ``confidence_threshold`` must be ``None`` or a real number, not
         ``bool`` (``TypeError``), in [0, 1], so not ``nan`` (``ValueError``).
-        The reads must cover the request's units: a pooled request takes
-        one :class:`ReadBatch` with one pool per unit, and labeled reads
-        are a spanning batch of ``n_units x n_columns`` clusters or a list
-        of one :class:`ReadBatch` or :class:`ReadCluster` list per unit. A
-        wrong form is a ``TypeError``, a wrong count a ``ValueError``.
-        Every base of the request's reads must be one of the four DNA
-        letters (symbol < 4); another symbol, or a character a cluster's
-        string cannot map, is a ``ValueError``.
+        The reads must be one :class:`ReadBatch` (anything else, a list
+        included, is a ``TypeError``) covering the request's units: one
+        pool per unit for a pooled request, else a spanning batch of
+        ``n_units x n_columns`` clusters (a wrong count is a
+        ``ValueError``). Every base of the request's reads must be one of
+        the four DNA letters (symbol < 4); another symbol is a
+        ``ValueError``.
 
         :meth:`read_many` checks every request before any layer runs, and
         the service plane checks an object when it is registered. Cost:
@@ -392,59 +383,38 @@ class DnaStore:
                     "ReadRequest.confidence_threshold must be in [0, 1], got "
                     f"{threshold}"
                 )
+        if not isinstance(reads, ReadBatch):
+            raise TypeError(
+                "ReadRequest.reads must be one ReadBatch, got "
+                f"{type(reads).__name__}"
+            )
         n_units = self.units_needed(n_bits)
         if request.pool:
-            if not isinstance(reads, ReadBatch):
-                raise TypeError(
-                    "ReadRequest.reads of a pooled request must be one "
-                    "ReadBatch with one pool per unit"
-                )
             if reads.n_clusters != n_units:
                 raise ValueError(
                     f"ReadRequest.reads holds {reads.n_clusters} unit "
                     f"pools; the payload spans {n_units} units"
                 )
-        elif isinstance(reads, ReadBatch):
+        else:
             n_columns = self.pipeline.matrix_config.n_columns
             if reads.n_clusters != n_units * n_columns:
                 raise ValueError(
                     f"ReadRequest.reads holds {reads.n_clusters} clusters; "
                     f"expected {n_units} units x {n_columns} columns"
                 )
-        else:
-            if not isinstance(reads, abc.Sequence) or not all(
-                    isinstance(unit, ReadBatch)
-                    or (isinstance(unit, abc.Sequence)
-                        and all(isinstance(c, ReadCluster) for c in unit))
-                    for unit in reads):
-                raise TypeError(
-                    "ReadRequest.reads must be a ReadBatch or a list of "
-                    "one ReadBatch or ReadCluster list per unit"
-                )
-            if len(reads) != n_units:
-                raise ValueError(
-                    f"ReadRequest.reads holds {len(reads)} units; expected "
-                    f"{n_units}"
-                )
         # Every base of the request's own reads is a DNA letter. Reads
         # that fill their buffer are settled by one max over it; any other
         # batch (a view into a larger shared buffer, or one whose buffer
         # holds a bad symbol) is judged on its reads' own bases.
-        for batch in ([reads] if isinstance(reads, ReadBatch) else reads):
-            if not isinstance(batch, ReadBatch):
-                try:
-                    batch = ReadBatch.from_clusters(batch)
-                except ValueError as error:
-                    raise ValueError(f"ReadRequest.reads: {error}") from error
-            bases = batch.buffer
-            if (bases.size != batch.total_bases
-                    or bases.max(initial=0) >= len(BASES)):
-                bases = packed_bases(bases, batch.offsets, batch.lengths)
-                if bases.max(initial=0) >= len(BASES):
-                    raise ValueError(
-                        f"ReadRequest.reads holds base symbol {bases.max()}, "
-                        f"outside the {len(BASES)}-letter alphabet"
-                    )
+        bases = reads.buffer
+        if (bases.size != reads.total_bases
+                or bases.max(initial=0) >= len(BASES)):
+            bases = packed_bases(bases, reads.offsets, reads.lengths)
+            if bases.max(initial=0) >= len(BASES):
+                raise ValueError(
+                    f"ReadRequest.reads holds base symbol {bases.max()}, "
+                    f"outside the {len(BASES)}-letter alphabet"
+                )
 
     def read(self, request: ReadRequest) -> ReadResult:
         """Serve one :class:`ReadRequest`; returns a :class:`ReadResult`.
@@ -487,6 +457,7 @@ class DnaStore:
             for request in requests:
                 self.check(request)
             n_units = [self.units_needed(r.n_data_bits) for r in requests]
+            n_columns = self.pipeline.matrix_config.n_columns
 
             # One receive_many per distinct confidence threshold (the
             # threshold is a per-call knob of the consensus/receive pass);
@@ -509,10 +480,11 @@ class DnaStore:
                                if request.clusterer is not None else None)
                         pooled.setdefault(key, []).append(i)
                     else:
-                        batch, boundaries = self._spanning_batch(
-                            request.reads, n_units[i]
-                        )
-                        segments.append((batch, boundaries, [i]))
+                        # A spanning batch: unit u owns cluster slots
+                        # [u * n_columns, (u + 1) * n_columns).
+                        boundaries = np.arange(n_units[i] + 1,
+                                               dtype=np.int64) * n_columns
+                        segments.append((request.reads, boundaries, [i]))
                 # Pooled requests sharing a clusterer cluster through ONE
                 # cluster_pools call: their pool batches concatenate (one
                 # cluster per unit), and pools cluster independently, so
@@ -594,29 +566,3 @@ class DnaStore:
         return [
             len(range(u, n_data_bits, n_units)) for u in range(n_units)
         ]
-
-    def _spanning_batch(
-        self, reads: StoreReads, n_units: int
-    ) -> Tuple[ReadBatch, np.ndarray]:
-        """Normalize any accepted input form into ``(batch, boundaries)``.
-
-        ``boundaries`` is the per-unit cluster boundary table
-        (``boundaries[u] .. boundaries[u+1]`` are unit ``u``'s cluster
-        slots in the spanning batch). The form and unit count were
-        checked up front by :meth:`check`.
-        """
-        if isinstance(reads, ReadBatch):
-            n_columns = self.pipeline.matrix_config.n_columns
-            boundaries = np.arange(n_units + 1, dtype=np.int64) * n_columns
-            return reads, boundaries
-        per_unit = [
-            unit if isinstance(unit, ReadBatch)
-            else ReadBatch.from_clusters(unit)
-            for unit in reads
-        ]
-        counts = np.array([batch.n_clusters for batch in per_unit],
-                          dtype=np.int64)
-        boundaries = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        return ReadBatch.concat(per_unit), boundaries

@@ -92,18 +92,6 @@ class GaloisField:
         """Field addition (= subtraction) is XOR in characteristic 2."""
         return a ^ b
 
-    def mul(self, a: int, b: int) -> int:
-        """Field multiplication via log tables."""
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for 0."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return int(self._exp[self.max_value - self._log[a]])
-
     def alpha_pow(self, exponent: int) -> int:
         """Return alpha^exponent for the field's primitive element."""
         return int(self._exp[exponent % self.max_value])
@@ -156,14 +144,6 @@ class GaloisField:
 
     # -- polynomial ops (coefficient arrays, highest degree first) ----------
 
-    def poly_eval_many(self, poly: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Evaluate a polynomial at many points at once (vector Horner)."""
-        xs = np.asarray(xs, dtype=np.int64)
-        result = np.zeros_like(xs)
-        for coeff in np.asarray(poly, dtype=np.int64):
-            result = self.mul_vec(result, xs) ^ int(coeff)
-        return result
-
     def poly_eval_grid(self, polys: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Evaluate many polynomials at many points in one Horner sweep.
 
@@ -190,25 +170,6 @@ class GaloisField:
             if coeff != 0:
                 out[i: i + len(q)] ^= self.scale_vec(q, int(coeff))
         return out
-
-    def poly_divmod(self, dividend: np.ndarray, divisor: np.ndarray) -> tuple:
-        """Polynomial long division; returns (quotient, remainder)."""
-        dividend = np.asarray(dividend, dtype=np.int64).copy()
-        divisor = np.asarray(divisor, dtype=np.int64)
-        divisor = np.trim_zeros(divisor, "f")
-        if divisor.size == 0:
-            raise ZeroDivisionError("polynomial division by zero")
-        if len(dividend) < len(divisor):
-            return np.zeros(1, dtype=np.int64), dividend
-        lead_inv = self.inv(int(divisor[0]))
-        quotient = np.zeros(len(dividend) - len(divisor) + 1, dtype=np.int64)
-        for i in range(len(quotient)):
-            coeff = self.mul(int(dividend[i]), lead_inv)
-            quotient[i] = coeff
-            if coeff != 0:
-                dividend[i: i + len(divisor)] ^= self.scale_vec(divisor, coeff)
-        remainder = dividend[len(quotient):]
-        return quotient, remainder
 
     def __repr__(self) -> str:
         return f"GaloisField(2^{self.m}, poly=0x{self._poly:X})"

@@ -64,21 +64,16 @@ class ReedSolomon:
         self.k = n - nsym
         self._generator = self._build_generator()
         # Per-position roots used across the errata chain: alpha^(n-1-i)
-        # (erasure-locator factors, Forney's X), its inverse (Chien
-        # search, Forney evaluation points) and the syndrome evaluation
-        # points alpha^j — all constructor-time so neither the batched
-        # chain nor the frozen scalar reference pays per-codeword
-        # allocation.
+        # (erasure-locator factors, Forney's X) and its inverse (Chien
+        # search, Forney evaluation points) — constructor-time so neither
+        # the batched chain nor the frozen scalar reference pays
+        # per-codeword allocation.
         degrees = np.arange(self.n - 1, -1, -1, dtype=np.int64)
         self._roots = np.array(
             [self.field.alpha_pow(int(d)) for d in degrees], dtype=np.int64
         )
         self._inv_roots = np.array(
             [self.field.alpha_pow(-int(d)) for d in degrees], dtype=np.int64
-        )
-        self._syndrome_xs = np.array(
-            [self.field.alpha_pow(j) for j in range(self.nsym)],
-            dtype=np.int64,
         )
         # Lazy caches for the batched entry points (parity_many /
         # syndromes_many); built on first use, never for decode-only codes.
@@ -99,22 +94,14 @@ class ReedSolomon:
     def encode(self, message: Sequence[int]) -> np.ndarray:
         """Encode ``k`` data symbols into an ``n``-symbol systematic codeword.
 
-        The returned array is ``message || parity``.
+        The returned array is ``message || parity``, the parity being the
+        one-row case of :meth:`parity_many` (which rejects symbols
+        outside the field).
         """
         message = np.asarray(message, dtype=np.int64)
         if message.shape != (self.k,):
             raise ValueError(f"message must have {self.k} symbols, got {message.shape}")
-        if message.size and (message.min() < 0 or message.max() > self.field.max_value):
-            raise ValueError("message symbols out of field range")
-        padded = np.concatenate([message, np.zeros(self.nsym, dtype=np.int64)])
-        _, remainder = self.field.poly_divmod(padded, self._generator)
-        parity = np.zeros(self.nsym, dtype=np.int64)
-        parity[self.nsym - len(remainder):] = remainder
-        return np.concatenate([message, parity])
-
-    def parity(self, message: Sequence[int]) -> np.ndarray:
-        """Return only the ``nsym`` parity symbols for ``message``."""
-        return self.encode(message)[self.k:]
+        return np.concatenate([message, self.parity_many(message[None])[0]])
 
     def _parity_generator_rows(self) -> np.ndarray:
         """The systematic parity map as a ``(k, nsym)`` matrix over GF(2^m).
@@ -169,8 +156,9 @@ class ReedSolomon:
     def parity_many(self, messages: np.ndarray) -> np.ndarray:
         """Parity symbols of many messages as one GF matrix product.
 
-        ``messages`` is ``(B, k)``; the result is ``(B, nsym)``, row-wise
-        identical to :meth:`parity`. The systematic parity map is linear
+        ``messages`` is ``(B, k)``; the result is ``(B, nsym)``: row ``b``
+        is the remainder of ``messages[b] * x^nsym`` divided by the
+        generator polynomial. The systematic parity map is linear
         over GF(2^m), so the batch reduces to ``messages @ G_parity``,
         evaluated as a single bit-plane 0/1 matrix product (see
         :meth:`_parity_bit_matrix`) followed by a mod-2 reduction and bit
@@ -331,9 +319,9 @@ class ReedSolomon:
     def syndromes_many(self, words: np.ndarray) -> np.ndarray:
         """Syndromes of many received words as one GF matrix product.
 
-        ``words`` is ``(B, n)``; the result is ``(B, nsym)``, row-wise
-        identical to the scalar syndrome computation inside
-        :meth:`decode`. Like :meth:`parity_many`, the GF-linear map runs
+        ``words`` is ``(B, n)``; the result is ``(B, nsym)``: ``S_j =
+        C(alpha^j)`` for ``j = 0..nsym-1``, with the word read as the
+        polynomial ``C``. Like :meth:`parity_many`, the GF-linear map runs
         as a single bit-plane 0/1 matrix product (mod-2 reduced and
         re-packed), so checking a whole store's codewords costs one BLAS
         call instead of ``B * n`` scalar field operations. A word is a
@@ -353,15 +341,13 @@ class ReedSolomon:
         return self._pack_counts(counts)
 
     def check(self, word: Sequence[int]) -> bool:
-        """Return True if ``word`` is a valid codeword (all syndromes zero)."""
+        """Return True if ``word`` is a valid codeword: the one-row case
+        of :meth:`syndromes_many` (which rejects symbols outside the
+        field) is all zero."""
         word = np.asarray(word, dtype=np.int64)
         if word.shape != (self.n,):
             raise ValueError(f"word must have {self.n} symbols, got {word.shape}")
-        return not np.any(self._syndromes(word))
-
-    def _syndromes(self, word: np.ndarray) -> np.ndarray:
-        """S_j = C(alpha^j) for j = 0..nsym-1 (ascending array)."""
-        return self.field.poly_eval_many(word, self._syndrome_xs)
+        return not self.syndromes_many(word[None]).any()
 
     def __repr__(self) -> str:
         return f"ReedSolomon(m={self.m}, n={self.n}, k={self.k}, nsym={self.nsym})"

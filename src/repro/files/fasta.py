@@ -15,14 +15,13 @@ PathLike = Union[str, Path]
 _VALID_SEQUENCE = re.compile(r"^[ACGT]*$")
 
 
-def write_fasta(path: PathLike, strands: Sequence[str],
-                prefix: str = "strand") -> None:
-    """Write strands as FASTA records named ``<prefix>_<index>``."""
+def write_fasta(path: PathLike, strands: Sequence[str]) -> None:
+    """Write strands as FASTA records named ``strand_<index>``."""
     path = Path(path)
     with path.open("w", encoding="ascii") as handle:
         for index, strand in enumerate(strands):
             _check_sequence(strand)
-            handle.write(f">{prefix}_{index}\n{strand}\n")
+            handle.write(f">strand_{index}\n{strand}\n")
 
 
 def _check_sequence(sequence: str) -> None:

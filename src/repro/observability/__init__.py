@@ -90,7 +90,6 @@ from repro.observability.trace import (
     SpanRecord,
     Tracer,
     get_tracer,
-    traced,
     use_tracer,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "SpanRecord",
     "get_tracer",
     "use_tracer",
-    "traced",
     # metrics
     "Counter",
     "Gauge",

@@ -94,9 +94,6 @@ class EventLog:
             return list(self._records)
         return [r for r in self._records if r["event"] == event]
 
-    def tail(self, n: int) -> List[dict]:
-        return list(self._records)[-n:]
-
     def to_jsonl(self) -> str:
         return "".join(
             json.dumps(record, default=str) + "\n"

@@ -29,7 +29,6 @@ tracer with :func:`~repro.observability.manifest.build_manifest`.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
@@ -274,24 +273,3 @@ def use_tracer(tracer: Tracer):
             _deactivate()
         else:
             _state.tracer = previous
-
-
-def traced(name: Optional[str] = None, **attributes):
-    """Decorator form of :meth:`Tracer.span` on the active tracer.
-
-    ``@traced("stage.name")`` wraps the call in a span; with no name the
-    function's qualified name is used. Attributes are static (evaluated
-    at decoration time).
-    """
-
-    def decorate(func):
-        span_name = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with get_tracer().span(span_name, **attributes):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -59,11 +59,6 @@ class BitReader:
         self._pos = 0
 
     @property
-    def position(self) -> int:
-        """Current bit offset from the start."""
-        return self._pos
-
-    @property
     def remaining(self) -> int:
         """Number of unread bits."""
         return len(self._bits) - self._pos

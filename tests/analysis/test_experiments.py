@@ -86,26 +86,26 @@ class TestImageStoreExperiment:
 
     def test_clean_retrieval_is_lossless(self, store):
         pool = store.build_pool(error_rate=0.0, max_coverage=1, rng=0)
-        result = store.retrieve(pool.clusters_at(1))
+        result = store.retrieve(pool.batch_at(1))
         assert result.archive_ok and result.decode_clean
         assert result.mean_loss_db == 0.0
         assert result.n_catastrophic == 0
 
     def test_noisy_retrieval_at_high_coverage(self, store):
         pool = store.build_pool(error_rate=0.05, max_coverage=10, rng=1)
-        result = store.retrieve(pool.clusters_at(10))
+        result = store.retrieve(pool.batch_at(10))
         assert result.archive_ok
         assert result.mean_loss_db < 1.0  # at most barely noticeable
 
     def test_low_coverage_degrades_gracefully(self, store):
         pool = store.build_pool(error_rate=0.08, max_coverage=10, rng=2)
-        good = store.retrieve(pool.clusters_at(10))
-        bad = store.retrieve(pool.clusters_at(3))
+        good = store.retrieve(pool.batch_at(10))
+        bad = store.retrieve(pool.batch_at(3))
         assert bad.mean_loss_db >= good.mean_loss_db
 
     def test_catastrophic_loss_capped(self, store):
         pool = store.build_pool(error_rate=0.30, max_coverage=2, rng=3)
-        result = store.retrieve(pool.clusters_at(2))
+        result = store.retrieve(pool.batch_at(2))
         assert all(loss <= CATASTROPHIC_LOSS_DB for loss in result.losses_db)
 
     def test_baseline_layout_variant(self):
@@ -114,7 +114,7 @@ class TestImageStoreExperiment:
         experiment = ImageStoreExperiment(images, matrix, layout="baseline",
                                           quality=60, rng=6)
         pool = experiment.build_pool(error_rate=0.0, max_coverage=1, rng=0)
-        result = experiment.retrieve(pool.clusters_at(1))
+        result = experiment.retrieve(pool.batch_at(1))
         assert result.mean_loss_db == 0.0
 
     def test_unencrypted_variant(self):
@@ -123,7 +123,7 @@ class TestImageStoreExperiment:
         experiment = ImageStoreExperiment(images, matrix, layout="gini",
                                           quality=60, encrypt=False, rng=7)
         pool = experiment.build_pool(error_rate=0.0, max_coverage=1, rng=0)
-        assert experiment.retrieve(pool.clusters_at(1)).mean_loss_db == 0.0
+        assert experiment.retrieve(pool.batch_at(1)).mean_loss_db == 0.0
 
     def test_archive_too_big_rejected(self):
         tiny = MatrixConfig(m=8, n_columns=20, nsym=4, payload_rows=4)

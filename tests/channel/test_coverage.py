@@ -19,9 +19,6 @@ class TestFixedCoverage:
         with pytest.raises(ValueError):
             FixedCoverage(0)
 
-    def test_with_mean(self):
-        assert FixedCoverage(5).with_mean(9).mean_coverage == 9
-
 
 class TestGammaCoverage:
     def test_mean_close_to_target(self):
@@ -41,11 +38,6 @@ class TestGammaCoverage:
         counts = GammaCoverage(4, shape=3).sample(1000, rng=4)
         assert counts.dtype == np.int64
         assert counts.min() >= 0
-
-    def test_with_mean_preserves_shape(self):
-        model = GammaCoverage(10, shape=7).with_mean(20)
-        assert model.mean_coverage == 20
-        assert model.shape == 7
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

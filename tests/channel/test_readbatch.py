@@ -7,7 +7,6 @@ from repro.channel import (
     ErrorModel,
     FixedCoverage,
     ReadBatch,
-    ReadCluster,
     SequencingSimulator,
 )
 from repro.channel.readbatch import packed_bases
@@ -16,6 +15,11 @@ from repro.codec.basemap import (
     indices_to_bases,
     random_bases,
 )
+
+
+def cluster_strings(batch, cluster):
+    """One cluster's reads as base strings."""
+    return [batch.read_string(i) for i in range(*batch.cluster_rows(cluster))]
 
 
 def make_batch():
@@ -41,16 +45,6 @@ class TestConstruction:
         assert view.base is batch.buffer or view.base is batch.buffer.base
         np.testing.assert_array_equal(view, bases_to_indices("TTAC"))
         assert batch.read_string(4) == "GGT"
-
-    def test_from_clusters_roundtrip(self):
-        clusters = [
-            ReadCluster(source_index=2, reads=["ACGT", "AC"]),
-            ReadCluster(source_index=0, reads=[]),
-        ]
-        batch = ReadBatch.from_clusters(clusters)
-        back = batch.to_clusters()
-        assert [c.source_index for c in back] == [2, 0]
-        assert [c.reads for c in back] == [["ACGT", "AC"], []]
 
     def test_validation(self):
         with pytest.raises(ValueError):  # decreasing cluster ids
@@ -98,35 +92,9 @@ class TestConstruction:
 
 
 class TestSequenceProtocol:
-    def test_len_iter_getitem(self):
-        batch = make_batch()
-        assert len(batch) == 3
-        assert [c.source_index for c in batch] == [5, 6, 7]
-        assert batch[2].reads == ["A", "", "GGT"]
-        assert batch[1].coverage == 0
-
-    def test_string_backed_cluster_honors_reads_mutation(self):
-        """The ``reads`` list is caller-visible state (historical plain
-        attribute): mutating it must be reflected by later index/matrix
-        views, never served from a stale cache."""
-        cluster = ReadCluster(source_index=0, reads=["ACG"])
-        assert len(cluster.read_indices()) == 1
-        cluster.reads.append("TTT")
-        arrays = cluster.read_indices()
-        assert len(arrays) == 2
-        np.testing.assert_array_equal(arrays[1], bases_to_indices("TTT"))
-        assert cluster.coverage == 2
-        matrix, _ = cluster.padded_matrix()
-        assert matrix.shape == (2, 3)
-
-    def test_cluster_views_are_lazy(self):
-        batch = make_batch()
-        cluster = batch[0]
-        assert cluster._strings is None          # no strings materialized yet
-        arrays = cluster.read_indices()
-        np.testing.assert_array_equal(arrays[0], bases_to_indices("ACG"))
-        assert cluster._strings is None          # still none after array use
-        assert cluster.reads == ["ACG", "TTAC"]  # decoded on demand
+    def test_len_counts_clusters(self):
+        assert len(make_batch()) == 3
+        assert len(ReadBatch.from_strings([])) == 0
 
 
 class TestPaddedMatrix:
@@ -175,10 +143,10 @@ class TestRestructuring:
         batch = make_batch()
         one = batch.select_prefix(np.array([1, 1, 1]))
         np.testing.assert_array_equal(one.coverage_counts(), [1, 0, 1])
-        assert one[0].reads == ["ACG"]
-        assert one[2].reads == ["A"]
+        assert cluster_strings(one, 0) == ["ACG"]
+        assert cluster_strings(one, 2) == ["A"]
         two = batch.select_prefix(np.array([2, 2, 2]))
-        assert two[2].reads == ["A", ""]
+        assert cluster_strings(two, 2) == ["A", ""]
         assert two.buffer is batch.buffer
 
     def test_select_prefix_validation(self):
@@ -193,7 +161,7 @@ class TestRestructuring:
         tail = batch.select_clusters(1, 3)
         assert tail.n_clusters == 2
         np.testing.assert_array_equal(tail.source_indices, [6, 7])
-        assert tail[1].reads == ["A", "", "GGT"]
+        assert cluster_strings(tail, 1) == ["A", "", "GGT"]
         assert tail.buffer is batch.buffer
         with pytest.raises(ValueError):
             batch.select_clusters(2, 5)
@@ -209,18 +177,6 @@ class TestClusterAccess:
     def test_cluster_rows_out_of_range(self, cluster):
         with pytest.raises(IndexError):
             make_batch().cluster_rows(cluster)
-
-    def test_cluster_view_carries_source_index(self):
-        view = make_batch().cluster_view(2)
-        assert view.source_index == 7
-        assert view.coverage == 3
-        assert view.reads == ["A", "", "GGT"]
-
-    def test_lost_cluster_view(self):
-        view = make_batch().cluster_view(1)
-        assert view.source_index == 6
-        assert view.coverage == 0
-        assert view.reads == []
 
     def test_reads_of_are_buffer_views(self):
         batch = make_batch()
@@ -260,7 +216,7 @@ class TestConcat:
                                       [2, 0, 3, 1, 2])
         np.testing.assert_array_equal(joined.source_indices,
                                       [5, 6, 7, 0, 1])
-        assert joined[4].reads == ["C", "G"]
+        assert cluster_strings(joined, 4) == ["C", "G"]
 
     def test_no_batches(self):
         joined = ReadBatch.concat([])
@@ -391,25 +347,3 @@ class TestPackedBases:
                                           getattr(want, name))
         assert got.n_clusters == want.n_clusters
         assert got.buffer is not tight.buffer
-
-
-class TestSimulatorIntegration:
-    def test_batch_and_cluster_paths_agree(self):
-        strands = [random_bases(40, np.random.default_rng(i))
-                   for i in range(12)]
-        simulator = SequencingSimulator(ErrorModel.uniform(0.08),
-                                        FixedCoverage(5))
-        batch = simulator.sequence_batch(strands, rng=3)
-        clusters = simulator.sequence(strands, rng=3)
-        assert batch.n_clusters == len(clusters) == 12
-        for c, cluster in enumerate(clusters):
-            for i, read in enumerate(cluster.read_indices()):
-                start, _ = batch.cluster_rows(c)
-                np.testing.assert_array_equal(read, batch.read(start + i))
-
-    def test_cluster_padded_matrix_routes_through_batch(self):
-        cluster = ReadCluster(source_index=0, reads=["ACG", "T", "ACGTA"])
-        matrix, lengths = cluster.padded_matrix(pad=2)
-        assert matrix.shape == (3, 7)
-        np.testing.assert_array_equal(lengths, [3, 1, 5])
-        np.testing.assert_array_equal(matrix[1], [3, -1, -1, -1, -1, -1, -1])

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel, FixedCoverage
+from repro.channel import BatchedChannelEngine, ErrorModel, FixedCoverage
 from repro.channel.synthesis import TwoStageSequencer
 from repro.codec.basemap import random_bases
 from repro.consensus import TwoWayReconstructor
+
+
+def clusters_as_strings(batch):
+    """Every cluster's reads as base strings."""
+    return [
+        [batch.read_string(i) for i in range(*batch.cluster_rows(c))]
+        for c in range(batch.n_clusters)
+    ]
 
 
 class TestSynthesisStage:
@@ -18,8 +26,8 @@ class TestSynthesisStage:
             ErrorModel.uniform(0.0), ErrorModel.uniform(0.0),
             FixedCoverage(4),
         )
-        clusters = channel.sequence(strands, rng)
-        assert [c.reads for c in clusters] == [[s] * 4 for s in strands]
+        batch = channel.sequence_batch(strands, rng)
+        assert clusters_as_strings(batch) == [[s] * 4 for s in strands]
 
     def test_mutations_applied_once(self, rng):
         strands = [random_bases(200, rng) for _ in range(3)]
@@ -27,10 +35,11 @@ class TestSynthesisStage:
             ErrorModel.uniform(0.1), ErrorModel.uniform(0.0),
             FixedCoverage(5),
         )
-        for cluster, strand in zip(channel.sequence(strands, rng), strands):
-            molecule = cluster.reads[0]
+        batch = channel.sequence_batch(strands, rng)
+        for reads, strand in zip(clusters_as_strings(batch), strands):
+            molecule = reads[0]
             assert molecule != strand
-            assert cluster.reads == [molecule] * 5
+            assert reads == [molecule] * 5
 
     def test_deterministic(self, rng):
         strands = [random_bases(60, rng) for _ in range(2)]
@@ -38,21 +47,24 @@ class TestSynthesisStage:
             ErrorModel.uniform(0.2), ErrorModel.uniform(0.05),
             FixedCoverage(3),
         )
-        first = channel.sequence(strands, rng=5)
-        second = channel.sequence(strands, rng=5)
-        assert [c.reads for c in first] == [c.reads for c in second]
+        first = channel.sequence_batch(strands, rng=5)
+        second = channel.sequence_batch(strands, rng=5)
+        assert clusters_as_strings(first) == clusters_as_strings(second)
 
-    def test_batch_and_cluster_forms_agree(self, rng):
+    def test_matches_the_engine_it_fronts(self, rng):
+        """Each model reaches its own stage of the engine."""
         strands = [random_bases(50, rng) for _ in range(3)]
-        channel = TwoStageSequencer(
-            ErrorModel.uniform(0.05), ErrorModel.uniform(0.05),
-            FixedCoverage(4),
+        synthesis = ErrorModel.uniform(0.05)
+        sequencing = ErrorModel.uniform(0.2)
+        channel = TwoStageSequencer(synthesis, sequencing, FixedCoverage(4))
+        engine = BatchedChannelEngine(
+            sequencing_model=sequencing, coverage_model=FixedCoverage(4),
+            synthesis_model=synthesis,
         )
         batch = channel.sequence_batch(strands, rng=9)
-        clusters = channel.sequence(strands, rng=9)
-        assert batch.n_clusters == len(clusters) == 3
-        assert [c.reads for c in batch.to_clusters()] \
-            == [c.reads for c in clusters]
+        assert batch.n_clusters == 3
+        assert clusters_as_strings(batch) \
+            == clusters_as_strings(engine.sequence(strands, rng=9))
 
     def test_reassigned_model_is_honored(self, rng):
         strands = [random_bases(80, rng)]
@@ -61,7 +73,8 @@ class TestSynthesisStage:
             FixedCoverage(2),
         )
         channel.synthesis_model = ErrorModel.uniform(0.0)
-        assert channel.sequence(strands, rng).pop().reads == strands * 2
+        batch = channel.sequence_batch(strands, rng)
+        assert clusters_as_strings(batch) == [strands * 2]
 
 
 class TestTwoStageSequencer:
@@ -71,9 +84,9 @@ class TestTwoStageSequencer:
             ErrorModel.uniform(0.02), ErrorModel.uniform(0.05),
             FixedCoverage(6),
         )
-        clusters = channel.sequence(strands, rng)
-        assert len(clusters) == 4
-        assert all(c.coverage == 6 for c in clusters)
+        batch = channel.sequence_batch(strands, rng)
+        assert batch.n_clusters == 4
+        assert (batch.coverage_counts() == 6).all()
 
     def test_synthesis_errors_are_shared_across_reads(self, rng):
         """With zero sequencing noise, all reads equal the mutated molecule
@@ -83,8 +96,7 @@ class TestTwoStageSequencer:
             ErrorModel.uniform(0.10), ErrorModel.uniform(0.0),
             FixedCoverage(20),
         )
-        clusters = channel.sequence([strand], rng)
-        reads = clusters[0].reads
+        reads = clusters_as_strings(channel.sequence_batch([strand], rng))[0]
         assert len(set(reads)) == 1       # identical reads
         assert reads[0] != strand         # but not the designed strand
         consensus = TwoWayReconstructor().reconstruct(reads, len(strand))
@@ -98,9 +110,7 @@ class TestTwoStageSequencer:
             ErrorModel.uniform(0.0), ErrorModel.uniform(0.05),
             FixedCoverage(12),
         )
-        clusters = channel.sequence([strand], rng)
-        consensus = TwoWayReconstructor().reconstruct(
-            clusters[0].reads, len(strand)
-        )
+        reads = clusters_as_strings(channel.sequence_batch([strand], rng))[0]
+        consensus = TwoWayReconstructor().reconstruct(reads, len(strand))
         errors = sum(a != b for a, b in zip(consensus, strand))
         assert errors <= 2

@@ -37,9 +37,9 @@ def assert_same_clustering(batch, labeled, clusterer_args):
     """The batched clusterer must reproduce the frozen string-plane scan."""
     reads = [batch.read_string(i) for i in range(batch.n_reads)]
     want = ReferenceGreedyClusterer(*clusterer_args).cluster(reads)
-    assert clusters_as_strings(labeled) == [c.reads for c in want]
-    assert [int(s) for s in labeled.source_indices] \
-        == [c.source_index for c in want]
+    assert clusters_as_strings(labeled) == clusters_as_strings(want)
+    np.testing.assert_array_equal(labeled.source_indices,
+                                  want.source_indices)
 
 
 class TestDifferential:

@@ -21,7 +21,6 @@ from repro.channel import (
     ErrorModel,
     FixedCoverage,
     ReadBatch,
-    ReadCluster,
     SequencingSimulator,
 )
 from repro.consensus import PosteriorReconstructor
@@ -75,27 +74,29 @@ unit_plans = st.fixed_dictionaries({
 })
 
 
-def unit_clusters(plan):
-    """One unit's clusters: sequenced, then damaged as ``plan`` says."""
+def unit_batch(plan):
+    """One unit's reads: sequenced, then damaged as ``plan`` says."""
     rng = np.random.default_rng(plan["seed"])
     bits = rng.integers(0, 2, PIPELINE.capacity_bits, dtype=np.uint8)
     strands = PIPELINE.encode(bits).strands
     simulator = SequencingSimulator(ErrorModel.uniform(0.04),
                                     FixedCoverage(plan["coverage"]))
-    clusters = simulator.sequence(strands, rng)
+    batch = simulator.sequence_batch(strands, rng)
+    reads = [[batch.read_string(i) for i in range(*batch.cluster_rows(c))]
+             for c in range(batch.n_clusters)]
+    sources = list(range(batch.n_clusters))
     for cluster, strand in plan["duplicates"]:
-        clusters[cluster] = ReadCluster(cluster, [strands[strand]] * 2)
+        reads[cluster] = [strands[strand]] * 2
     for cluster in plan["bad_index"]:  # index field 255 >= n_columns
-        clusters[cluster] = ReadCluster(cluster,
-                                        ["TTTT" + strands[cluster][4:]] * 2)
+        reads[cluster] = ["TTTT" + strands[cluster][4:]] * 2
     for cluster in plan["malformed"]:
-        clusters[cluster] = ReadCluster(MALFORMED + cluster,
-                                        clusters[cluster].reads)
+        sources[cluster] = MALFORMED + cluster
     for cluster in plan["lost"]:
-        clusters[cluster] = ReadCluster(cluster, [])
+        reads[cluster] = []
     for k in range(plan["extra_clusters"]):
-        clusters.append(ReadCluster(N_COLUMNS + k, [strands[k]]))
-    return clusters
+        reads.append([strands[k]])
+        sources.append(N_COLUMNS + k)
+    return ReadBatch.from_strings(reads, source_indices=sources)
 
 
 def assert_received_equal(got, want):
@@ -114,7 +115,7 @@ def assert_received_equal(got, want):
        split=st.integers(0, 6))
 def test_columnar_views_match_the_per_unit_loops(plans, threshold, extra,
                                                  split):
-    units = [ReadBatch.from_clusters(unit_clusters(plan)) for plan in plans]
+    units = [unit_batch(plan) for plan in plans]
     boundaries = np.cumsum([0] + [unit.n_clusters for unit in units])
     received = PIPELINE.receive_many(ReadBatch.concat(units), boundaries,
                                      confidence_threshold=threshold)

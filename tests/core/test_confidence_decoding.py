@@ -25,7 +25,8 @@ class TestReceiveWithConfidence:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(model, FixedCoverage(2))
         received = pipeline.receive(
-            simulator.sequence(unit.strands, rng), confidence_threshold=0.5
+            simulator.sequence_batch(unit.strands, rng),
+            confidence_threshold=0.5,
         )
         assert received.cell_erasures == []
 
@@ -36,7 +37,8 @@ class TestReceiveWithConfidence:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(model, FixedCoverage(4))
         received = pipeline.receive(
-            simulator.sequence(unit.strands, rng), confidence_threshold=0.8
+            simulator.sequence_batch(unit.strands, rng),
+            confidence_threshold=0.8,
         )
         assert len(received.cell_erasures) > 0
         for row, column in received.cell_erasures:
@@ -52,7 +54,8 @@ class TestReceiveWithConfidence:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.1), FixedCoverage(4))
         received = pipeline.receive(
-            simulator.sequence(unit.strands, rng), confidence_threshold=0.8
+            simulator.sequence_batch(unit.strands, rng),
+            confidence_threshold=0.8,
         )
         assert received.cell_erasures == []
 
@@ -63,7 +66,8 @@ class TestReceiveWithConfidence:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(model, FixedCoverage(8))
         received = pipeline.receive(
-            simulator.sequence(unit.strands, rng), confidence_threshold=0.7
+            simulator.sequence_batch(unit.strands, rng),
+            confidence_threshold=0.7,
         )
         decoded, report = pipeline.correct(received, bits.size)
         assert report.clean
@@ -81,10 +85,10 @@ class TestSoftErasureCorrection:
         total_plain = total_assisted = 0
         for trial in range(3):
             pool = ReadPool(unit.strands, model, max_coverage=5, rng=trial)
-            clusters = pool.clusters_at(5)
-            plain = pipeline.receive(clusters)
+            batch = pool.batch_at(5)
+            plain = pipeline.receive(batch)
             _, report_plain = pipeline.correct(plain, bits.size)
-            assisted = pipeline.receive(clusters, confidence_threshold=0.75)
+            assisted = pipeline.receive(batch, confidence_threshold=0.75)
             _, report_assisted = pipeline.correct(assisted, bits.size)
             total_plain += len(report_plain.failed_codewords)
             total_assisted += len(report_assisted.failed_codewords)
@@ -99,7 +103,8 @@ class TestSoftErasureCorrection:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(model, FixedCoverage(6))
         received = pipeline.receive(
-            simulator.sequence(unit.strands, rng), confidence_threshold=1.1
+            simulator.sequence_batch(unit.strands, rng),
+            confidence_threshold=1.1,
         )
         decoded, report = pipeline.correct(received, bits.size)
         assert decoded.shape == (bits.size,)
@@ -108,8 +113,8 @@ class TestSoftErasureCorrection:
 class TestMinimalConfidenceReconstructor:
     def test_batch_input_falls_back_to_per_cluster_confidence(self, rng):
         """Any reconstructor defining ``reconstruct_batch_with_confidence``
-        takes the confidence path, from ReadBatch and from cluster-list
-        input alike."""
+        takes the confidence path, from a one-unit ReadBatch and from a
+        spanning batch through ``receive_many`` alike."""
         calls = []
 
         class MinimalConfidence(TwoWayReconstructor):
@@ -128,11 +133,11 @@ class TestMinimalConfidenceReconstructor:
         simulator = SequencingSimulator(model, FixedCoverage(8))
         batch = simulator.sequence_batch(unit.strands, rng)
         received = pipeline.receive(batch, confidence_threshold=0.5)
-        from_list = pipeline.receive(
-            simulator.sequence(unit.strands, rng=0),
+        [spanning] = pipeline.receive_many(
+            simulator.sequence_batch(unit.strands, rng=0),
             confidence_threshold=0.5,
         )
         assert len(calls) == 2
-        assert received.matrix.shape == from_list.matrix.shape
+        assert received.matrix.shape == spanning.matrix.shape
         decoded, report = pipeline.correct(received, bits.size)
         np.testing.assert_array_equal(decoded, bits)

@@ -35,7 +35,7 @@ class TestSingleRow:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
         decoded, report = pipeline.decode(
-            simulator.sequence(unit.strands, rng), bits.size
+            simulator.sequence_batch(unit.strands, rng), bits.size
         )
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -74,7 +74,7 @@ class TestMoreRowsThanColumns:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
         decoded, report = pipeline.decode(
-            simulator.sequence(unit.strands, rng), bits.size
+            simulator.sequence_batch(unit.strands, rng), bits.size
         )
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -91,7 +91,7 @@ class TestGf4Unit:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
         decoded, report = pipeline.decode(
-            simulator.sequence(unit.strands, rng), bits.size
+            simulator.sequence_batch(unit.strands, rng), bits.size
         )
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)

@@ -7,7 +7,6 @@ from repro.channel import (
     ErrorModel,
     FixedCoverage,
     ReadBatch,
-    ReadCluster,
     SequencingSimulator,
 )
 from repro.consensus import PosteriorReconstructor, TwoWayReconstructor
@@ -56,9 +55,13 @@ def _payload(pipeline, rng, slack=0):
     return rng.integers(0, 2, pipeline.capacity_bits - slack).astype(np.uint8)
 
 
-def _noiseless_clusters(unit, rng):
-    simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
-    return simulator.sequence(unit.strands, rng)
+def _noiseless_batch(unit, replaced=()):
+    """One exact read per strand; ``replaced`` maps a cluster to the
+    reads it holds instead (``[]`` loses the molecule)."""
+    reads = [[strand] for strand in unit.strands]
+    for cluster, cluster_reads in dict(replaced).items():
+        reads[cluster] = cluster_reads
+    return ReadBatch.from_strings(reads)
 
 
 class TestEncode:
@@ -109,7 +112,7 @@ class TestDecodeNoiseless:
         )
         bits = _payload(pipeline, rng, slack=24)
         unit = pipeline.encode(bits)
-        decoded, report = pipeline.decode(_noiseless_clusters(unit, rng), bits.size)
+        decoded, report = pipeline.decode(_noiseless_batch(unit), bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -118,7 +121,7 @@ class TestDecodeNoiseless:
         ranking = rng.permutation(bits.size)
         unit = pipeline.encode(bits, ranking=ranking)
         decoded, _ = pipeline.decode(
-            _noiseless_clusters(unit, rng), bits.size, ranking=ranking
+            _noiseless_batch(unit), bits.size, ranking=ranking
         )
         np.testing.assert_array_equal(decoded, bits)
 
@@ -129,7 +132,7 @@ class TestDecodeNoiseless:
         ))
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        decoded, report = pipeline.decode(_noiseless_clusters(unit, rng), bits.size)
+        decoded, report = pipeline.decode(_noiseless_batch(unit), bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -138,10 +141,9 @@ class TestDecodeWithLosses:
     def test_erasures_corrected(self, pipeline, rng):
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
-        for column in (3, 17, 40):  # lose three molecules entirely
-            clusters[column] = ReadCluster(source_index=column, reads=[])
-        decoded, report = pipeline.decode(clusters, bits.size)
+        # Lose three molecules entirely.
+        batch = _noiseless_batch(unit, {column: [] for column in (3, 17, 40)})
+        decoded, report = pipeline.decode(batch, bits.size)
         assert report.clean
         assert sorted(report.erased_columns) == [3, 17, 40]
         np.testing.assert_array_equal(decoded, bits)
@@ -149,10 +151,9 @@ class TestDecodeWithLosses:
     def test_too_many_erasures_fail(self, pipeline, rng):
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
-        for column in range(13):  # nsym = 12: one too many
-            clusters[column] = ReadCluster(source_index=column, reads=[])
-        decoded, report = pipeline.decode(clusters, bits.size)
+        # nsym = 12: one too many.
+        batch = _noiseless_batch(unit, {column: [] for column in range(13)})
+        decoded, report = pipeline.decode(batch, bits.size)
         assert not report.clean
 
     def test_extra_erasure_columns_reduce_effective_redundancy(
@@ -160,13 +161,11 @@ class TestDecodeWithLosses:
     ):
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
         # Sacrificing 8 parity columns leaves effective nsym = 4 ...
         sacrificed = list(range(52, 60))
-        for column in (3, 17, 40):
-            clusters[column] = ReadCluster(source_index=column, reads=[])
+        batch = _noiseless_batch(unit, {column: [] for column in (3, 17, 40)})
         decoded, report = pipeline.decode(
-            clusters, bits.size, extra_erasure_columns=sacrificed
+            batch, bits.size, extra_erasure_columns=sacrificed
         )
         # ... which still covers 3 real losses + 8 sacrificed erasures = 11 <= 12.
         assert report.clean
@@ -176,15 +175,15 @@ class TestDecodeWithLosses:
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.06), FixedCoverage(10))
-        clusters = simulator.sequence(unit.strands, rng)
-        decoded, report = pipeline.decode(clusters, bits.size)
+        batch = simulator.sequence_batch(unit.strands, rng)
+        decoded, report = pipeline.decode(batch, bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
     def test_report_erasures_out_of_range_rejected(self, pipeline, rng):
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        received = pipeline.receive(_noiseless_clusters(unit, rng))
+        received = pipeline.receive(_noiseless_batch(unit))
         with pytest.raises(ValueError):
             pipeline.correct(received, bits.size, extra_erasure_columns=[60])
 
@@ -193,10 +192,10 @@ class TestReceive:
     def test_duplicate_index_keeps_first(self, pipeline, rng):
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
         # Make cluster 5 claim column 4's index by feeding it strand 4.
-        clusters[5] = ReadCluster(source_index=5, reads=[unit.strands[4]])
-        received = pipeline.receive(clusters)
+        received = pipeline.receive(
+            _noiseless_batch(unit, {5: [unit.strands[4]]})
+        )
         assert 4 in received.duplicate_columns
         assert 5 in received.erased_columns
 
@@ -206,11 +205,9 @@ class TestReceive:
         )
         bits = _payload(pipeline, rng)
         unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
         # An index value of 255 >= n_columns=60 must be rejected.
         bogus = "TTTT" + unit.strands[0][4:]
-        clusters[0] = ReadCluster(source_index=0, reads=[bogus])
-        received = pipeline.receive(clusters)
+        received = pipeline.receive(_noiseless_batch(unit, {0: [bogus]}))
         assert received.invalid_strands == 1
         assert 0 in received.erased_columns
 
@@ -223,7 +220,7 @@ class TestReceive:
         truncating = DnaStoragePipeline(
             pipeline.config, reconstructor=TruncatingTwoWay(rows=[0])
         )
-        received = truncating.receive(_noiseless_clusters(unit, rng))
+        received = truncating.receive(_noiseless_batch(unit))
         assert received.invalid_strands == 1
         assert received.erased_columns == [0]
 
@@ -237,7 +234,7 @@ class TestReceive:
             ),
         )
         received = truncating.receive(
-            _noiseless_clusters(unit, rng), confidence_threshold=0.5
+            _noiseless_batch(unit), confidence_threshold=0.5
         )
         assert received.invalid_strands == 1
         assert received.erased_columns == [0]
@@ -247,9 +244,7 @@ class TestReceive:
         (the second unit's first cluster) counts against unit 1 only."""
         n_columns = pipeline.matrix_config.n_columns
         batches = [
-            ReadBatch.from_clusters(_noiseless_clusters(
-                pipeline.encode(_payload(pipeline, rng)), rng
-            ))
+            _noiseless_batch(pipeline.encode(_payload(pipeline, rng)))
             for _ in range(2)
         ]
         truncating = DnaStoragePipeline(
@@ -270,7 +265,7 @@ class TestNoEccMode:
         pipeline = DnaStoragePipeline(PipelineConfig(matrix=config))
         bits = rng.integers(0, 2, pipeline.capacity_bits).astype(np.uint8)
         unit = pipeline.encode(bits)
-        decoded, report = pipeline.decode(_noiseless_clusters(unit, rng), bits.size)
+        decoded, report = pipeline.decode(_noiseless_batch(unit), bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -279,9 +274,9 @@ class TestNoEccMode:
         pipeline = DnaStoragePipeline(PipelineConfig(matrix=config))
         bits = np.ones(pipeline.capacity_bits, dtype=np.uint8)
         unit = pipeline.encode(bits)
-        clusters = _noiseless_clusters(unit, rng)
-        clusters[2] = ReadCluster(source_index=2, reads=[])
-        decoded, report = pipeline.decode(clusters, bits.size)
+        decoded, report = pipeline.decode(
+            _noiseless_batch(unit, {2: []}), bits.size
+        )
         assert report.clean  # no codewords exist to fail
         assert 2 in report.erased_columns
         assert not np.array_equal(decoded, bits)  # the lost column is gone

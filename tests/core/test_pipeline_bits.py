@@ -50,7 +50,7 @@ class TestPrioritizedBits:
         bits = rng.integers(0, 2, pipeline.capacity_bits).astype(np.uint8)
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
-        received = pipeline.receive(simulator.sequence(unit.strands, rng))
+        received = pipeline.receive(simulator.sequence_batch(unit.strands, rng))
         np.testing.assert_array_equal(
             pipeline.prioritized_bits(received),
             pipeline.prioritized_bits(received.matrix),

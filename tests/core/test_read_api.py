@@ -18,7 +18,6 @@ from repro.channel import (
     ErrorModel,
     FixedCoverage,
     ReadBatch,
-    ReadCluster,
     SequencingSimulator,
 )
 from repro.cluster import BatchedGreedyClusterer
@@ -302,8 +301,8 @@ class TestRequestValidation:
 
     @pytest.mark.parametrize("make_bad", [
         lambda reads: reads.select_clusters(0, MATRIX.n_columns),
-        lambda reads: [reads.select_clusters(0, MATRIX.n_columns)],
-    ], ids=["short_spanning_batch", "list_missing_a_unit"])
+        lambda reads: ReadBatch.concat([reads, unit(reads, 0)]),
+    ], ids=["short_spanning_batch", "long_spanning_batch"])
     def test_reads_form_rejected_before_any_group_runs(
         self, fixture_store, make_bad
     ):
@@ -351,17 +350,15 @@ class TestRequestValidation:
             service.submit("bad")
         assert service.events.records("error") == []
 
-    def test_bad_unit_entry_rejected_before_any_group_runs(
-        self, fixture_store
-    ):
-        """A per-unit entry that is neither a ReadBatch nor a cluster
-        list raises a TypeError naming ``ReadRequest.reads`` up front:
-        alone, and behind a good request in another threshold group,
-        with no consensus span recorded."""
+    def test_unit_list_rejected_before_any_group_runs(self, fixture_store):
+        """Labeled reads come as one spanning batch: a list of per-unit
+        batches raises a TypeError naming ``ReadRequest.reads`` up front,
+        alone and behind a good request in another threshold group, with
+        no consensus span recorded."""
         store = fixture_store
         reads, bits, _ = sequence(store, seed=37)
-        bad = ReadRequest([reads.select_clusters(0, MATRIX.n_columns), 5],
-                          bits.size, confidence_threshold=0.5)
+        bad = ReadRequest([unit(reads, 0), unit(reads, 1)], bits.size,
+                          confidence_threshold=0.5)
         tracer = Tracer()
         with use_tracer(tracer):
             with pytest.raises(TypeError, match=r"ReadRequest\.reads"):
@@ -372,27 +369,25 @@ class TestRequestValidation:
 
     @pytest.mark.parametrize("make_reads,pool", [
         (lambda reads: with_symbol(reads, 7), False),
-        (lambda reads: [unit(reads, 0), with_symbol(unit(reads, 1), 4)],
-         False),
-        (lambda reads: [
+        (lambda reads: ReadBatch.concat(
+            [unit(reads, 0), with_symbol(unit(reads, 1), 4)]), False),
+        (lambda reads: ReadBatch.concat([
             unit(reads, 0),
-            [ReadCluster.from_arrays(0, [np.array([0, 1, 9], np.uint8)])]
-            + unit(reads, 1).to_clusters()[1:],
-        ], False),
-        (lambda reads: [
-            unit(reads, 0),
-            [ReadCluster(0, ["ACGN"])] + unit(reads, 1).to_clusters()[1:],
-        ], False),
+            ReadBatch.from_arrays(
+                [[np.array([0, 1, 9], np.uint8)]]
+                + [unit(reads, 1).reads_of(c)
+                   for c in range(1, MATRIX.n_columns)]
+            ),
+        ]), False),
         (lambda reads: with_symbol(
             reads.pooled(np.array([0, 1, 2]) * MATRIX.n_columns), 255),
          True),
-    ], ids=["spanning_batch", "unit_batch", "array_cluster",
-            "string_cluster", "pool"])
+    ], ids=["spanning_batch", "unit_batch", "array_cluster", "pool"])
     def test_out_of_alphabet_read_rejected_before_any_group_runs(
         self, fixture_store, make_reads, pool
     ):
         """A base symbol outside ACGT fails the check with a ValueError
-        naming ``ReadRequest.reads``, in every reads form: alone, and
+        naming ``ReadRequest.reads``, labeled or pooled: alone, and
         behind a good request in another threshold group, before any
         consensus runs. It used to pass the check and raise inside the
         consensus layer, taking the good request down with it."""
@@ -416,56 +411,52 @@ class TestRequestValidation:
         reads, bits, _ = sequence(store, seed=41)
         poisoned = ReadBatch.concat([reads,
                                      with_symbol(unit(reads, 0), 7)])
-        views = [unit(poisoned, 0), unit(poisoned, 1)]
-        assert views[0].buffer is poisoned.buffer
-        result = store.read(ReadRequest(views, bits.size))
+        n_columns = MATRIX.n_columns
+        view = poisoned.select_clusters(0, 2 * n_columns)
+        assert view.buffer is poisoned.buffer
+        result = store.read(ReadRequest(view, bits.size))
         assert result.clean
         np.testing.assert_array_equal(result.bits, bits)
         with pytest.raises(ValueError, match=r"ReadRequest\.reads"):
-            store.check(ReadRequest([views[0], unit(poisoned, 2)],
-                                    bits.size))
+            store.check(ReadRequest(
+                poisoned.select_clusters(n_columns, 3 * n_columns),
+                bits.size,
+            ))
         # Reads as long in total as their buffer, yet not filling it: a
         # repeat of read 0 leaves a bad tail that no read covers.
-        first = unit(reads, 0)
-        extra = int(first.lengths[0])
+        extra = int(reads.lengths[0])
         overlapping = ReadBatch(
-            np.concatenate([first.buffer[:first.total_bases],
+            np.concatenate([reads.buffer[:reads.total_bases],
                             np.full(extra, 7, dtype=np.uint8)]),
-            np.concatenate([[first.offsets[0]], first.offsets]),
-            np.concatenate([[extra], first.lengths]),
-            np.concatenate([[0], first.cluster_ids]),
-            first.n_clusters,
+            np.concatenate([[reads.offsets[0]], reads.offsets]),
+            np.concatenate([[extra], reads.lengths]),
+            np.concatenate([[0], reads.cluster_ids]),
+            reads.n_clusters,
         )
-        assert overlapping.buffer.size == overlapping.total_bases
-        store.check(ReadRequest([overlapping, unit(reads, 1)], bits.size))
+        assert extra and overlapping.buffer.size == overlapping.total_bases
+        store.check(ReadRequest(overlapping, bits.size))
 
     @pytest.mark.parametrize("make_reads", [
         lambda reads: 5,
-        lambda reads: [reads.select_clusters(0, MATRIX.n_columns), "ACGT"],
-        lambda reads: [reads.select_clusters(0, MATRIX.n_columns),
-                       [reads.select_clusters(0, 1)]],
-    ], ids=["not_a_list", "string_entry", "batch_inside_cluster_list"])
+        lambda reads: [unit(reads, 0), unit(reads, 1)],
+        lambda reads: (unit(reads, 0), unit(reads, 1)),
+        lambda reads: [unit(reads, 0), 5],
+        lambda reads: [[reads.read_string(i)
+                        for i in range(*reads.cluster_rows(c))]
+                       for c in range(reads.n_clusters)],
+    ], ids=["number", "unit_batch_list", "unit_batch_tuple",
+            "bad_unit_entry", "string_lists"])
     def test_reads_of_the_wrong_form_are_type_errors(self, fixture_store,
                                                      make_reads):
+        """Only one ReadBatch is accepted; the message names the field
+        and the type it got."""
         store = fixture_store
         reads, bits, _ = sequence(store, seed=38)
-        with pytest.raises(TypeError, match=r"ReadRequest\.reads"):
-            store.check(ReadRequest(make_reads(reads), bits.size))
-
-    def test_cluster_lists_and_batches_accepted_per_unit(self,
-                                                         fixture_store):
-        store = fixture_store
-        reads, bits, _ = sequence(store, seed=39)
-        first = reads.select_clusters(0, MATRIX.n_columns)
-        second = reads.select_clusters(MATRIX.n_columns,
-                                       2 * MATRIX.n_columns)
-        clusters = [
-            ReadCluster(int(source), [])
-            for source in range(MATRIX.n_columns)
-        ]
-        store.check(ReadRequest([first, clusters], bits.size))
-        result = store.read(ReadRequest((first, second), bits.size))
-        np.testing.assert_array_equal(result.bits, bits)
+        bad = make_reads(reads)
+        with pytest.raises(TypeError, match=r"ReadRequest\.reads must be "
+                                            rf"one ReadBatch, got "
+                                            rf"{type(bad).__name__}"):
+            store.check(ReadRequest(bad, bits.size))
 
 
 class TestThresholdRange:

@@ -24,11 +24,11 @@ CONFIG = PipelineConfig(
 )
 
 
-def _sequence_units(image, error_rate, coverage, rng):
+def _sequence_store(image, error_rate, coverage, rng):
     simulator = SequencingSimulator(
         ErrorModel.uniform(error_rate), FixedCoverage(coverage)
     )
-    return [simulator.sequence(unit.strands, rng) for unit in image.units]
+    return simulator.sequence_store(image, rng)
 
 
 class TestUnitsNeeded:
@@ -55,7 +55,7 @@ class TestRoundtrip:
         image = store.encode(bits)
         assert image.n_units == 1
         decoded, report = store.read(ReadRequest(
-            _sequence_units(image, 0.0, 1, rng), bits.size
+            _sequence_store(image, 0.0, 1, rng), bits.size
         ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -67,7 +67,7 @@ class TestRoundtrip:
         assert image.n_units == 3
         assert image.total_strands == 3 * 40
         decoded, report = store.read(ReadRequest(
-            _sequence_units(image, 0.0, 1, rng), bits.size
+            _sequence_store(image, 0.0, 1, rng), bits.size
         ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -77,7 +77,7 @@ class TestRoundtrip:
         bits = rng.integers(0, 2, int(1.7 * store.unit_capacity_bits)).astype(np.uint8)
         image = store.encode(bits)
         decoded, report = store.read(ReadRequest(
-            _sequence_units(image, 0.05, 9, rng), bits.size
+            _sequence_store(image, 0.05, 9, rng), bits.size
         ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -92,7 +92,7 @@ class TestRoundtrip:
         bits = rng.integers(0, 2, n_bits).astype(np.uint8)
         image = store.encode(bits, ranking=ranking)
         decoded, report = store.read(ReadRequest(
-            _sequence_units(image, 0.0, 1, rng), bits.size, ranking=ranking,
+            _sequence_store(image, 0.0, 1, rng), bits.size, ranking=ranking,
         ))
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -114,9 +114,10 @@ class TestValidation:
         store = DnaStore(CONFIG)
         bits = rng.integers(0, 2, 2 * store.unit_capacity_bits).astype(np.uint8)
         image = store.encode(bits)
-        clusters = _sequence_units(image, 0.0, 1, rng)
+        batch = _sequence_store(image, 0.0, 1, rng)
+        one_unit = batch.select_clusters(0, CONFIG.matrix.n_columns)
         with pytest.raises(ValueError):
-            store.read(ReadRequest(clusters[:1], bits.size))
+            store.read(ReadRequest(one_unit, bits.size))
 
     def test_bad_ranking_rejected(self, rng):
         store = DnaStore(CONFIG)
@@ -128,9 +129,12 @@ class TestValidation:
         store = DnaStore(CONFIG)
         bits = rng.integers(0, 2, 2 * store.unit_capacity_bits).astype(np.uint8)
         image = store.encode(bits)
-        clusters = _sequence_units(image, 0.0, 1, rng)
-        clusters[0][3] = type(clusters[0][3])(source_index=3, reads=[])
-        decoded, report = store.read(ReadRequest(clusters, bits.size))
+        batch = _sequence_store(image, 0.0, 1, rng)
+        counts = batch.coverage_counts()
+        counts[3] = 0  # unit 0 loses its cluster 3
+        decoded, report = store.read(
+            ReadRequest(batch.select_prefix(counts), bits.size)
+        )
         assert report.clean  # one erasure is well within nsym=8
         assert report.total_erased_columns == 1
         assert all(not r.failed_codewords for r in report.unit_reports)

@@ -1,14 +1,14 @@
 """Differential suite: store-plane batched decode == per-unit oracle.
 
-``DnaStore.read`` normalizes any input form into one spanning
-``ReadBatch``, runs **one** consensus batch call over every surviving
-cluster of every unit, and parses the whole estimate stack with array
-operations (``pipeline.receive_many``). ``oracles.core.
+``DnaStore.read`` takes one spanning ``ReadBatch`` (or an unlabeled
+pool it clusters first), runs **one** consensus batch call over every
+surviving cluster of every unit, and parses the whole estimate stack
+with array operations (``pipeline.receive_many``). ``oracles.core.
 decode_units_reference`` is the frozen per-unit loop it replaced: one
 consensus call, one scalar index parse and one per-codeword correction
 loop per unit. These tests pin the two byte-identical — bits and every
 per-unit report field — across layouts, dropout-heavy channels, global
-rankings, confidence-threshold decoding and every input form, and pin
+rankings, confidence-threshold decoding and both input forms, and pin
 the batched encoder against the frozen per-cell loop encoder the same
 way.
 """
@@ -28,11 +28,11 @@ from repro.channel import (
     FixedCoverage,
     GammaCoverage,
     ReadBatch,
-    ReadCluster,
     ReadPool,
     SequencingSimulator,
 )
 from repro.cluster import BatchedGreedyClusterer
+from repro.codec.basemap import bases_to_indices
 from repro.consensus import PosteriorReconstructor, TwoWayReconstructor
 from repro.core import MatrixConfig, PipelineConfig, ReadRequest
 from repro.core.ranking import proportional_share_ranking
@@ -192,23 +192,24 @@ class TestBatchedDecodeDifferential:
         assert_read_matches_oracle(store, batch, bits.size,
                                    confidence_threshold=0.95)
 
-    def test_input_forms_equivalent(self, rng):
-        """Spanning batch, per-unit batches and per-unit cluster lists
-        must all decode identically."""
+    def test_concatenated_unit_batches_decode_like_the_spanning_batch(
+        self, rng
+    ):
+        """Per-unit batches join into the one accepted form with
+        ``ReadBatch.concat`` and decode exactly like the channel's own
+        spanning batch."""
         store, bits, image, batch = make_store_case(rng, rate=0.06)
         n_columns = CONFIG.matrix.n_columns
         per_unit_batches = [
             batch.select_clusters(u * n_columns, (u + 1) * n_columns)
             for u in range(image.n_units)
         ]
-        per_unit_clusters = [b.to_clusters() for b in per_unit_batches]
-        spanning, _ = store.read(ReadRequest(batch, bits.size))
-        from_batches, _ = store.read(ReadRequest(per_unit_batches, bits.size))
-        from_clusters, _ = store.read(
-            ReadRequest(per_unit_clusters, bits.size)
+        spanning = store.read(ReadRequest(batch, bits.size))
+        joined = store.read(
+            ReadRequest(ReadBatch.concat(per_unit_batches), bits.size)
         )
-        np.testing.assert_array_equal(spanning, from_batches)
-        np.testing.assert_array_equal(spanning, from_clusters)
+        np.testing.assert_array_equal(spanning.bits, joined.bits)
+        assert_reports_equal(spanning.report, joined.report)
 
     def test_single_unit_store(self, rng):
         store, bits, _, batch = make_store_case(rng, n_units_fraction=0.6)
@@ -221,8 +222,8 @@ class TestBatchedDecodeDifferential:
             store.read(ReadRequest(
                 batch.select_clusters(0, CONFIG.matrix.n_columns), bits.size
             ))
-        with pytest.raises(ValueError):
-            store.read(ReadRequest([batch.to_clusters()], bits.size))
+        with pytest.raises(TypeError, match="ReadRequest.reads"):
+            store.read(ReadRequest([batch], bits.size))
 
 
 class TestReceiveParseDifferential:
@@ -239,17 +240,15 @@ class TestReceiveParseDifferential:
             ),
         )
         n_columns = CONFIG.matrix.n_columns
-        units = [
-            batch.select_clusters(u * n_columns,
-                                  (u + 1) * n_columns).to_clusters()
-            for u in range(image.n_units)
-        ]
-        units[0][5] = ReadCluster(source_index=5,
-                                  reads=[image.units[0].strands[4]] * 3)
+        units = []
+        for u in range(image.n_units):
+            piece = batch.select_clusters(u * n_columns, (u + 1) * n_columns)
+            units.append([piece.reads_of(c) for c in range(n_columns)])
+        units[0][5] = [bases_to_indices(image.units[0].strands[4])] * 3
         bogus = "TTTT" + image.units[1].strands[0][4:]  # index 255
-        units[1][0] = ReadCluster(source_index=0, reads=[bogus] * 3)
-        units[1][7] = ReadCluster(source_index=7, reads=[])
-        per_unit = [ReadBatch.from_clusters(unit) for unit in units]
+        units[1][0] = [bases_to_indices(bogus)] * 3
+        units[1][7] = []
+        per_unit = [ReadBatch.from_arrays(unit) for unit in units]
         got = store.pipeline.receive_many(
             ReadBatch.concat(per_unit),
             np.arange(len(units) + 1) * n_columns,
@@ -341,12 +340,13 @@ class TestReadPoolForStore:
 
 #: Small units keep the property's oracle loops and posterior sweeps fast.
 PROPERTY_MATRIX = MatrixConfig(m=8, n_columns=16, nsym=4, payload_rows=4)
-INPUT_FORMS = ("batch", "batches", "clusters", "pool")
+INPUT_FORMS = ("batch", "pool")
 
 
 def request_material(store, image, form, rate, seed):
-    """One stored object's reads in ``form``, plus the per-unit pieces
-    the oracle decodes (pools clustered the way ``read`` clusters them)."""
+    """One stored object's reads in ``form``, plus what the oracle
+    decodes: the spanning batch itself, or per-unit pieces of a pool
+    clustered the way ``read`` clusters them."""
     simulator = SequencingSimulator(
         ErrorModel.uniform(rate), GammaCoverage(5, shape=3)
     )
@@ -362,17 +362,7 @@ def request_material(store, image, form, rate, seed):
             for u in range(image.n_units)
         ]
     batch = simulator.sequence_store(image, rng=seed)
-    per_unit = [
-        batch.select_clusters(u * config.n_columns,
-                              (u + 1) * config.n_columns)
-        for u in range(image.n_units)
-    ]
-    if form == "batch":
-        return batch, batch
-    if form == "batches":
-        return per_unit, per_unit
-    clusters = [piece.to_clusters() for piece in per_unit]
-    return clusters, clusters
+    return batch, batch
 
 
 class TestReadManyProperty:
@@ -381,7 +371,7 @@ class TestReadManyProperty:
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_read_many_answers_like_solo_reads_and_the_oracle(self, data):
-        """Over 1-3 requests of 1-3 units each, in any input form, a
+        """Over 1-3 requests of 1-3 units each, spanning or pooled, a
         shuffled ``read_many`` answers every request exactly — bits and
         every DecodeReport field — like its solo ``read`` and like the
         per-unit oracle decode."""

@@ -36,7 +36,8 @@ class TestUnevenOverStrands:
         matrix = scheme.encode(data)
         strands = pipeline._render_strands(matrix[None])[0]
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
-        received = pipeline.receive(simulator.sequence(strands, rng))
+        batch = simulator.sequence_batch(strands, rng)
+        received = pipeline.receive(batch)
         decoded, row_ok = scheme.decode(received.matrix,
                                         erasures=received.erased_columns)
         assert all(row_ok)
@@ -47,7 +48,8 @@ class TestUnevenOverStrands:
         matrix = scheme.encode(data)
         strands = pipeline._render_strands(matrix[None])[0]
         simulator = SequencingSimulator(ErrorModel.uniform(0.03), FixedCoverage(10))
-        received = pipeline.receive(simulator.sequence(strands, rng))
+        batch = simulator.sequence_batch(strands, rng)
+        received = pipeline.receive(batch)
         decoded, row_ok = scheme.decode(received.matrix,
                                         erasures=received.erased_columns)
         assert all(row_ok)

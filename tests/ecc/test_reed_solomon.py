@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.ecc import ReferenceReedSolomon
 from repro.ecc import DecodeFailure, ReedSolomon
 from repro.ecc.batched import as_erasure_mask, decode_words
 
@@ -52,6 +53,14 @@ class TestEncode:
         codeword = rs.encode(rng.integers(0, 256, rs.k))
         assert rs.check(codeword)
 
+    def test_check_validation(self, rs):
+        with pytest.raises(ValueError, match="word must have 80 symbols"):
+            rs.check(np.zeros(rs.n + 1, dtype=np.int64))
+        word = np.zeros(rs.n, dtype=np.int64)
+        word[5] = 256
+        with pytest.raises(ValueError, match="out of field range"):
+            rs.check(word)
+
     def test_zero_message_gives_zero_codeword(self, rs):
         codeword = rs.encode(np.zeros(rs.k, dtype=np.int64))
         assert not codeword.any()
@@ -66,10 +75,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             rs.encode(message)
 
-    def test_parity_helper(self, rs, rng):
+    def test_parity_is_the_generator_remainder(self, rs, rng):
         message = rng.integers(0, 256, rs.k)
+        reference = ReferenceReedSolomon(rs.m, nsym=rs.nsym, n=rs.n)
         np.testing.assert_array_equal(
-            rs.parity(message), rs.encode(message)[rs.k:]
+            rs.encode(message)[rs.k:], reference.parity(message)
         )
 
     def test_linearity(self, rs, rng):
@@ -106,7 +116,7 @@ class TestDecodeErrors:
             # A miscorrection is theoretically possible but must not
             # silently return the true message while claiming success.
             assert not np.array_equal(decoded, message) or rs.check(
-                np.concatenate([decoded, rs.parity(decoded)])
+                rs.encode(decoded)
             )
         except DecodeFailure:
             pass  # the expected outcome
@@ -215,16 +225,18 @@ class TestOtherFields:
 
 class TestBatchedEntryPoints:
     """parity_many / syndromes_many: one GF matrix product, row-wise
-    identical to the scalar paths."""
+    identical to the frozen per-codeword division and Horner syndromes
+    (``oracles.ecc.ReferenceReedSolomon``)."""
 
     @pytest.mark.parametrize("m,nsym,n", [(8, 8, 40), (8, 47, 255),
                                           (4, 5, 15), (16, 12, 100)])
     def test_parity_many_matches_parity(self, m, nsym, n, rng):
         codec = ReedSolomon(m, nsym=nsym, n=n)
+        reference = ReferenceReedSolomon(m, nsym=nsym, n=n)
         messages = rng.integers(0, 1 << m, size=(9, codec.k))
         batched = codec.parity_many(messages)
         for row, message in zip(batched, messages):
-            np.testing.assert_array_equal(row, codec.parity(message))
+            np.testing.assert_array_equal(row, reference.parity(message))
 
     def test_parity_many_rows_are_codewords(self, rng):
         codec = ReedSolomon(8, nsym=8, n=40)
@@ -244,10 +256,11 @@ class TestBatchedEntryPoints:
     @pytest.mark.parametrize("m,nsym,n", [(8, 8, 40), (16, 12, 100)])
     def test_syndromes_many_matches_scalar(self, m, nsym, n, rng):
         codec = ReedSolomon(m, nsym=nsym, n=n)
+        reference = ReferenceReedSolomon(m, nsym=nsym, n=n)
         words = rng.integers(0, 1 << m, size=(7, n))
         batched = codec.syndromes_many(words)
         for row, word in zip(batched, words):
-            np.testing.assert_array_equal(row, codec._syndromes(word))
+            np.testing.assert_array_equal(row, reference._syndromes(word))
 
     def test_syndromes_many_zero_iff_codeword(self, rng):
         codec = ReedSolomon(8, nsym=8, n=40)
@@ -273,17 +286,36 @@ class TestBatchedEntryPoints:
         product sees). n is shortened where 2^m - 1 is large."""
         n = min((1 << m) - 1, 48)
         codec = ReedSolomon(m, nsym=min(n - 1, 8), n=n)
+        reference = ReferenceReedSolomon(m, nsym=codec.nsym, n=n)
         top = codec.field.max_value
         messages = np.vstack([rng.integers(0, top + 1, size=(4, codec.k)),
                               np.zeros((1, codec.k), dtype=np.int64),
                               np.full((1, codec.k), top)])
         for row, message in zip(codec.parity_many(messages), messages):
-            np.testing.assert_array_equal(row, codec.parity(message))
+            np.testing.assert_array_equal(row, reference.parity(message))
         words = np.vstack([rng.integers(0, top + 1, size=(4, n)),
                            np.zeros((1, n), dtype=np.int64),
                            np.full((1, n), top)])
         for row, word in zip(codec.syndromes_many(words), words):
-            np.testing.assert_array_equal(row, codec._syndromes(word))
+            np.testing.assert_array_equal(row, reference._syndromes(word))
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_single_codeword_calls_in_every_field(self, m, rng):
+        """``encode`` and ``check`` are one-row cases of the products: the
+        parity is the frozen generator division's, and ``check`` accepts
+        the codeword and rejects it with one symbol changed."""
+        n = min((1 << m) - 1, 48)
+        codec = ReedSolomon(m, nsym=min(n - 1, 8), n=n)
+        reference = ReferenceReedSolomon(m, nsym=codec.nsym, n=n)
+        message = rng.integers(0, codec.field.max_value + 1, codec.k)
+        codeword = codec.encode(message)
+        np.testing.assert_array_equal(codeword[:codec.k], message)
+        np.testing.assert_array_equal(codeword[codec.k:],
+                                      reference.parity(message))
+        assert codec.check(codeword)
+        codeword[-1] ^= 1
+        assert reference._syndromes(codeword).any()
+        assert not codec.check(codeword)
 
     def test_float32_products_exact_in_every_field(self):
         """The products run in float32, exact while a cell's count -- at

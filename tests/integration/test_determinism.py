@@ -28,25 +28,33 @@ from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
 MATRIX = MatrixConfig(m=8, n_columns=40, nsym=8, payload_rows=8)
 
 
-def make_clusters(seed=0, coverage=6, rate=0.08, n_strands=12, length=40):
+def make_batch(seed=0, coverage=6, rate=0.08, n_strands=12, length=40):
     strands = [random_bases(length, rng=np.random.default_rng(1000 + i))
                for i in range(n_strands)]
     simulator = SequencingSimulator(
         ErrorModel.uniform(rate), FixedCoverage(coverage)
     )
-    return strands, simulator.sequence(strands, rng=seed)
+    return strands, simulator.sequence_batch(strands, rng=seed)
+
+
+def clusters_as_strings(batch):
+    """Every cluster's reads as base strings."""
+    return [
+        [batch.read_string(i) for i in range(*batch.cluster_rows(c))]
+        for c in range(batch.n_clusters)
+    ]
 
 
 class TestSequencingDeterminism:
     def test_sequence_reproducible_with_seed(self):
-        strands, first = make_clusters(seed=0)
-        _, second = make_clusters(seed=0)
-        assert [c.reads for c in first] == [c.reads for c in second]
+        strands, first = make_batch(seed=0)
+        _, second = make_batch(seed=0)
+        assert clusters_as_strings(first) == clusters_as_strings(second)
 
     def test_sequence_differs_across_seeds(self):
-        _, first = make_clusters(seed=0)
-        _, second = make_clusters(seed=1)
-        assert [c.reads for c in first] != [c.reads for c in second]
+        _, first = make_batch(seed=0)
+        _, second = make_batch(seed=1)
+        assert clusters_as_strings(first) != clusters_as_strings(second)
 
     def test_gamma_coverage_reproducible(self):
         strands = [random_bases(30, rng=np.random.default_rng(i))
@@ -54,9 +62,9 @@ class TestSequencingDeterminism:
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.05), GammaCoverage(6, shape=4)
         )
-        a = simulator.sequence(strands, rng=42)
-        b = simulator.sequence(strands, rng=42)
-        assert [c.reads for c in a] == [c.reads for c in b]
+        a = simulator.sequence_batch(strands, rng=42)
+        b = simulator.sequence_batch(strands, rng=42)
+        assert clusters_as_strings(a) == clusters_as_strings(b)
 
 
 @pytest.mark.parametrize("reconstructor_cls", [
@@ -65,8 +73,7 @@ class TestSequencingDeterminism:
 ])
 class TestBatchDeterminism:
     def test_batch_reproducible_run_to_run(self, reconstructor_cls):
-        _, clusters = make_clusters()
-        batch = ReadBatch.from_clusters(clusters)
+        _, batch = make_batch()
         first = reconstructor_cls().reconstruct_batch(batch, 40)
         second = reconstructor_cls().reconstruct_batch(batch, 40)
         np.testing.assert_array_equal(first, second)
@@ -74,14 +81,12 @@ class TestBatchDeterminism:
     def test_batch_equals_scalar_entry_point(self, reconstructor_cls):
         """Each row of the batch equals the one-cluster string adapter,
         ``reconstruct``, on that cluster's reads."""
-        _, clusters = make_clusters()
+        _, batch = make_batch()
         reconstructor = reconstructor_cls()
-        batched = reconstructor.reconstruct_batch(
-            ReadBatch.from_clusters(clusters), 40
-        )
-        for cluster, estimate in zip(clusters, batched):
+        batched = reconstructor.reconstruct_batch(batch, 40)
+        for reads, estimate in zip(clusters_as_strings(batch), batched):
             assert indices_to_bases(estimate) \
-                == reconstructor.reconstruct(cluster.reads, 40)
+                == reconstructor.reconstruct(reads, 40)
 
 
 class TestLSHClusteringDeterminism:
@@ -144,9 +149,9 @@ class TestPipelineDeterminism:
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.06), FixedCoverage(8)
         )
-        clusters = simulator.sequence(unit.strands, rng=7)
-        first, _ = pipeline.decode(clusters, bits.size)
-        second, _ = pipeline.decode(clusters, bits.size)
+        batch = simulator.sequence_batch(unit.strands, rng=7)
+        first, _ = pipeline.decode(batch, bits.size)
+        second, _ = pipeline.decode(batch, bits.size)
         np.testing.assert_array_equal(first, second)
 
     def test_receive_matrix_independent_of_cluster_order(self):
@@ -157,8 +162,11 @@ class TestPipelineDeterminism:
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.05), FixedCoverage(6)
         )
-        clusters = simulator.sequence(unit.strands, rng=3)
-        forward = pipeline.receive(clusters)
-        backward = pipeline.receive(list(reversed(clusters)))
+        batch = simulator.sequence_batch(unit.strands, rng=3)
+        forward = pipeline.receive(batch)
+        backward = pipeline.receive(ReadBatch.concat([
+            batch.select_clusters(c, c + 1)
+            for c in reversed(range(batch.n_clusters))
+        ]))
         np.testing.assert_array_equal(forward.matrix, backward.matrix)
         assert forward.erased_columns == backward.erased_columns

@@ -37,8 +37,8 @@ class TestFullStack:
         bits = bytes_to_bits(packed.data)
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.05), FixedCoverage(9))
-        clusters = simulator.sequence(unit.strands, rng)
-        decoded_bits, report = pipeline.decode(clusters, bits.size)
+        batch = simulator.sequence_batch(unit.strands, rng)
+        decoded_bits, report = pipeline.decode(batch, bits.size)
         assert report.clean
 
         entries = unpack_archive_robust(bits_to_bytes(decoded_bits))
@@ -55,8 +55,8 @@ class TestFullStack:
         simulator = SequencingSimulator(
             ErrorModel.uniform(0.03), GammaCoverage(12, shape=3)
         )
-        clusters = simulator.sequence(unit.strands, rng)
-        decoded, report = pipeline.decode(clusters, bits.size)
+        batch = simulator.sequence_batch(unit.strands, rng)
+        decoded, report = pipeline.decode(batch, bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -106,11 +106,12 @@ class TestFullStack:
 
         clusters = BatchedGreedyClusterer(threshold=10).cluster_batch(
             selected
-        ).to_clusters()
+        )
         # Keep the plausible clusters (primer survivors of the other file
         # are rare but possible).
-        clusters = [c for c in clusters if c.coverage >= 2]
-        decoded, report = pipeline.decode(clusters, pipeline.capacity_bits)
+        counts = clusters.coverage_counts()
+        plausible = clusters.select_prefix(np.where(counts >= 2, counts, 0))
+        decoded, report = pipeline.decode(plausible, pipeline.capacity_bits)
         assert report.clean
         np.testing.assert_array_equal(decoded, payloads[1])
 

@@ -27,7 +27,7 @@ MATRIX = MatrixConfig(m=8, n_columns=90, nsym=17, payload_rows=14)
 def _received_matrix(pipeline, unit, error_rate, coverage, rng):
     pool = ReadPool(unit.strands, ErrorModel.uniform(error_rate),
                     max_coverage=coverage, rng=rng)
-    return pipeline.receive(pool.clusters_at(coverage))
+    return pipeline.receive(pool.batch_at(coverage))
 
 
 @pytest.mark.slow
@@ -105,6 +105,6 @@ class TestGiniReliabilityClasses:
         unit = pipeline.encode(bits)
         pool = ReadPool(unit.strands, ErrorModel.uniform(0.05),
                         max_coverage=10, rng=rng)
-        decoded, report = pipeline.decode(pool.clusters_at(10), bits.size)
+        decoded, report = pipeline.decode(pool.batch_at(10), bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)

@@ -11,7 +11,7 @@ not capability).
 import numpy as np
 import pytest
 
-from repro.channel import ErrorModel, FixedCoverage, ReadCluster, SequencingSimulator
+from repro.channel import ErrorModel, FixedCoverage, SequencingSimulator
 from repro.core import DnaStoragePipeline, MatrixConfig, PipelineConfig
 
 pytestmark = pytest.mark.paperscale
@@ -48,7 +48,7 @@ class TestPaperScaleRoundtrip:
         assert len(unit.strands[0]) == 664
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
         decoded, report = pipeline.decode(
-            simulator.sequence(unit.strands, rng), bits.size
+            simulator.sequence_batch(unit.strands, rng), bits.size
         )
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
@@ -60,11 +60,12 @@ class TestPaperScaleRoundtrip:
         bits = rng.integers(0, 2, pipeline.capacity_bits).astype(np.uint8)
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.0), FixedCoverage(1))
-        clusters = simulator.sequence(unit.strands, rng)
-        for column in rng.choice(paper_matrix.n_columns, paper_matrix.nsym,
-                                 replace=False):
-            clusters[column] = ReadCluster(source_index=int(column), reads=[])
-        decoded, report = pipeline.decode(clusters, bits.size)
+        batch = simulator.sequence_batch(unit.strands, rng)
+        kept = batch.coverage_counts()
+        kept[rng.choice(paper_matrix.n_columns, paper_matrix.nsym,
+                        replace=False)] = 0
+        decoded, report = pipeline.decode(batch.select_prefix(kept),
+                                          bits.size)
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)
 
@@ -77,7 +78,7 @@ class TestPaperScaleRoundtrip:
         unit = pipeline.encode(bits)
         simulator = SequencingSimulator(ErrorModel.uniform(0.03), FixedCoverage(8))
         decoded, report = pipeline.decode(
-            simulator.sequence(unit.strands, rng), bits.size
+            simulator.sequence_batch(unit.strands, rng), bits.size
         )
         assert report.clean
         np.testing.assert_array_equal(decoded, bits)

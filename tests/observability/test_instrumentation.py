@@ -157,15 +157,15 @@ class TestSingleUnitAttribution:
         pipeline = DnaStoragePipeline(PipelineConfig(matrix=MATRIX))
         rng = np.random.default_rng(41)
         bits = rng.integers(0, 2, pipeline.capacity_bits).astype(np.uint8)
-        clusters = SequencingSimulator(
+        batch = SequencingSimulator(
             ErrorModel.uniform(0.03), FixedCoverage(6)
-        ).sequence(pipeline.encode(bits).strands, rng)
+        ).sequence_batch(pipeline.encode(bits).strands, rng)
         tracer = Tracer()
         with use_tracer(tracer):
             if call == "receive":
-                pipeline.receive(clusters)
+                pipeline.receive(batch)
             else:
-                pipeline.decode(clusters, bits.size)
+                pipeline.decode(batch, bits.size)
         assert tracer.stage_totals()["consensus.reconstruct"]["calls"] == 1
         assert tracer.metrics.counter("consensus.clusters").value \
             == MATRIX.n_columns

@@ -10,7 +10,6 @@ from repro.observability import (
     SpanRecord,
     Tracer,
     get_tracer,
-    traced,
     use_tracer,
 )
 from repro.observability.trace import _NULL_SPAN
@@ -160,24 +159,3 @@ class TestSpans:
         assert data["attributes"] == {"n": 2}
         assert data["seconds"] >= 0
         assert data["children"][0]["name"] == "child"
-
-
-class TestDecorator:
-    def test_traced_uses_active_tracer(self):
-        tracer = Tracer()
-
-        @traced("my.stage", fixed=1)
-        def work(x):
-            return x * 2
-
-        with use_tracer(tracer):
-            assert work(21) == 42
-        assert tracer.roots[0].name == "my.stage"
-        assert tracer.roots[0].attributes == {"fixed": 1}
-
-    def test_traced_defaults_to_qualname_and_is_free_when_off(self):
-        @traced()
-        def helper():
-            return "done"
-
-        assert helper() == "done"  # no tracer active: pure no-op path

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.channel.sequencer import ReadCluster
+from repro.channel.readbatch import ReadBatch
 from repro.codec.basemap import bases_to_indices
 
 
@@ -233,11 +233,12 @@ class ReferenceGreedyClusterer:
         self.threshold = threshold
         self.qgram_size = qgram_size
 
-    def cluster(self, reads: Sequence[str]) -> List[ReadCluster]:
+    def cluster(self, reads: Sequence[str]) -> ReadBatch:
         """Group reads into clusters; cluster ids are assigned in order.
 
-        The returned clusters carry ``source_index`` equal to their creation
-        order (there is no ground truth here).
+        The returned batch numbers its clusters, and their
+        ``source_indices``, in creation order (there is no ground truth
+        here); each cluster keeps its reads in input order.
         """
         representatives: List[str] = []
         signatures: List[Optional[np.ndarray]] = []
@@ -253,10 +254,7 @@ class ReferenceGreedyClusterer:
                 members.append([read])
             else:
                 members[assigned].append(read)
-        return [
-            ReadCluster(source_index=index, reads=cluster_reads)
-            for index, cluster_reads in enumerate(members)
-        ]
+        return ReadBatch.from_strings(members)
 
     def _find_cluster(
         self,

@@ -5,7 +5,9 @@ store replaced — one cell, one codeword, one estimate or one unit per
 step — kept verbatim so the array code stays pinned against something
 obviously correct:
 
-* :func:`encode_loop_reference` (with :func:`_fill_parity` and
+* :func:`encode_loop_reference` (with :func:`_fill_parity`, which takes
+  each codeword's parity from the frozen polynomial division
+  :meth:`~oracles.ecc.ReferenceReedSolomon.parity`, and
   :func:`_column_to_strand`, which renders each column through
   :func:`pack_uint` and :class:`DirectCodec`) — the per-cell loop
   encoder behind ``DnaStoragePipeline.encode_many``;
@@ -107,7 +109,8 @@ def _fill_parity(pipeline, matrix: np.ndarray) -> None:
             [matrix[row, col] for row, col in cells[:data_columns]],
             dtype=np.int64,
         )
-        parity = pipeline._rs.parity(message)
+        rs = pipeline._rs
+        parity = _reference_codec(rs.m, rs.nsym, rs.n).parity(message)
         for value, (row, col) in zip(parity, cells[data_columns:]):
             matrix[row, col] = value
 
@@ -161,14 +164,12 @@ def _column_to_strand(pipeline, matrix: np.ndarray, column: int) -> str:
 
 
 def receive_loop_reference(
-    pipeline, clusters, confidence_threshold: Optional[float] = None
+    pipeline, batch: ReadBatch, confidence_threshold: Optional[float] = None
 ) -> ReceivedUnit:
     """Consensus over the unit's surviving clusters (one reconstructor
     batch call), then one :func:`_parse_indices` call per estimate —
     first claim wins, later claims are duplicates."""
     config = pipeline.matrix_config
-    batch = (clusters if isinstance(clusters, ReadBatch)
-             else ReadBatch.from_clusters(clusters))
     live = batch.drop_lost()
     length = config.strand_length
     if (confidence_threshold is not None
@@ -360,8 +361,8 @@ def decode_units_reference(
 ) -> Tuple[np.ndarray, StoreReport]:
     """The per-unit store decode: N units cost N reconstructor calls.
 
-    ``reads`` is one spanning batch or one batch / cluster list per unit
-    (pooled reads must be clustered into per-unit batches first). Each
+    ``reads`` is one spanning batch or one batch per unit (pooled reads
+    must be clustered into per-unit batches first). Each
     unit goes through :func:`receive_loop_reference`,
     :func:`correct_matrix_loop_reference` and bit extraction alone; the
     stripes re-interleave round-robin and ``ranking`` is inverted last.

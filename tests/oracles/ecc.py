@@ -14,7 +14,13 @@ construction: ``tests/ecc/test_batched_vs_reference.py`` asserts that
 corrected symbols, corrected counts, and which rows fail. Do not optimize
 this module; its value is that it never changes. Its Forney step divides
 with :func:`gf_div`, the scalar field division nothing in the live
-decoder uses any more.
+decoder uses any more, and every scalar product goes through
+:func:`gf_mul`/:func:`gf_inv`, the field's log-table scalar ops (the live
+code works on vectors only). Its syndromes and Chien search evaluate through
+:func:`poly_eval_many` (scalar Horner over a vector of points), and
+:meth:`ReferenceReedSolomon.parity` divides with :func:`poly_divmod`:
+the per-codeword encode and check that ``ReedSolomon.parity_many`` and
+``ReedSolomon.syndromes_many`` replaced, which pin those products.
 
 :class:`Float64BitPlaneProducts` freezes the batched parity and syndrome
 products as they ran in float64, per-bit shifts and all, before the
@@ -32,6 +38,20 @@ import numpy as np
 from repro.ecc.reed_solomon import DecodeFailure, ReedSolomon
 
 
+def gf_mul(field, a: int, b: int) -> int:
+    """Field multiplication via log tables."""
+    if a == 0 or b == 0:
+        return 0
+    return int(field._exp[field._log[a] + field._log[b]])
+
+
+def gf_inv(field, a: int) -> int:
+    """Multiplicative inverse; raises ZeroDivisionError for 0."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no inverse in GF(2^m)")
+    return int(field._exp[field.max_value - field._log[a]])
+
+
 def gf_div(field, a: int, b: int) -> int:
     """Field division ``a / b``; raises ZeroDivisionError for b == 0."""
     if b == 0:
@@ -41,13 +61,63 @@ def gf_div(field, a: int, b: int) -> int:
     return int(field._exp[(field._log[a] - field._log[b]) % field.max_value])
 
 
+def poly_eval_many(field, poly: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate a polynomial at many points at once (vector Horner)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    result = np.zeros_like(xs)
+    for coeff in np.asarray(poly, dtype=np.int64):
+        result = field.mul_vec(result, xs) ^ int(coeff)
+    return result
+
+
+def poly_divmod(field, dividend: np.ndarray, divisor: np.ndarray) -> tuple:
+    """Polynomial long division; returns (quotient, remainder)."""
+    dividend = np.asarray(dividend, dtype=np.int64).copy()
+    divisor = np.asarray(divisor, dtype=np.int64)
+    divisor = np.trim_zeros(divisor, "f")
+    if divisor.size == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(dividend) < len(divisor):
+        return np.zeros(1, dtype=np.int64), dividend
+    lead_inv = gf_inv(field, int(divisor[0]))
+    quotient = np.zeros(len(dividend) - len(divisor) + 1, dtype=np.int64)
+    for i in range(len(quotient)):
+        coeff = gf_mul(field, int(dividend[i]), lead_inv)
+        quotient[i] = coeff
+        if coeff != 0:
+            dividend[i: i + len(divisor)] ^= field.scale_vec(divisor, coeff)
+    remainder = dividend[len(quotient):]
+    return quotient, remainder
+
+
 class ReferenceReedSolomon(ReedSolomon):
     """The original scalar error-and-erasure decoder, frozen verbatim.
 
-    Construction, encoding and the syndrome helpers are shared with
-    :class:`ReedSolomon`; only the errata chain differs — this class runs
-    the per-codeword Python loops the batched decoder replaced.
+    Construction is shared with :class:`ReedSolomon`; the errata chain,
+    the syndromes and the parity differ — this class runs the
+    per-codeword Python loops the batched code replaced.
     """
+
+    def __init__(self, m: int, nsym: int, n=None) -> None:
+        super().__init__(m, nsym, n)
+        self._syndrome_xs = np.array(
+            [self.field.alpha_pow(j) for j in range(self.nsym)],
+            dtype=np.int64,
+        )
+
+    def parity(self, message: Sequence[int]) -> np.ndarray:
+        """The ``nsym`` parity symbols of ``message``: the remainder of
+        ``message * x^nsym`` divided by the generator polynomial."""
+        message = np.asarray(message, dtype=np.int64)
+        padded = np.concatenate([message, np.zeros(self.nsym, dtype=np.int64)])
+        _, remainder = poly_divmod(self.field, padded, self._generator)
+        parity = np.zeros(self.nsym, dtype=np.int64)
+        parity[self.nsym - len(remainder):] = remainder
+        return parity
+
+    def _syndromes(self, word: np.ndarray) -> np.ndarray:
+        """S_j = C(alpha^j) for j = 0..nsym-1 (ascending array)."""
+        return poly_eval_many(self.field, word, self._syndrome_xs)
 
     def decode(
         self,
@@ -108,7 +178,7 @@ class ReferenceReedSolomon(ReedSolomon):
             # Multiply locator by (1 + root*x).
             extended = locator + [0]
             for i in range(len(locator)):
-                extended[i + 1] ^= self.field.mul(locator[i], root)
+                extended[i + 1] ^= gf_mul(self.field, locator[i], root)
             locator = extended
         return locator
 
@@ -120,6 +190,7 @@ class ReferenceReedSolomon(ReedSolomon):
         Returns the combined locator Lambda(x)*Gamma(x) as an ascending
         coefficient list with constant term 1.
         """
+        field = self.field
         rho = len(erasure_list)
         locator = self._erasure_locator(erasure_list)
         previous = list(locator)
@@ -127,15 +198,15 @@ class ReferenceReedSolomon(ReedSolomon):
             delta = int(syndromes[k])
             for j in range(1, len(locator)):
                 if locator[j] and k - j >= 0:
-                    delta ^= self.field.mul(locator[j], int(syndromes[k - j]))
+                    delta ^= gf_mul(field, locator[j], int(syndromes[k - j]))
             previous = [0] + previous  # multiply by x (ascending order)
             if delta != 0:
                 if len(previous) > len(locator):
-                    new_locator = [self.field.mul(c, delta) for c in previous]
-                    inv_delta = self.field.inv(delta)
-                    previous = [self.field.mul(c, inv_delta) for c in locator]
+                    new_locator = [gf_mul(field, c, delta) for c in previous]
+                    inv_delta = gf_inv(field, delta)
+                    previous = [gf_mul(field, c, inv_delta) for c in locator]
                     locator = new_locator
-                scaled = [self.field.mul(c, delta) for c in previous]
+                scaled = [gf_mul(field, c, delta) for c in previous]
                 merged = [0] * max(len(locator), len(scaled))
                 for i, c in enumerate(locator):
                     merged[i] ^= c
@@ -151,7 +222,7 @@ class ReferenceReedSolomon(ReedSolomon):
     def _chien_search(self, locator: list) -> list:
         """Return received-array positions where the locator has a root."""
         loc_desc = np.array(locator[::-1], dtype=np.int64)
-        evaluations = self.field.poly_eval_many(loc_desc, self._inv_roots)
+        evaluations = poly_eval_many(self.field, loc_desc, self._inv_roots)
         return [int(i) for i in np.nonzero(evaluations == 0)[0]]
 
     def _forney(
@@ -166,27 +237,27 @@ class ReferenceReedSolomon(ReedSolomon):
                 continue
             for j, lam in enumerate(locator):
                 if lam and i + j < self.nsym:
-                    omega[i + j] ^= self.field.mul(s, lam)
+                    omega[i + j] ^= gf_mul(self.field, s, lam)
         # Formal derivative keeps odd-degree terms: sum Lambda_j x^(j-1), j odd.
         derivative = [locator[j] for j in range(1, len(locator), 2)]
         magnitudes = []
         for pos in positions:
             degree = self.n - 1 - pos
             x = self.field.alpha_pow(degree)
-            x_inv = self.field.inv(x)
+            x_inv = gf_inv(self.field, x)
             omega_val = self._eval_ascending(omega, x_inv)
             # Lambda'(x_inv): even powers of x_inv only (x^(j-1) with j odd).
             deriv_val = 0
             power = 1
-            x_inv_sq = self.field.mul(x_inv, x_inv)
+            x_inv_sq = gf_mul(self.field, x_inv, x_inv)
             for coeff in derivative:
                 if coeff:
-                    deriv_val ^= self.field.mul(coeff, power)
-                power = self.field.mul(power, x_inv_sq)
+                    deriv_val ^= gf_mul(self.field, coeff, power)
+                power = gf_mul(self.field, power, x_inv_sq)
             if deriv_val == 0:
                 raise DecodeFailure("Forney derivative evaluated to zero")
-            magnitude = self.field.mul(x, gf_div(self.field, omega_val,
-                                                 deriv_val))
+            magnitude = gf_mul(self.field, x,
+                               gf_div(self.field, omega_val, deriv_val))
             magnitudes.append(magnitude)
         return magnitudes
 
@@ -196,8 +267,8 @@ class ReferenceReedSolomon(ReedSolomon):
         power = 1
         for coeff in poly:
             if coeff:
-                result ^= self.field.mul(coeff, power)
-            power = self.field.mul(power, x)
+                result ^= gf_mul(self.field, coeff, power)
+            power = gf_mul(self.field, power, x)
         return result
 
     def __repr__(self) -> str:

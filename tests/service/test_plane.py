@@ -719,16 +719,17 @@ class TestPutValidation:
 
     @pytest.mark.parametrize("case", [
         "pool_with_labeled_reads", "ranking_not_a_permutation",
-        "bad_unit_entry", "out_of_alphabet_read",
+        "bad_unit_entry", "unit_batch_list", "out_of_alphabet_read",
     ])
     def test_malformed_object_fails_at_put(self, case):
         """Anything a decode would reject fails at ``put``: the
         lost-tickets repro (``pool=True`` with labeled reads), a ranking
-        that is not a permutation, a per-unit entry that is not reads and
-        a read holding symbol 7 (which used to pass ``put`` and then sink
-        every ticket of the tick it joined) each raise a typed error
-        naming the field. The catalog and the cache stay as they were,
-        and the next tick answers every good object."""
+        that is not a permutation, reads given as a list (of per-unit
+        batches, or with an entry that is not reads) rather than one
+        spanning batch, and a read holding symbol 7 (which used to pass
+        ``put`` and then sink every ticket of the tick it joined) each
+        raise a typed error naming the field. The catalog and the cache
+        stay as they were, and the next tick answers every good object."""
         store = make_store()
         objects = make_objects(store, 4, units=2)
         service = StoreService(store, cache_capacity=64)
@@ -749,6 +750,11 @@ class TestPutValidation:
                 ValueError, "ReadRequest.ranking"),
             "bad_unit_entry": (
                 [reads.select_clusters(0, MATRIX.n_columns), 5], {},
+                TypeError, "ReadRequest.reads"),
+            "unit_batch_list": (
+                [reads.select_clusters(u * MATRIX.n_columns,
+                                       (u + 1) * MATRIX.n_columns)
+                 for u in range(2)], {},
                 TypeError, "ReadRequest.reads"),
             "out_of_alphabet_read": (
                 with_symbol(reads, 7), {}, ValueError, "ReadRequest.reads"),

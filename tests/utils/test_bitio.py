@@ -70,10 +70,9 @@ class TestBitReader:
         with pytest.raises(EOFError):
             reader.read_bits(9)
 
-    def test_position_and_remaining(self):
+    def test_remaining(self):
         reader = BitReader(b"\x00\x00")
         reader.read_bits(5)
-        assert reader.position == 5
         assert reader.remaining == 11
 
 
