@@ -196,8 +196,8 @@ many users each pulling one object out of a shared pool) runs through
 the serving plane (``repro.service``): register objects once, enqueue
 read tickets, and each tick coalesces every drained ticket into one
 spanning consensus pass plus one batched RS errata pass — with a
-decoded-object LRU cache in front, so repeat reads skip the pipeline
-entirely::
+decoded-object cache in front (LRU eviction, frequency-based
+admission), so repeat reads skip the pipeline entirely::
 
     from repro.service import StoreService
 

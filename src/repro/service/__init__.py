@@ -11,10 +11,12 @@ store's public read path:
   :meth:`~repro.service.plane.StoreService.put` checks each object with
   :meth:`~repro.core.store.DnaStore.check`, so a malformed object fails
   there and never reaches a tick;
-* :class:`~repro.service.cache.DecodedUnitCache` — the LRU of decoded
+* :class:`~repro.service.cache.DecodedUnitCache` — the cache of decoded
   objects (whole ``ReadResult`` entries, sized in units) in front of
   the pipeline, invalidated by epoch on re-encode, so repeat reads never
-  touch consensus or RS at all.
+  touch consensus or RS at all. It evicts least-recently-used objects
+  and admits a new one only over objects looked up no more often, so
+  one-off reads cannot push the popular head out.
 
 Quick start::
 

@@ -21,8 +21,9 @@ object and cache counts). Independently of any tracer, the plane keeps
 *always-on* live telemetry, and it is the one home of the ``service.*``
 metrics: its own :class:`~repro.observability.metrics.MetricRegistry`
 (request/answer/error/tick counters, unit cache hits and misses,
-queue-depth and cache-size gauges, request/queue-wait/decode timing
-histograms, clean-vs-failed-vs-error outcomes), a structured
+cache evictions and refused admissions, queue-depth and cache-size
+gauges, request/queue-wait/decode timing histograms,
+clean-vs-failed-vs-error outcomes), a structured
 :class:`~repro.observability.events.EventLog` (submit / coalesce /
 decode / cache_hit / complete / error records keyed by monotonically
 assigned request ids), and a
@@ -59,8 +60,9 @@ class StoreService:
 
     Args:
         store: the :class:`~repro.core.store.DnaStore` to serve from.
-        cache_capacity: decoded-object LRU capacity, counted in units
-            (``0`` disables caching).
+        cache_capacity: capacity of the decoded-object cache (an LRU
+            that admits a new object only over objects looked up no more
+            often), counted in units (``0`` disables caching).
         batch_window: max tickets drained per :meth:`tick`
             (``None`` = drain everything). The throughput benchmark
             sweeps this knob: window 1 degenerates to one decode per
@@ -107,7 +109,10 @@ class StoreService:
         self._queue: List[tuple] = []  # (ticket, object_id, t_submit)
         self._next_ticket = 0
         self._next_tick = 0
+        # Cache totals already added to service.cache_evictions and
+        # service.cache_rejections.
         self._seen_evictions = 0
+        self._seen_rejected = 0
 
     # -- catalog -------------------------------------------------------------
 
@@ -242,6 +247,10 @@ class StoreService:
         if evicted:
             m.counter("service.cache_evictions").add(evicted)
             self._seen_evictions = self.cache.evictions
+        rejected = self.cache.rejected - self._seen_rejected
+        if rejected:
+            m.counter("service.cache_rejections").add(rejected)
+            self._seen_rejected = self.cache.rejected
         m.gauge("service.queue_depth").set(len(self._queue))
         m.gauge("service.cache_size").set(len(self.cache))
         return answers

@@ -450,7 +450,7 @@ class TestLiveTelemetry:
         n = len(objects)
         assert service.cache.stats() == {
             "size": 0, "capacity": 64, "hits": 0, "misses": 0,
-            "evictions": 0, "hit_rate": 0.0,
+            "evictions": 0, "rejected": 0, "hit_rate": 0.0,
         }
         for _ in range(2):
             for oid in objects:
@@ -475,6 +475,22 @@ class TestLiveTelemetry:
         counters = service.metrics.snapshot()["counters"]
         assert counters["service.cache_evictions"] == \
             service.cache.stats()["evictions"]
+
+    def test_rejection_counter_reaches_registry(self, served):
+        store, _, objects = served
+        service = StoreService(store, cache_capacity=1)
+        for oid, (reads, bits) in objects.items():
+            service.put(oid, reads, bits.size)
+        for oid in ("obj0", "obj0", "obj1", "obj2"):  # one per tick
+            service.submit(oid)
+            service.tick()
+        # obj0, looked up twice, refuses the one-off obj1 and obj2.
+        assert service.cache.stats()["rejected"] == 2
+        service.submit("obj0")
+        assert service.tick()[0].cache_hit
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["service.cache_rejections"] == 2
+        assert "service.cache_evictions" not in counters
 
     def test_event_log_records_request_lifecycle(self, served):
         _, service, objects = served
